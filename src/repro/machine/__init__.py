@@ -16,9 +16,11 @@ from .calibration import (
 from .configuration import (
     ConfigPoint,
     Configuration,
+    TaskSpace,
     enumerate_configurations,
     measure_task,
     measure_task_space,
+    task_space,
 )
 from .cpu import XEON_E5_2670, CpuSpec, effective_frequency
 from .device import (
@@ -31,6 +33,7 @@ from .device import (
     GpuDevice,
     NodeSpec,
     device_power_groups,
+    device_task_space,
     get_node,
     measure_device_task_space,
     node_names,
@@ -43,8 +46,10 @@ from .pareto import (
     bracket_for_power,
     convex_frontier,
     interpolate_duration,
+    lower_hull,
     nearest_point,
     pareto_frontier,
+    pareto_indices,
 )
 from .performance import TaskKernel, TaskTimeModel
 from .power import DEFAULT_POWER_PARAMS, PowerModelParams, SocketPowerModel
@@ -73,15 +78,18 @@ __all__ = [
     "RaplDecision",
     "SocketPowerModel",
     "TaskKernel",
+    "TaskSpace",
     "TaskTimeModel",
     "XEON_E5_2670",
     "bracket_for_power",
     "convex_frontier",
     "device_power_groups",
+    "device_task_space",
     "effective_frequency",
     "enumerate_configurations",
     "get_node",
     "interpolate_duration",
+    "lower_hull",
     "make_power_models",
     "measure_device_task_space",
     "measure_task",
@@ -90,9 +98,11 @@ __all__ = [
     "node_names",
     "node_registry",
     "pareto_frontier",
+    "pareto_indices",
     "rank_nodes",
     "sample_socket_efficiencies",
     "single_socket_node",
+    "task_space",
     "PowerSample",
     "fit_power_model",
     "sample_power_model",

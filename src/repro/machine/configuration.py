@@ -5,17 +5,33 @@ and the runtimes all choose one (or a convex mixture) per task.  This
 module enumerates the full configuration space of a socket and evaluates a
 task's (duration, power) at each point, producing the raw scatter of the
 paper's Figure 1.
+
+The grid of a socket is built once per (spec, modulation, device tag) and
+shared; :func:`task_space` evaluates a task over the whole grid in one
+numpy pass whose floats are bit-identical to per-point
+:func:`measure_task` calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .cpu import CpuSpec, XEON_E5_2670
 from .performance import TaskKernel, TaskTimeModel
 from .power import SocketPowerModel
 
-__all__ = ["Configuration", "ConfigPoint", "enumerate_configurations", "measure_task"]
+__all__ = [
+    "Configuration",
+    "ConfigPoint",
+    "TaskSpace",
+    "enumerate_configurations",
+    "measure_task",
+    "measure_task_space",
+    "task_space",
+]
 
 
 @dataclass(frozen=True, order=True)
@@ -88,25 +104,60 @@ class ConfigPoint:
         )
 
 
-def enumerate_configurations(
-    spec: CpuSpec = XEON_E5_2670, include_modulation: bool = False
-) -> list[Configuration]:
-    """All admissible configurations of a socket.
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """A socket's configuration grid with per-point knob arrays.
 
-    Ordered by descending frequency then descending threads, mirroring the
-    paper's Table 1 listing.  Clock-modulated points (below the lowest
-    P-state, max threads only) are appended when requested.
+    ``freq_idx`` indexes ``freqs`` (the distinct frequencies in first-seen
+    order) and ``thread_idx`` is ``threads - 1``, so per-frequency and
+    per-thread-count factors computed once broadcast onto every point.
     """
+
+    configs: tuple[Configuration, ...]
+    freqs: tuple[float, ...]
+    freq_idx: np.ndarray
+    thread_idx: np.ndarray
+    threads: np.ndarray
+    duty: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _grid(spec: CpuSpec, include_modulation: bool, device: str) -> _Grid:
     configs = [
-        Configuration(f, n)
+        Configuration(f, n, device=device)
         for f in spec.pstates
         for n in reversed(spec.thread_counts())
     ]
     if include_modulation:
         configs.extend(
-            Configuration(spec.fmin_ghz, spec.cores, duty) for duty in spec.duty_cycles
+            Configuration(spec.fmin_ghz, spec.cores, duty, device)
+            for duty in spec.duty_cycles
         )
-    return configs
+    freqs = dict.fromkeys(c.freq_ghz for c in configs)
+    slot = {f: k for k, f in enumerate(freqs)}
+    arrays = (
+        np.array([slot[c.freq_ghz] for c in configs], dtype=np.intp),
+        np.array([c.threads - 1 for c in configs], dtype=np.intp),
+        np.array([c.threads for c in configs], dtype=float),
+        np.array([c.duty for c in configs], dtype=float),
+    )
+    for a in arrays:
+        a.flags.writeable = False
+    return _Grid(tuple(configs), tuple(freqs), *arrays)
+
+
+def enumerate_configurations(
+    spec: CpuSpec = XEON_E5_2670, include_modulation: bool = False, device: str = ""
+) -> list[Configuration]:
+    """All admissible configurations of a socket.
+
+    Ordered by descending frequency then descending threads, mirroring the
+    paper's Table 1 listing.  Clock-modulated points (below the lowest
+    P-state, max threads only) are appended when requested.  Every point
+    carries the ``device`` tag (empty: the legacy socket).  The list is
+    fresh; its (frozen) configurations are shared with the memoized grid.
+    """
+    return list(_grid(spec, include_modulation, device).configs)
 
 
 def measure_task(
@@ -133,6 +184,83 @@ def measure_task(
     return ConfigPoint(config=config, duration_s=duration, power_w=power)
 
 
+@dataclass(frozen=True, eq=False)
+class TaskSpace:
+    """A task's measured configuration scatter in array form.
+
+    ``durations[k]`` and ``powers[k]`` are the measurements at
+    ``configs[k]``; :meth:`points` materializes the :class:`ConfigPoint`
+    list the frontier consumers read.
+    """
+
+    configs: tuple[Configuration, ...]
+    durations: np.ndarray
+    powers: np.ndarray
+
+    def points(self) -> list[ConfigPoint]:
+        """The scatter as validated :class:`ConfigPoint` objects, in order."""
+        rows = zip(self.configs, self.durations.tolist(), self.powers.tolist())
+        if not ((self.durations > 0).all() and (self.powers > 0).all()):
+            # The scalar constructor names the first offending value.
+            return [ConfigPoint(c, d, p) for c, d, p in rows]
+        # Checked above for the whole array, so skip the per-point
+        # __init__/__post_init__: profiling builds ~10^5 points per sweep.
+        # Attribute-wise assignment, as the dataclass __init__ does, keeps
+        # the compact instance layout that a __dict__ write would expand.
+        new, put, points = object.__new__, object.__setattr__, []
+        for c, d, p in rows:
+            point = new(ConfigPoint)
+            put(point, "config", c)
+            put(point, "duration_s", d)
+            put(point, "power_w", p)
+            points.append(point)
+        return points
+
+
+def task_space(
+    kernel: TaskKernel,
+    power_model: SocketPowerModel,
+    spec: CpuSpec | None = None,
+    include_modulation: bool = False,
+    device: str = "",
+    time_scale: float = 1.0,
+) -> TaskSpace:
+    """Measure a task over a socket's whole configuration grid at once.
+
+    Durations come from ``TaskTimeModel(spec)`` scaled by ``time_scale``
+    and powers from ``power_model``; configurations carry the ``device``
+    tag.  The per-thread Amdahl/memory factors and the per-frequency
+    dynamic power are evaluated once by the scalar models themselves and
+    broadcast over the grid with the scalar expressions' operation order,
+    so every float equals the corresponding :func:`measure_task` result.
+    """
+    cpu = spec if spec is not None else power_model.spec
+    if cpu.cores > power_model.spec.cores:
+        raise ValueError(
+            f"threads must be in [1, {power_model.spec.cores}], got {cpu.cores}"
+        )
+    grid = _grid(cpu, include_modulation, device)
+    tm = TaskTimeModel(cpu)
+    counts = cpu.thread_counts()
+    cpu_t = np.array(
+        [kernel.cpu_seconds * tm.compute_speedup_denominator(kernel, n) for n in counts]
+    )
+    mem_t = np.array(
+        [kernel.mem_seconds * tm.memory_time_factor(kernel, n) for n in counts]
+    )
+    slowdown = np.array([cpu.fmax_ghz / f for f in grid.freqs])
+    dyn = np.array(
+        [power_model.core_dynamic_power(f, kernel.activity) for f in grid.freqs]
+    )
+    t, fi, duty = grid.thread_idx, grid.freq_idx, grid.duty
+    durations = (cpu_t[t] * slowdown[fi] + mem_t[t]) / duty * time_scale
+    p = power_model.params
+    uncore = p.p_uncore_idle + p.p_uncore_mem * kernel.mem_intensity * duty
+    per_core = p.p_core_leak + dyn[fi] * duty
+    powers = power_model.efficiency * (uncore + grid.threads * per_core)
+    return TaskSpace(grid.configs, durations, powers)
+
+
 def measure_task_space(
     kernel: TaskKernel,
     power_model: SocketPowerModel,
@@ -140,9 +268,4 @@ def measure_task_space(
     include_modulation: bool = False,
 ) -> list[ConfigPoint]:
     """Measure a task across the entire configuration space (Figure 1 data)."""
-    cpu = spec if spec is not None else power_model.spec
-    tm = TaskTimeModel(cpu)
-    return [
-        measure_task(kernel, cfg, power_model, tm)
-        for cfg in enumerate_configurations(cpu, include_modulation)
-    ]
+    return task_space(kernel, power_model, spec, include_modulation).points()

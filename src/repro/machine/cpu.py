@@ -15,6 +15,7 @@ a different spec.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,9 +63,13 @@ class CpuSpec:
         if self.modulation_levels < 0:
             raise ValueError("modulation_levels must be >= 0")
 
-    @property
+    @cached_property
     def pstates(self) -> tuple[float, ...]:
-        """All DVFS frequencies in GHz, descending (P0 first, like Intel)."""
+        """All DVFS frequencies in GHz, descending (P0 first, like Intel).
+
+        Cached on the (frozen) spec: RAPL's control loop and every
+        configuration-grid lookup read it per task.
+        """
         n = int(round((self.fmax_ghz - self.fmin_ghz) / self.fstep_ghz)) + 1
         freqs = self.fmax_ghz - self.fstep_ghz * np.arange(n)
         # Guard against floating-point drift so the lowest state is exact.
@@ -75,7 +80,7 @@ class CpuSpec:
     def n_pstates(self) -> int:
         return len(self.pstates)
 
-    @property
+    @cached_property
     def duty_cycles(self) -> tuple[float, ...]:
         """Clock-modulation duty cycles below the lowest P-state, descending.
 

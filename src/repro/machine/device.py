@@ -30,7 +30,15 @@ from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Protocol, runtime_checkable
 
-from .configuration import ConfigPoint, Configuration, enumerate_configurations
+import numpy as np
+
+from .configuration import (
+    ConfigPoint,
+    Configuration,
+    TaskSpace,
+    enumerate_configurations,
+    task_space,
+)
 from .cpu import CpuSpec, XEON_E5_2670
 from .performance import TaskKernel, TaskTimeModel
 from .power import DEFAULT_POWER_PARAMS, PowerModelParams, SocketPowerModel
@@ -52,6 +60,7 @@ __all__ = [
     "rank_nodes",
     "device_power_groups",
     "measure_device_task_space",
+    "device_task_space",
 ]
 
 #: The reserved device id of the legacy homogeneous socket.  Configurations
@@ -146,10 +155,7 @@ class CpuDevice:
 
     def operating_points(self) -> list[Configuration]:
         """Every (freq, threads, duty) point, tagged with this device id."""
-        return [
-            replace(cfg, device=self.device_id)
-            for cfg in enumerate_configurations(self.spec)
-        ]
+        return enumerate_configurations(self.spec, device=self.device_id)
 
     def supports(self, kernel: TaskKernel) -> bool:
         """CPUs run everything."""
@@ -236,7 +242,7 @@ class GpuDevice:
     def kind(self) -> DeviceKind:
         return DeviceKind.GPU
 
-    @property
+    @cached_property
     def pstates(self) -> tuple[float, ...]:
         """GPU clock states in GHz, descending (mirrors ``CpuSpec.pstates``)."""
         n = int(round((self.fmax_ghz - self.fmin_ghz) / self.fstep_ghz)) + 1
@@ -534,15 +540,30 @@ def device_power_groups(node: NodeSpec) -> dict[str, tuple[str, ...]]:
     return {"cpu": cpu, "offload": offload}
 
 
+def device_task_space(kernel: TaskKernel, device: DeviceSpec) -> TaskSpace:
+    """Measure a task across one device's operating-point table, as arrays.
+
+    CPU devices evaluate their whole grid in one numpy pass
+    (:func:`~repro.machine.configuration.task_space`); other devices are
+    measured point by point.
+    """
+    if isinstance(device, CpuDevice):
+        return task_space(
+            kernel,
+            device.power_model,
+            device=device.device_id,
+            time_scale=device.time_scale,
+        )
+    configs = tuple(device.operating_points())
+    return TaskSpace(
+        configs,
+        np.array([device.duration(kernel, c) for c in configs], dtype=float),
+        np.array([device.power(kernel, c) for c in configs], dtype=float),
+    )
+
+
 def measure_device_task_space(
     kernel: TaskKernel, device: DeviceSpec
 ) -> list[ConfigPoint]:
     """Measure a task across one device's entire operating-point table."""
-    return [
-        ConfigPoint(
-            config=cfg,
-            duration_s=device.duration(kernel, cfg),
-            power_w=device.power(kernel, cfg),
-        )
-        for cfg in device.operating_points()
-    ]
+    return device_task_space(kernel, device).points()

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import ConfigPoint, measure_task_space
-from .device import NodeSpec, measure_device_task_space
-from .pareto import convex_frontier, pareto_frontier
+from .configuration import ConfigPoint, TaskSpace, task_space
+from .device import NodeSpec, device_task_space
+from .pareto import lower_hull, pareto_frontier, pareto_indices
 from .performance import TaskKernel
 from .power import SocketPowerModel
 
@@ -38,6 +38,31 @@ class FrontierProfile:
     points: list[ConfigPoint]  #: full configuration scatter (Figure 1)
     pareto: list[ConfigPoint]  #: Pareto-efficient subset (discrete MILP)
     convex: list[ConfigPoint]  #: lower convex hull (the LP's C_i)
+
+
+def _profile(
+    space: TaskSpace, sigma: float, rng: np.random.Generator
+) -> FrontierProfile:
+    """Perturb (when ``sigma > 0``) and reduce one measured scatter.
+
+    Noise is one lognormal (duration, power) draw pair per point, in point
+    order — the sequence a per-point profiling pass would draw.
+    """
+    durations, powers = space.durations, space.powers
+    if sigma > 0:
+        draws = rng.lognormal(0.0, sigma, size=(len(space.configs), 2))
+        durations = durations * draws[:, 0]
+        powers = powers * draws[:, 1]
+        space = TaskSpace(space.configs, durations, powers)
+    points = space.points()
+    pareto = [points[i] for i in pareto_indices(powers, durations, space.configs)]
+    return FrontierProfile(points=points, pareto=pareto, convex=lower_hull(pareto))
+
+
+def _first_equal(keys: list) -> list[int]:
+    """Map each position to the first position holding an equal key."""
+    first: dict = {}
+    return [first.setdefault(key, r) for r, key in enumerate(keys)]
 
 
 class FrontierStore:
@@ -82,20 +107,9 @@ class FrontierStore:
         """
         if self.measurement_noise > 0:
             return list(range(len(self.power_models)))
-        canon: list[int] = []
-        for r, pm in enumerate(self.power_models):
-            match = r
-            for r2 in range(r):
-                other = self.power_models[r2]
-                if other is pm or (
-                    other.spec == pm.spec
-                    and other.params == pm.params
-                    and other.efficiency == pm.efficiency
-                ):
-                    match = r2
-                    break
-            canon.append(match)
-        return canon
+        return _first_equal(
+            [(pm.spec, pm.params, pm.efficiency) for pm in self.power_models]
+        )
 
     # ------------------------------------------------------------------
     def profile(self, rank: int, kernel: TaskKernel) -> FrontierProfile:
@@ -103,19 +117,8 @@ class FrontierStore:
         key = (kernel, self._canon[rank])
         prof = self._profiles.get(key)
         if prof is None:
-            points = measure_task_space(kernel, self.power_models[key[1]])
-            if self.measurement_noise > 0:
-                sigma = self.measurement_noise
-                noisy = []
-                for p in points:
-                    td = self._rng.lognormal(0.0, sigma)
-                    tp = self._rng.lognormal(0.0, sigma)
-                    noisy.append(
-                        ConfigPoint(p.config, p.duration_s * td, p.power_w * tp)
-                    )
-                points = noisy
-            pareto, convex = self.reduce(points)
-            prof = FrontierProfile(points=points, pareto=pareto, convex=convex)
+            space = task_space(kernel, self.power_models[key[1]])
+            prof = _profile(space, self.measurement_noise, self._rng)
             self._profiles[key] = prof
         return prof
 
@@ -137,7 +140,8 @@ class FrontierStore:
         The shared reduction for measurement-based paths that assemble
         their own point sets (partial exploration, executed-run traces).
         """
-        return pareto_frontier(points), convex_frontier(points)
+        pareto = pareto_frontier(points)
+        return pareto, lower_hull(pareto)
 
     def __len__(self) -> int:
         return len(self._profiles)
@@ -186,15 +190,7 @@ class NodeFrontierStore:
         """Map each rank to the first rank with an equal node (noiseless only)."""
         if self.measurement_noise > 0:
             return list(range(len(self.nodes)))
-        canon: list[int] = []
-        for r, node in enumerate(self.nodes):
-            match = r
-            for r2 in range(r):
-                if self.nodes[r2] is node or self.nodes[r2] == node:
-                    match = r2
-                    break
-            canon.append(match)
-        return canon
+        return _first_equal(self.nodes)
 
     # ------------------------------------------------------------------
     def profile(self, rank: int, kernel: TaskKernel) -> FrontierProfile:
@@ -203,27 +199,23 @@ class NodeFrontierStore:
         prof = self._profiles.get(key)
         if prof is None:
             node = self.nodes[key[1]]
-            points: list[ConfigPoint] = []
-            for dev in node.devices:
-                if dev.supports(kernel):
-                    points.extend(measure_device_task_space(kernel, dev))
-            if not points:
+            spaces = [
+                device_task_space(kernel, dev)
+                for dev in node.devices
+                if dev.supports(kernel)
+            ]
+            configs = sum((sp.configs for sp in spaces), ())
+            if not configs:
                 raise ValueError(
                     f"no device on node {node.name!r} supports kernel "
                     f"{kernel.name or kernel!r}"
                 )
-            if self.measurement_noise > 0:
-                sigma = self.measurement_noise
-                noisy = []
-                for p in points:
-                    td = self._rng.lognormal(0.0, sigma)
-                    tp = self._rng.lognormal(0.0, sigma)
-                    noisy.append(
-                        ConfigPoint(p.config, p.duration_s * td, p.power_w * tp)
-                    )
-                points = noisy
-            pareto, convex = FrontierStore.reduce(points)
-            prof = FrontierProfile(points=points, pareto=pareto, convex=convex)
+            space = TaskSpace(
+                configs,
+                np.concatenate([sp.durations for sp in spaces]),
+                np.concatenate([sp.powers for sp in spaces]),
+            )
+            prof = _profile(space, self.measurement_noise, self._rng)
             self._profiles[key] = prof
         return prof
 

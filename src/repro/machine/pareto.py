@@ -18,16 +18,56 @@ rounding to the nearest hull point realizes the discrete case.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 
-from .configuration import ConfigPoint
+import numpy as np
+
+from .configuration import ConfigPoint, Configuration
 
 __all__ = [
     "pareto_frontier",
+    "pareto_indices",
     "convex_frontier",
+    "lower_hull",
     "interpolate_duration",
     "nearest_point",
     "bracket_for_power",
 ]
+
+
+def pareto_indices(
+    powers: np.ndarray, durations: np.ndarray, configs: Sequence[Configuration]
+) -> list[int]:
+    """Indices of the Pareto-efficient points, by increasing power.
+
+    Ordering by (power, duration), a point is efficient iff its duration
+    is strictly below every duration before it.  Points tying exactly on
+    (power, duration) collapse to the one with the smallest configuration,
+    so the representative does not depend on input order — the scatter of
+    a heterogeneous node mixes points from several devices.
+    """
+    n = len(powers)
+    if n == 0:
+        return []
+    order = np.lexsort((durations, powers))
+    p, d = powers[order], durations[order]
+    keep = np.empty(n, dtype=bool)
+    keep[0] = True
+    keep[1:] = d[1:] < np.minimum.accumulate(d)[:-1]
+    kept = order[keep].tolist()
+    tied = (p[1:] == p[:-1]) & (d[1:] == d[:-1])
+    if not tied.any():
+        return kept
+    # A tie group is contiguous in sorted order and can only be kept
+    # through its first member; swap in the group's smallest configuration.
+    order, tied = order.tolist(), tied.tolist()
+    for slot, k in enumerate(np.flatnonzero(keep).tolist()):
+        end = k
+        while end < n - 1 and tied[end]:
+            end += 1
+        if end > k:
+            kept[slot] = min(order[k : end + 1], key=lambda i: configs[i])
+    return kept
 
 
 def pareto_frontier(points: list[ConfigPoint]) -> list[ConfigPoint]:
@@ -35,37 +75,24 @@ def pareto_frontier(points: list[ConfigPoint]) -> list[ConfigPoint]:
 
     A point is kept iff no other point has both lower-or-equal power and
     lower-or-equal duration (with at least one strict).  Duplicate
-    (power, duration) pairs collapse to one representative.
+    (power, duration) pairs collapse to one representative, the one with
+    the smallest configuration.
     """
-    if not points:
-        return []
-    # Sort by power asc, then duration asc: scanning in this order, a point
-    # is Pareto-efficient iff its duration is strictly below every duration
-    # seen so far.  The configuration itself is the final sort key so that
-    # exact (power, duration) ties pick a deterministic representative even
-    # when the scatter mixes points from several devices — input order is
-    # not stable across node compositions.
-    ordered = sorted(points, key=lambda p: (p.power_w, p.duration_s, p.config))
-    frontier: list[ConfigPoint] = []
-    best_duration = float("inf")
-    for p in ordered:
-        if p.duration_s < best_duration:
-            frontier.append(p)
-            best_duration = p.duration_s
-    return frontier
+    n = len(points)
+    powers = np.fromiter((p.power_w for p in points), dtype=float, count=n)
+    durations = np.fromiter((p.duration_s for p in points), dtype=float, count=n)
+    configs = [p.config for p in points]
+    return [points[i] for i in pareto_indices(powers, durations, configs)]
 
 
-def convex_frontier(points: list[ConfigPoint]) -> list[ConfigPoint]:
-    """Lower convex hull of the Pareto frontier, sorted by increasing power.
+def lower_hull(frontier: list[ConfigPoint]) -> list[ConfigPoint]:
+    """Lower convex hull of a Pareto frontier already sorted by power.
 
     Uses the monotone-chain construction on (power, duration) with a
-    cross-product turn test.  The result is convex and strictly decreasing
-    in duration as power increases, so the LP's convex mixtures are always
-    Pareto-efficient.
+    cross-product turn test.
     """
-    frontier = pareto_frontier(points)
     if len(frontier) <= 2:
-        return frontier
+        return list(frontier)
     hull: list[ConfigPoint] = []
     for p in frontier:
         while len(hull) >= 2 and _turns_up(hull[-2], hull[-1], p):
@@ -85,6 +112,15 @@ def _turns_up(a: ConfigPoint, b: ConfigPoint, c: ConfigPoint) -> bool:
         b.duration_s - a.duration_s
     ) * (c.power_w - a.power_w)
     return cross <= 0.0
+
+
+def convex_frontier(points: list[ConfigPoint]) -> list[ConfigPoint]:
+    """Lower convex hull of the Pareto frontier, sorted by increasing power.
+
+    The result is convex and strictly decreasing in duration as power
+    increases, so the LP's convex mixtures are always Pareto-efficient.
+    """
+    return lower_hull(pareto_frontier(points))
 
 
 def bracket_for_power(
