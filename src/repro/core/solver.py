@@ -10,11 +10,17 @@ build linear in the number of nonzeros (the event-power constraints of a
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import itertools
+import os
+import threading
 import time
-from dataclasses import dataclass
-
 import types
+from collections.abc import Iterator
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize as sopt
@@ -388,13 +394,16 @@ class FrozenProgram:
     would produce, so parametric solutions match rebuild solutions exactly.
 
     When SciPy's bundled HiGHS bindings are importable, LP solves go
-    through a persistent per-program HiGHS handle: the model and options
-    are passed once, re-solves update only the rows whose RHS moved, and
-    the solver state is cleared before each run so every solve starts
-    cold — bit-identical to ``scipy.optimize.linprog`` on the same data
-    (the tests assert this) while skipping its per-call model rebuild.
-    On builds where the bindings are unavailable the code falls back to
-    ``linprog``/``milp`` transparently.
+    through a persistent per-thread HiGHS handle: a program's model is
+    passed once per thread, re-solves update only the rows whose RHS
+    moved, and the solver state is cleared before each run so every
+    solve starts cold — bit-identical to ``scipy.optimize.linprog`` on
+    the same data (the tests assert this) while skipping its per-call
+    model rebuild.  On builds where the bindings are unavailable the
+    code falls back to ``linprog``/``milp`` transparently.
+    A batch of overrides can be solved on several threads at once
+    (:meth:`_solving_ahead`); cold solves do not depend on each other,
+    so the results are the same bits as one :meth:`solve` after another.
     """
 
     def __init__(
@@ -419,10 +428,7 @@ class FrozenProgram:
         self._integrality = integrality
         self._tag_rows = tag_rows
         self.n_solves = 0
-        self._direct = None  # lazy persistent HiGHS handle (LP path only)
-        self._direct_b_ub = None  # RHS last handed to that handle
-        self._direct_time_limit = np.inf  # time_limit the handle holds
-        self._status_cache: dict = {}  # HighsModelStatus -> (code, message)
+        self._token = next(_PROGRAM_TOKENS)  # names this program in a _Slot
         # One-sided split for linprog, computed once.  The finiteness
         # pattern is part of the model *structure*: RHS overrides replace
         # finite bounds with finite values, so the split never changes.
@@ -456,21 +462,25 @@ class FrozenProgram:
         """Row indices carrying ``tag`` (empty array for unknown tags)."""
         return self._tag_rows.get(tag, np.empty(0, dtype=int))
 
-    def _bounds_with(self, rhs: dict[str, float] | None) -> tuple[
-        np.ndarray, np.ndarray
-    ]:
-        if not rhs:
-            return self._lo, self._hi
-        lo, hi = self._lo.copy(), self._hi.copy()
-        for tag, value in rhs.items():
-            rows = self._tag_rows.get(tag)
-            if rows is None:
+    def _check_rhs(self, rhs: dict[str, float] | None) -> None:
+        for tag, value in (rhs or {}).items():
+            if tag not in self._tag_rows:
                 raise KeyError(
                     f"no constraint rows tagged {tag!r} "
                     f"(known tags: {list(self._tag_rows)})"
                 )
             if not np.isfinite(value):
                 raise ValueError(f"tag {tag!r}: RHS must be finite, got {value}")
+
+    def _bounds_with(self, rhs: dict[str, float] | None) -> tuple[
+        np.ndarray, np.ndarray
+    ]:
+        self._check_rhs(rhs)
+        if not rhs:
+            return self._lo, self._hi
+        lo, hi = self._lo.copy(), self._hi.copy()
+        for tag, value in rhs.items():
+            rows = self._tag_rows[tag]
             hi[rows[self._ub_rows[rows]]] = value
             lo[rows[self._lb_rows[rows]]] = value
         return lo, hi
@@ -479,12 +489,20 @@ class FrozenProgram:
         self,
         time_limit_s: float | None = None,
         rhs: dict[str, float] | None = None,
+        *,
+        ahead: Future | None = None,
     ) -> LpSolution:
         """Solve, optionally re-bounding tagged rows (``{tag: new_rhs}``).
 
         An override replaces every finite bound of the tagged rows — the
         upper bound of ``<=`` rows, the lower bound of ``>=`` rows, both
         for equalities — leaving the assembled matrix untouched.
+
+        ``ahead`` is this very solve (same ``rhs`` and ``time_limit_s``)
+        already handed to helper threads by :meth:`_solving_ahead`: if no
+        helper has started it, it is cancelled and solved here; otherwise
+        this call waits for the helper's outcome.  Either way it is
+        recorded here, on the calling thread.
 
         Every solve is audited: when a :class:`repro.obs.SolveAudit` is
         active, the model shape, iteration count, status, objective,
@@ -493,21 +511,23 @@ class FrozenProgram:
         :class:`repro.obs.TraceRecorder` additionally gets a solve
         event.  Both are no-ops when disabled.
         """
-        lo, hi = self._bounds_with(rhs)
+        if ahead is None or ahead.cancel():
+            outcome = self._compute(*self._bounds_with(rhs), time_limit_s)
+        else:
+            outcome = ahead.result()
+        return self._record(*outcome)
+
+    def _record(
+        self,
+        solution: LpSolution,
+        backend: str,
+        iterations: int | None,
+        wall_s: float,
+    ) -> LpSolution:
+        """Count, audit, meter and trace one solve; returns ``solution``."""
         self.n_solves += 1
         source = "cold" if self.n_solves == 1 else "resolve"
-        audit = current_audit()
-        recorder = current_recorder()
         metrics = current_metrics()
-        t0 = (
-            time.perf_counter()
-            if audit is not None or metrics is not None
-            else 0.0
-        )
-        if self.is_mip:
-            solution, backend, iterations = self._solve_milp(lo, hi, time_limit_s)
-        else:
-            solution, backend, iterations = self._solve_lp(lo, hi, time_limit_s)
         if metrics is not None:
             # solve.total is a pure function of the work performed;
             # cold/resolve splits, iteration counts, and wall seconds
@@ -520,9 +540,8 @@ class FrozenProgram:
                     "solve.iterations", iterations,
                     buckets=ITERATION_BUCKETS, operational=True,
                 )
-            metrics.observe(
-                "solve.wall_s", time.perf_counter() - t0, operational=True
-            )
+            metrics.observe("solve.wall_s", wall_s, operational=True)
+        audit = current_audit()
         if audit is not None:
             audit.record(SolveRecord(
                 program=self.name,
@@ -534,8 +553,9 @@ class FrozenProgram:
                 iterations=iterations,
                 status=solution.status.value,
                 objective=solution.objective if solution.ok else None,
-                wall_s=time.perf_counter() - t0,
+                wall_s=wall_s,
             ))
+        recorder = current_recorder()
         if recorder is not None:
             recorder.emit(SolveEvent(
                 program=self.name,
@@ -547,6 +567,59 @@ class FrozenProgram:
                 status=solution.status.value,
             ))
         return solution
+
+    @contextmanager
+    def _solving_ahead(
+        self,
+        rhs_list: list[dict[str, float] | None],
+        time_limit_s: float | None = None,
+    ) -> Iterator[list[Future | None]]:
+        """One future per override of ``rhs_list``, for :meth:`solve`'s
+        ``ahead``; every override is checked before any thread starts.
+
+        ``_width(len(rhs_list)) - 1`` helper threads, started for this
+        block and joined when it ends, solve the overrides from the last
+        one backwards on their own HiGHS handles, while the caller passes
+        each future to :meth:`solve` in list order and so solves, from
+        the front, the ones no helper has started.  Every solve is cold,
+        so the bits are those of one :meth:`solve` after another.  At
+        width 1 there are no helpers and every future is None.
+        """
+        for rhs in rhs_list:
+            self._check_rhs(rhs)
+        n_helpers = _width(len(rhs_list)) - 1
+        if not n_helpers:
+            yield [None] * len(rhs_list)
+            return
+
+        def solve_at(rhs):
+            return self._compute(*self._bounds_with(rhs), time_limit_s)
+
+        pool = ThreadPoolExecutor(n_helpers, thread_name_prefix="repro-lp")
+        try:
+            ahead: list[Future | None] = [None] * len(rhs_list)
+            for i in reversed(range(len(rhs_list))):
+                ahead[i] = pool.submit(solve_at, rhs_list[i])
+            yield ahead
+        finally:
+            # The helpers' threads end here, and with them their handles.
+            pool.shutdown(cancel_futures=True)
+            if _malloc_trim is not None:
+                # The heap pages a helper's handle used stay mapped after
+                # it is freed; without handing them back, peak RSS creeps
+                # up by a few MB over repeated sweeps.
+                _malloc_trim(0)
+
+    def _compute(
+        self, lo, hi, time_limit_s
+    ) -> tuple[LpSolution, str, int | None, float]:
+        """The solver call itself: (solution, backend, iterations, wall s)."""
+        t0 = time.perf_counter()
+        if self.is_mip:
+            outcome = self._solve_milp(lo, hi, time_limit_s)
+        else:
+            outcome = self._solve_lp(lo, hi, time_limit_s)
+        return (*outcome, time.perf_counter() - t0)
 
     def _solve_lp(self, lo, hi, time_limit_s) -> tuple[LpSolution, str, int | None]:
         if _HIGHS_DIRECT and self._a_ub is not None:
@@ -572,14 +645,14 @@ class FrozenProgram:
             int(iterations) if iterations is not None else None
         )
 
-    def _prep_direct(self):
-        """Build the persistent HiGHS model once (columns + matrix + options).
+    def _highs_model(self, b_ub: np.ndarray):
+        """This program as a HiGHS model with row upper bounds ``b_ub``.
 
         Mirrors exactly what ``scipy.optimize.linprog(method="highs")``
         feeds HiGHS for this problem — same column-wise matrix, same
-        bounds, same option set (dual simplex, presolve on, silent) — so
-        the direct path returns bit-identical solutions.  Only the row
-        upper bounds (the parametric RHS) change between solves.
+        bounds — so the direct path returns bit-identical solutions.
+        Built only when a thread's handle first takes this program; the
+        handle keeps its own copy.
         """
         a = sp.csc_matrix(self._a_ub)
         m, n = self._a_ub.shape
@@ -590,56 +663,50 @@ class FrozenProgram:
         model.col_lower_ = np.asarray(self._var_lb, dtype=float)
         model.col_upper_ = np.asarray(self._var_ub, dtype=float)
         model.row_lower_ = np.full(m, -np.inf)
+        model.row_upper_ = b_ub
         model.a_matrix_.num_col_ = n
         model.a_matrix_.num_row_ = m
         model.a_matrix_.format_ = _hcore.MatrixFormat.kColwise
         model.a_matrix_.start_ = a.indptr
         model.a_matrix_.index_ = a.indices
         model.a_matrix_.value_ = a.data
-        highs = _hcore._Highs()
-        options = _hcore.HighsOptions()
-        options.presolve = "on"
-        options.highs_debug_level = _hcore.HighsDebugLevel.kHighsDebugLevelNone
-        options.log_to_console = False
-        options.output_flag = False
-        options.simplex_strategy = (
-            _hsimplex.SimplexStrategy.kSimplexStrategyDual
-        )
-        highs.passOptions(options)
-        return highs, model
+        return model
 
     def _solve_lp_direct(
         self, lo, hi, time_limit_s
     ) -> tuple[LpSolution, str, int | None]:
-        if self._direct is None:
-            self._direct = self._prep_direct()
-        highs, model = self._direct
+        slot = _SLOT
+        if slot.highs is None:
+            slot.highs = _new_highs()
+        highs = slot.highs
         b_ub = np.concatenate([hi[self._ub_rows], -lo[self._lb_rows]])
         limit = float(time_limit_s) if time_limit_s is not None else np.inf
-        if limit != self._direct_time_limit:
+        if limit != slot.time_limit:
             highs.setOptionValue("time_limit", limit)
-            self._direct_time_limit = limit
-        if self._direct_b_ub is None:
-            # First solve: hand HiGHS the whole model.
-            model.row_upper_ = b_ub
-            highs.passModel(model)
+            slot.time_limit = limit
+        if slot.program != self._token:
+            # This thread's first solve of this program: hand HiGHS the
+            # whole model (dropping the one the handle held).
+            slot.program = None
+            highs.passModel(self._highs_model(b_ub))
+            slot.program = self._token
         else:
             # Re-solve: only parametric RHS entries moved; update those
             # rows in place and drop any solver state so the run starts
             # cold — same model, same start, bit-identical to a fresh
             # passModel at this RHS.
-            for row in np.nonzero(b_ub != self._direct_b_ub)[0]:
+            for row in np.nonzero(b_ub != slot.b_ub)[0]:
                 highs.changeRowBounds(int(row), -np.inf, float(b_ub[row]))
             highs.clearSolver()
-        self._direct_b_ub = b_ub
+        slot.b_ub = b_ub
         highs.run()
         model_status = highs.getModelStatus()
-        cached = self._status_cache.get(model_status)
+        cached = _STATUS_MESSAGES.get(model_status)
         if cached is None:
             cached = _highs_to_scipy_status_message(
                 model_status, highs.modelStatusToString(model_status)
             )
-            self._status_cache[model_status] = cached
+            _STATUS_MESSAGES[model_status] = cached
         status, message = cached
         info = highs.getInfo()
         if model_status == _hcore.HighsModelStatus.kOptimal:
@@ -671,6 +738,62 @@ class FrozenProgram:
         return _wrap_result(res), "milp", (
             int(iterations) if iterations is not None else None
         )
+
+
+#: A fresh token per FrozenProgram, so a _Slot can tell which program its
+#: handle holds (an ``id`` may be reused once a program is freed).
+_PROGRAM_TOKENS = itertools.count()
+
+#: HighsModelStatus -> scipy's (status code, message).
+_STATUS_MESSAGES: dict = {}
+
+
+def _new_highs():
+    """A silent HiGHS handle with ``linprog(method="highs")``'s options
+    (dual simplex, presolve on)."""
+    highs = _hcore._Highs()
+    options = _hcore.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = _hcore.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = _hsimplex.SimplexStrategy.kSimplexStrategyDual
+    highs.passOptions(options)
+    return highs
+
+
+class _Slot(threading.local):
+    """Per-thread solver state: the thread's HiGHS handle and the program
+    and RHS it holds."""
+
+    highs = None
+    program: int | None = None  # _token of the program the handle holds
+    b_ub: np.ndarray | None = None
+    time_limit = np.inf
+
+
+_SLOT = _Slot()
+
+try:  # glibc's malloc_trim: return freed heap pages to the OS
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):  # pragma: no cover - other libcs
+    _malloc_trim = None
+
+#: Most threads one batch of solves runs on, the caller's included.  Each
+#: helper holds its own copy of the model while it solves; two is the
+#: width whose memory and CPU cost has been measured (docs/performance.md).
+_MAX_WIDTH = 2
+
+
+def _width(n_jobs: int) -> int:
+    """Threads to solve ``n_jobs`` independent LPs on, the caller's
+    included: one per CPU this process may run on, at most one per job
+    and at most ``_MAX_WIDTH``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _MAX_WIDTH, n_jobs))
 
 
 def _wrap_result(res) -> LpSolution:

@@ -8,12 +8,15 @@ freezes it once and re-solves with an updated RHS per cap.  The matrix
 handed to HiGHS is identical to a from-scratch build at that cap, so the
 results match the rebuild path exactly (see
 ``benchmarks/test_bench_sweep_parametric.py`` for the speedup and the
-byte-identity assertion).
+byte-identity assertion).  Every solve starts cold, so a sweep's caps are
+solved on two threads at once with the same bits
+(:meth:`ParametricCapSolver.solve_many`).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from ..simulator.trace import Trace
@@ -110,39 +113,84 @@ class ParametricCapSolver:
         time_limit_s: float | None = None,
     ) -> FixedOrderLpResult:
         """Solve the frozen model at ``cap_w`` (cache-aware)."""
-        if cap_w <= 0:
-            raise ValueError(f"cap must be positive, got {cap_w}")
-        key = None
+        return self.solve_many(
+            [cap_w], cache=cache, time_limit_s=time_limit_s
+        )[float(cap_w)]
+
+    def solve_many(
+        self,
+        caps_w,
+        cache=None,
+        time_limit_s: float | None = None,
+    ) -> dict[float, FixedOrderLpResult]:
+        """Solve the frozen model at every cap: ``{cap: result}`` in the
+        order of ``caps_w``, a repeated cap solved once.
+
+        Cache hits are served first.  The remaining caps are solved on up
+        to two threads, one per CPU this process may run on (the
+        caller's included): a helper thread solves them from the last cap
+        backwards while the caller takes them in cap order, solving each
+        one the helper has not started and waiting for the others.  Each
+        cap passes through :meth:`FrozenProgram.solve` on the calling
+        thread, which records it, and is then decoded and cached there.
+        Every solve starts cold, so the results are bit-identical to one
+        :meth:`solve` per cap.  The helper is joined before this returns.
+        Raises ``ValueError`` for an empty list or a cap that is not a
+        finite positive number, before anything is solved.
+        """
+        results: dict[float, FixedOrderLpResult | None] = dict.fromkeys(
+            _checked_caps(caps_w)
+        )
+        keys = {}
         if cache is not None:
             # Imported here: repro.exec sits above repro.core in the
             # layering (it imports this package's siblings).
             from ..exec.cache import lp_result_from_payload, lp_result_payload
             from ..exec.keys import fixed_order_lp_key
 
-            key = fixed_order_lp_key(
-                self.instance.trace,
-                cap_w,
-                power_tiebreak=self.power_tiebreak,
-                time_limit_s=time_limit_s,
-            )
-            payload = cache.get(key)
-            if payload is not None:
-                return lp_result_from_payload(payload, self.instance.events)
-        solution = self._frozen.solve(
-            time_limit_s=time_limit_s, rhs={CAP_ROW_TAG: float(cap_w)}
-        )
-        if solution.status is LpStatus.OPTIMAL:
-            schedule = extract_schedule(
-                self._compiled, solution, cap_w=float(cap_w)
-            )
-        else:
-            schedule = None
-        result = FixedOrderLpResult(
-            schedule=schedule, solution=solution, events=self.instance.events
-        )
-        if key is not None:
-            cache.put(key, lp_result_payload(result))
-        return result
+            for cap in results:
+                keys[cap] = fixed_order_lp_key(
+                    self.instance.trace,
+                    cap,
+                    power_tiebreak=self.power_tiebreak,
+                    time_limit_s=time_limit_s,
+                )
+                payload = cache.get(keys[cap])
+                if payload is not None:
+                    results[cap] = lp_result_from_payload(
+                        payload, self.instance.events
+                    )
+        misses = [cap for cap, result in results.items() if result is None]
+        rhs_list = [{CAP_ROW_TAG: cap} for cap in misses]
+        with self._frozen._solving_ahead(rhs_list, time_limit_s) as ahead:
+            for cap, rhs, pending in zip(misses, rhs_list, ahead):
+                solution = self._frozen.solve(time_limit_s, rhs, ahead=pending)
+                if solution.status is LpStatus.OPTIMAL:
+                    schedule = extract_schedule(
+                        self._compiled, solution, cap_w=cap
+                    )
+                else:
+                    schedule = None
+                result = FixedOrderLpResult(
+                    schedule=schedule,
+                    solution=solution,
+                    events=self.instance.events,
+                )
+                if cache is not None:
+                    cache.put(keys[cap], lp_result_payload(result))
+                results[cap] = result
+        return results
+
+
+def _checked_caps(caps_w) -> list[float]:
+    """``caps_w`` as floats; ValueError unless non-empty, finite, positive."""
+    caps = [float(cap) for cap in caps_w]
+    if not caps:
+        raise ValueError("need at least one cap")
+    for cap in caps:
+        if not (math.isfinite(cap) and cap > 0):
+            raise ValueError(f"cap must be finite and positive, got {cap}")
+    return caps
 
 
 def solve_cap_sweep(
@@ -156,9 +204,13 @@ def solve_cap_sweep(
 ) -> CapSweepResult:
     """Solve the fixed-order LP at every cap from one assembled model.
 
-    ``cache`` (a :class:`repro.exec.SolverCache`) memoizes each cap's
-    solution on disk by content address, so repeated sweeps over
-    overlapping cap grids skip already-solved caps entirely.
+    The caps are solved concurrently by
+    :meth:`ParametricCapSolver.solve_many`, with the same results as one
+    cap after another.  ``cache`` (a :class:`repro.exec.SolverCache`)
+    memoizes each cap's solution on disk by content address, so repeated
+    sweeps over overlapping cap grids skip already-solved caps entirely.
+    An empty list or a cap that is not finite and positive raises
+    ``ValueError`` before anything is solved.
 
     ``parametric=False`` falls back to a full per-cap rebuild — every cap
     pays trace -> events -> IR -> LP compilation -> matrix assembly again
@@ -167,17 +219,15 @@ def solve_cap_sweep(
     it); the flag exists as the comparison baseline and as an escape
     hatch.
     """
-    if not caps_w:
-        raise ValueError("need at least one cap")
+    caps = _checked_caps(caps_w)
     if parametric:
         solver = ParametricCapSolver(
             trace, events=events, power_tiebreak=power_tiebreak,
             instance=instance,
         )
-        results = {
-            float(cap): solver.solve(float(cap), cache=cache) for cap in caps_w
-        }
-        return CapSweepResult(trace=trace, results=results)
+        return CapSweepResult(
+            trace=trace, results=solver.solve_many(caps, cache=cache)
+        )
 
     if cache is not None:
         from ..exec.cache import cached_solve_fixed_order_lp
@@ -186,14 +236,14 @@ def solve_cap_sweep(
     else:
         solve = solve_fixed_order_lp
     results = {
-        float(cap): solve(
+        cap: solve(
             trace,
-            float(cap),
+            cap,
             events=events,
             power_tiebreak=power_tiebreak,
             instance=instance,
         )
-        for cap in caps_w
+        for cap in caps
     }
     return CapSweepResult(trace=trace, results=results)
 

@@ -84,9 +84,9 @@ class PolicyContext:
     lp_iterations: int = 1
     #: Shared ``power_tiebreak -> ParametricCapSolver`` pool, scoped to the
     #: benchmark (the trace).  The scenario executor passes the same dict
-    #: into every cell's context, so the frozen LP model — and its
-    #: persistent HiGHS handle — is assembled once per (trace, tiebreak)
-    #: and re-solved across the whole cap grid with only RHS updates.
+    #: into every cell's context, so the frozen LP model is assembled
+    #: once per (trace, tiebreak) and re-solved across the whole cap grid
+    #: on the thread's persistent HiGHS handle with only RHS updates.
     cap_solvers: dict[float, ParametricCapSolver] | None = None
 
 
@@ -243,8 +243,8 @@ def _fixed_order_at_cap(
 ) -> FixedOrderLpResult:
     """The fixed-order LP at this cell's cap, through the shared pool.
 
-    Cross-cell reuse: one frozen model (and HiGHS handle) per (trace,
-    tiebreak), re-solved at this cell's cap via an RHS update.  Cache
+    Cross-cell reuse: one frozen model per (trace, tiebreak), re-solved
+    at this cell's cap via an RHS update.  Cache
     keys match cached_solve_fixed_order_lp, so warm entries are shared
     either way.  Shared by the ``lp`` bound and by ``energy-lp``'s
     capped-deadline anchor.

@@ -235,7 +235,7 @@ class _Shared:
     nodes: list[NodeSpec] | None = None
     # power_tiebreak -> ParametricCapSolver: the fixed-order LP frozen
     # once per benchmark and re-solved across the whole cap grid (and
-    # every cell of it) through one persistent HiGHS handle.  Lazily
+    # every cell of it) on the thread's persistent HiGHS handle.  Lazily
     # populated by the lp bound entry (registry._solve_lp).
     cap_solvers: dict = field(default_factory=dict)
 

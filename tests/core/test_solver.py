@@ -1,5 +1,6 @@
 """Unit tests for the LP/MILP assembly layer."""
 
+import threading
 import types
 
 import numpy as np
@@ -269,13 +270,28 @@ class TestDirectHighsPath:
 
         if not solver_mod._HIGHS_DIRECT:
             pytest.skip("scipy build without accessible HiGHS bindings")
-        frozen = self._capped(5.0).freeze()
-        assert frozen._direct is None
-        frozen.solve()
-        handle = frozen._direct
-        assert handle is not None
-        frozen.solve(rhs={"cap": 7.0})
-        assert frozen._direct is handle
+        # The handle belongs to the solving thread: a fresh thread starts
+        # without one, builds it on its first solve, and keeps it for
+        # re-solves and for other programs.
+        seen = []
+
+        def run():
+            slot = solver_mod._SLOT
+            seen.append(slot.highs)
+            frozen = self._capped(5.0).freeze()
+            frozen.solve()
+            seen.append(slot.highs)
+            frozen.solve(rhs={"cap": 7.0})
+            seen.append(slot.highs)
+            self._capped(3.0).freeze().solve()
+            seen.append(slot.highs)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+        assert seen[0] is None
+        assert seen[1] is not None
+        assert seen[2] is seen[1] and seen[3] is seen[1]
 
     def test_time_limit_does_not_leak_between_solves(self):
         import repro.core.solver as solver_mod
