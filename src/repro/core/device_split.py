@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exec.timing import span
+from ..obs.metrics import timed
 from .fixed_order_lp import FixedOrderLpResult, compile_fixed_order
 from .model import CompiledModel, ProblemInstance, extract_schedule
 from .solver import LpStatus
@@ -122,11 +122,11 @@ def solve_device_split_lp(
     time_limit_s: float | None = None,
 ) -> FixedOrderLpResult:
     """Solve the fixed-order LP under one static device-group split."""
-    with span("assemble"):
+    with timed("phase.assemble"):
         compiled = compile_device_split(
             instance, cap_w, shares, groups, power_tiebreak=power_tiebreak
         )
-    with span("solve"):
+    with timed("phase.solve"):
         solution = compiled.lp.solve(time_limit_s=time_limit_s)
     if solution.status is not LpStatus.OPTIMAL:
         return FixedOrderLpResult(

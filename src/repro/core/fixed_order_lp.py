@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exec.timing import span
+from ..obs.metrics import timed
 from ..simulator.trace import Trace
 from .events import EventStructure
 from .schedule import PowerSchedule
@@ -267,7 +267,7 @@ def solve_fixed_order_lp(
             f"discrete formulation limited to {MAX_DISCRETE_TASKS} tasks "
             f"(got {len(trace.task_edges)}); solve continuously and round"
         )
-    with span("assemble"):
+    with timed("phase.assemble"):
         if instance is None:
             instance = build_problem_instance(trace, events=events)
         compiled = compile_fixed_order(
@@ -278,7 +278,7 @@ def solve_fixed_order_lp(
             assembly=assembly,
         )
 
-    with span("solve"):
+    with timed("phase.solve"):
         solution = compiled.lp.solve(time_limit_s=time_limit_s)
     if solution.status is not LpStatus.OPTIMAL:
         return FixedOrderLpResult(

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dag.graph import TaskGraph
-from ..exec.timing import span
+from ..obs.metrics import timed
 from ..simulator.trace import Trace
 from .model import (
     CompiledModel,
@@ -313,7 +313,7 @@ def solve_flow_ilp(
         instance = build_problem_instance(trace)
     compiled = compile_flow_ilp(instance, cap_w, power_tiebreak=power_tiebreak)
 
-    with span("solve"):
+    with timed("phase.solve"):
         solution = compiled.lp.solve(time_limit_s=time_limit_s)
     if solution.status is not LpStatus.OPTIMAL:
         return FlowIlpResult(schedule=None, solution=solution)

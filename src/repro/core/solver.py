@@ -542,30 +542,25 @@ class FrozenProgram:
                 )
             metrics.observe("solve.wall_s", wall_s, operational=True)
         audit = current_audit()
-        if audit is not None:
-            audit.record(SolveRecord(
-                program=self.name,
-                backend=backend,
-                source=source,
-                rows=self.n_constraints,
-                cols=self.n_vars,
-                nnz=int(self._a.nnz),
-                iterations=iterations,
-                status=solution.status.value,
-                objective=solution.objective if solution.ok else None,
-                wall_s=wall_s,
-            ))
         recorder = current_recorder()
+        if audit is None and recorder is None:
+            return solution
+        record = SolveRecord(
+            program=self.name,
+            backend=backend,
+            source=source,
+            rows=self.n_constraints,
+            cols=self.n_vars,
+            nnz=int(self._a.nnz),
+            iterations=iterations,
+            status=solution.status.value,
+            objective=solution.objective if solution.ok else None,
+            wall_s=wall_s,
+        )
+        if audit is not None:
+            audit.record(record)
         if recorder is not None:
-            recorder.emit(SolveEvent(
-                program=self.name,
-                source=source,
-                backend=backend,
-                rows=self.n_constraints,
-                cols=self.n_vars,
-                nnz=int(self._a.nnz),
-                status=solution.status.value,
-            ))
+            recorder.emit(SolveEvent(record))
         return solution
 
     @contextmanager

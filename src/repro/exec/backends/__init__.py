@@ -23,10 +23,11 @@ implement it:
     transport the always-on service (:mod:`repro.service`) runs on.
 
 Every backend ships results as the same observability-bearing payload
-(:func:`~repro.exec.backends.base.run_task`), so worker telemetry,
-traces, audits, metrics, and profiles merge identically whatever the
-transport — a parallel run's deterministic artifacts stay byte-identical
-to a serial run's.
+(:func:`~repro.exec.backends.base.run_task`: the value plus one
+:class:`~repro.obs.sinks.Sinks` snapshot), so worker metrics, traces,
+audits, and profiles merge identically whatever the transport — a
+parallel run's deterministic artifacts stay byte-identical to a serial
+run's.
 """
 
 from __future__ import annotations

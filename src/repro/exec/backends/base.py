@@ -25,26 +25,21 @@ the runner's structured outcomes name the real culprit
 as the pre-backend code did.
 
 :func:`run_task` is the worker-side half of the contract: every remote
-transport runs tasks through it so results travel with their
-observability snapshots (telemetry, trace events, solver audits,
-metrics, profiles) and the parent can fold them in submission order —
-the mechanism behind serial-vs-parallel byte-identity.  In-process
-transports return ``None`` snapshots instead: the parent's own
-observability context already saw everything.
+transport runs tasks through it so results travel with one
+:class:`~repro.obs.sinks.Sinks` snapshot (metrics and phase timers,
+trace events, solver audits, profiles) and the parent can fold it in
+submission order — the mechanism behind serial-vs-parallel
+byte-identity.  In-process transports return a ``None`` snapshot
+instead: the parent's own observability context already saw everything.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from ...obs.audit import SolveAudit, use_audit
-from ...obs.metrics import Metrics, use_metrics
-from ...obs.profiling import ProfileCollector, use_profile
-from ...obs.recorder import TraceRecorder, use_recorder
-from ..timing import Telemetry, use_telemetry
+from ...obs.sinks import Sinks
 
 __all__ = [
     "BackendTimeoutError",
@@ -57,9 +52,9 @@ __all__ = [
 ]
 
 #: The observability-bearing result every transport ships back:
-#: ``(value, telemetry, trace_events, audit, metrics, profile)`` with
-#: ``None`` for each snapshot the parent did not ask for (or that an
-#: in-process transport recorded directly into the parent's context).
+#: ``(value, snapshot)``, where ``snapshot`` is the task's
+#: :meth:`Sinks.snapshot`, or ``None`` when the parent observed nothing
+#: (or an in-process transport recorded directly into its context).
 TaskPayload = tuple
 
 
@@ -99,74 +94,40 @@ class TaskSpec:
 
     ``index`` is the task's submission index — transports treat it as
     opaque (it names the task in logs and wire messages); the runner
-    owns its meaning.  The ``want_*`` flags mirror the parent's active
-    observability sinks so remote workers only pay for the snapshots
-    the parent will actually fold in.
+    owns its meaning.  ``observe`` is the parent's active sinks made
+    fresh (:meth:`Sinks.fresh`): the kinds of sink — and the trace
+    capacity — a remote worker records into, so it only pays for the
+    snapshots the parent will fold in.  None when the parent observes
+    nothing.
     """
 
     index: int
     fn: Callable[[Any], Any]
     item: Any
-    want_trace: bool = False
-    want_audit: bool = False
-    want_metrics: bool = False
-    want_profile: bool = False
+    observe: Sinks | None = None
 
 
 def run_task(
     fn: Callable[[Any], Any],
     item: Any,
-    want_trace: bool = False,
-    want_audit: bool = False,
-    want_metrics: bool = False,
-    want_profile: bool = False,
+    observe: Sinks | None = None,
 ) -> TaskPayload:
     """Worker-side wrapper: run one task under fresh observability state.
 
-    Telemetry is always collected; a trace recorder, solve audit, metrics
-    registry, and profile collector are activated only when the parent
-    had them active (``want_*``), keeping the common path free of
-    event-buffer overhead.  Every remote transport (process pool, socket
+    Returns ``(value, snapshot)``: the task runs with empty sinks of the
+    kinds ``observe`` holds active, and ``snapshot`` is their
+    :meth:`Sinks.snapshot` (None, with nothing activated, when
+    ``observe`` is None).  Every remote transport (process pool, socket
     fleet) runs tasks through this function, so the payload shape — and
     therefore the parent's submission-order merge — is identical across
     backends.
     """
-    telemetry = Telemetry()
-    recorder = TraceRecorder() if want_trace else None
-    audit = SolveAudit() if want_audit else None
-    metrics = Metrics() if want_metrics else None
-    profile = ProfileCollector() if want_profile else None
-    with ExitStack() as stack:
-        stack.enter_context(use_telemetry(telemetry))
-        if recorder is not None:
-            stack.enter_context(use_recorder(recorder))
-        if audit is not None:
-            stack.enter_context(use_audit(audit))
-        if metrics is not None:
-            stack.enter_context(use_metrics(metrics))
-        if profile is not None:
-            stack.enter_context(use_profile(profile))
-        result = fn(item)
-    return (
-        result,
-        telemetry.to_dict(),
-        recorder.snapshot() if recorder is not None else None,
-        audit.to_dicts() if audit is not None else None,
-        metrics.to_dict() if metrics is not None else None,
-        profile.to_dict() if profile is not None else None,
-    )
-
-
-def run_task_spec(spec: TaskSpec) -> TaskPayload:
-    """:func:`run_task` on a :class:`TaskSpec` (the socket wire shape)."""
-    return run_task(
-        spec.fn,
-        spec.item,
-        spec.want_trace,
-        spec.want_audit,
-        spec.want_metrics,
-        spec.want_profile,
-    )
+    sinks = observe.fresh() if observe is not None else None
+    if sinks is None:
+        return fn(item), None
+    with sinks.active():
+        value = fn(item)
+    return value, sinks.snapshot()
 
 
 class ExecBackend(ABC):

@@ -8,9 +8,9 @@ stack traces straight into the task), and for the service dispatcher's
 full retry/outcome machinery.
 
 Because the task runs on the caller's thread inside the caller's
-observability context, payload snapshots come back ``None`` (there is
-nothing to merge — the parent's telemetry, recorder, audit, metrics,
-and profile saw everything live) and deadlines cannot be enforced: a
+observability context, the payload snapshot comes back ``None`` (there
+is nothing to merge — the parent's sinks saw everything live) and
+deadlines cannot be enforced: a
 task that hangs hangs the caller.  Worker loss cannot happen, so
 :meth:`InlineBackend.recover` and worker-death signaling are no-ops.
 """
@@ -51,13 +51,13 @@ class InlineBackend(ExecBackend):
         # what the runner's retry machinery expects.
         if not handle.done:
             value = handle.spec.fn(handle.spec.item)
-            handle.payload = (value, None, None, None, None, None)
+            handle.payload = (value, None)
             handle.done = True
         return handle.payload
 
     def cancel(self, handle: _InlineHandle) -> None:
         handle.done = True
-        handle.payload = (None, None, None, None, None, None)
+        handle.payload = (None, None)
 
     def recover(self) -> None:
         pass

@@ -14,7 +14,6 @@ from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 
 from ...obs.metrics import inc as metric_inc
-from ..timing import count
 from .base import (
     BackendTimeoutError,
     ExecBackend,
@@ -35,8 +34,8 @@ class ProcessPoolBackend(ExecBackend):
     :class:`~repro.exec.backends.base.WorkerLostError`;
     :meth:`recover` rebuilds the executor — resubmitting to a dead pool
     would fail instantly and misreport the cause — and counts
-    ``pool.rebuilt`` in telemetry and operational metrics, exactly as
-    the pre-backend runner did.
+    ``pool.rebuilt`` in operational metrics, exactly as the pre-backend
+    runner did.
     """
 
     def __init__(self) -> None:
@@ -51,11 +50,7 @@ class ProcessPoolBackend(ExecBackend):
     def submit(self, spec: TaskSpec) -> Future:
         if self._pool is None:
             raise RuntimeError("ProcessPoolBackend.submit before start()")
-        return self._pool.submit(
-            run_task, spec.fn, spec.item,
-            spec.want_trace, spec.want_audit,
-            spec.want_metrics, spec.want_profile,
-        )
+        return self._pool.submit(run_task, spec.fn, spec.item, spec.observe)
 
     def result(self, handle: Future, timeout_s: float | None) -> TaskPayload:
         try:
@@ -71,7 +66,6 @@ class ProcessPoolBackend(ExecBackend):
     def recover(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
-        count("pool.rebuilt")
         metric_inc("pool.rebuilt", operational=True)
         self._pool = ProcessPoolExecutor(max_workers=self._n_workers)
 

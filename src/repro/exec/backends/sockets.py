@@ -27,10 +27,11 @@ The fleet survives its workers:
   managed fleets, waits for replacements to reconnect); queued tasks
   drain onto whichever workers are alive.
 
-Wire protocol (version 1): each frame is a 4-byte big-endian length
+Wire protocol (version 2): each frame is a 4-byte big-endian length
 followed by a pickled dict.  Kinds: ``hello``/``welcome`` (handshake),
-``task`` (parent→worker: a task id plus the function, item, and
-observability wants), ``result``/``task_error`` (worker→parent),
+``task`` (parent→worker: a task id plus the function, item, and the
+:class:`~repro.obs.sinks.Sinks` to observe into), ``result``/
+``task_error`` (worker→parent: a ``(value, snapshot)`` payload),
 ``heartbeat`` (worker→parent), ``shutdown`` (parent→worker).  Tasks run
 through :func:`~repro.exec.backends.base.run_task`, so results carry
 the same observability payloads as every other transport and the
@@ -42,7 +43,7 @@ Workers are started with ``python -m repro.exec.backends.sockets
 worker entry point — or via the ``repro-exp worker`` CLI verb, which
 wraps the same :func:`run_worker`.
 
-Fleet health lands in *operational* telemetry only (``fleet.*``
+Fleet health lands in *operational* metrics only (``fleet.*``
 counters and gauges): reader and monitor threads tally internally and
 the driver thread flushes, because metrics contexts do not cross
 threads.
@@ -63,7 +64,6 @@ from collections import deque
 
 from ...obs.metrics import inc as metric_inc
 from ...obs.metrics import set_gauge
-from ..timing import count
 from .base import (
     BackendTimeoutError,
     ExecBackend,
@@ -81,9 +81,10 @@ __all__ = [
     "run_worker",
 ]
 
-#: Bumped whenever the frame layout or message kinds change; a worker
-#: whose hello carries a different version is refused at handshake.
-PROTOCOL_VERSION = 1
+#: Bumped whenever the frame layout, message kinds, or payload shape
+#: change; a worker whose hello carries a different version is refused
+#: at handshake.
+PROTOCOL_VERSION = 2
 
 _HANDSHAKE_TIMEOUT_S = 10.0
 
@@ -481,10 +482,7 @@ class SocketWorkerBackend(ExecBackend):
                     "task_id": handle.task_id,
                     "fn": spec.fn,
                     "item": spec.item,
-                    "wants": (
-                        spec.want_trace, spec.want_audit,
-                        spec.want_metrics, spec.want_profile,
-                    ),
+                    "observe": spec.observe,
                 }, worker.send_lock)
             except (OSError, pickle.PicklingError, TypeError,
                     AttributeError) as exc:
@@ -606,7 +604,7 @@ class SocketWorkerBackend(ExecBackend):
                     pass
             self._tmpdir = None
 
-    # -- telemetry (thread-safe tally, driver-thread flush) ------------
+    # -- metrics (thread-safe tally, driver-thread flush) --------------
     def _note(self, name: str) -> None:
         """Tally one fleet event (caller holds the lock)."""
         self._tally[name] = self._tally.get(name, 0) + 1
@@ -619,7 +617,7 @@ class SocketWorkerBackend(ExecBackend):
         """Publish tallied fleet events from the driver thread.
 
         Reader/monitor threads cannot record into the driver's
-        contextvar-scoped telemetry and metrics, so they tally under
+        contextvar-scoped metrics, so they tally under
         the fleet lock and the driver flushes whenever it touches the
         backend.  Fleet health is wall-clock dependent: operational by
         contract.
@@ -629,7 +627,6 @@ class SocketWorkerBackend(ExecBackend):
             live = self._live_count()
             queued = len(self._pending)
         for name, n in pending.items():
-            count(name, n)
             metric_inc(name, n, operational=True)
         set_gauge("fleet.workers_live", live, operational=True)
         set_gauge("fleet.queue_depth", queued, operational=True)
@@ -697,8 +694,7 @@ def run_worker(
                 continue
             task_id = msg.get("task_id")
             try:
-                wants = tuple(msg.get("wants") or (False,) * 4)
-                payload = run_task(msg["fn"], msg["item"], *wants)
+                payload = run_task(msg["fn"], msg["item"], msg.get("observe"))
                 out = {"kind": "result", "task_id": task_id,
                        "payload": payload}
             except Exception as exc:

@@ -33,11 +33,9 @@ from ..core.fixed_order_lp import FixedOrderLpResult, solve_fixed_order_lp
 from ..core.model import MODEL_LAYER_VERSION
 from ..core.serialize import schedule_from_dict, schedule_to_dict
 from ..core.solver import LpSolution, LpStatus
-from ..obs.audit import note_cache
 from ..obs.metrics import inc as metric_inc
 from ..obs.provenance import collect_manifest
 from .keys import energy_lp_key, fixed_order_lp_key
-from .timing import count
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -109,7 +107,6 @@ class SolverCache:
             except OSError:
                 pass  # another sweeper won the race, or a live writer
         if swept:
-            count("cache.tmp_swept", swept)
             # Sweeping depends on prior crashes and file mtimes, never on
             # the work being computed: operational by definition.
             metric_inc("cache.tmp_swept", swept, operational=True)
@@ -130,20 +127,14 @@ class SolverCache:
             data = json.loads(path.read_text())
         except (OSError, ValueError):
             self.misses += 1
-            count("cache.miss")
             metric_inc("cache.miss")
-            note_cache(False)
             return None
         if data.get("schema") != CACHE_SCHEMA_VERSION or data.get("key") != key:
             self.misses += 1
-            count("cache.miss")
             metric_inc("cache.miss")
-            note_cache(False)
             return None
         self.hits += 1
-        count("cache.hit")
         metric_inc("cache.hit")
-        note_cache(True)
         return data["payload"]
 
     def put(self, key: str, payload: dict) -> None:
@@ -168,7 +159,6 @@ class SolverCache:
                 pass
             raise
         self.stores += 1
-        count("cache.store")
         metric_inc("cache.store")
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Ambient execution options: workers, cache directory, telemetry.
+"""Ambient execution options: workers, cache directory, task transport.
 
 The figure/table entry points have stable, paper-shaped signatures
 (``figure11_comd(n_ranks)``); execution policy — how many workers, which

@@ -29,7 +29,8 @@ its historical three-way Static/Conductor/LP output.
 Observability (see ``docs/observability.md``): ``--trace FILE`` /
 ``--trace-dir DIR`` export a Chrome trace-event JSON (Perfetto-loadable)
 plus a raw ``.jsonl`` of every event the run emitted; ``--timings`` and
-``--timings-json`` additionally surface the solver audit ledger; and
+``--timings-json`` render the run's metrics snapshot (``phase.*`` timers
+and counters) together with the solver audit ledger; and
 ``--save DIR`` stamps a ``manifest.json`` of run provenance next to the
 saved artifacts.
 
@@ -65,7 +66,6 @@ import argparse
 import json
 import sys
 import time
-from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from ..core.model import MODEL_LAYER_VERSION
@@ -77,14 +77,19 @@ from ..exec.options import (
     set_execution_options,
 )
 from ..exec.parallel import ParallelExecutionError
-from ..exec.timing import Telemetry, use_telemetry
-from ..obs.audit import SolveAudit, use_audit
+from ..obs.audit import SolveAudit
 from ..obs.export import export_chrome_trace, export_jsonl, validate_trace_file
-from ..obs.metrics import Metrics, prometheus_text, use_metrics
-from ..obs.profiling import ProfileCollector, use_profile
+from ..obs.metrics import (
+    Metrics,
+    prometheus_text,
+    timings_doc,
+    timings_summary,
+)
+from ..obs.profiling import ProfileCollector
 from ..obs.progress import ProgressReporter, default_progress_stream
 from ..obs.provenance import collect_manifest, write_manifest
-from ..obs.recorder import TraceRecorder, use_recorder
+from ..obs.recorder import TraceRecorder
+from ..obs.sinks import Sinks
 from ..scenarios.registry import default_registry
 from ..scenarios.run import ScenarioCell, run_scenarios
 from ..scenarios.spec import PolicySpec, ScenarioSpec
@@ -428,8 +433,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="print per-phase timings, cache counters, and "
                              "the solver audit table")
     parser.add_argument("--timings-json", metavar="FILE", default=None,
-                        help="also write the timing telemetry (with the "
-                             "solver audit ledger) as JSON")
+                        help="also write the per-phase timings and counters "
+                             "(with the solver audit ledger) as JSON")
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="export a Chrome trace-event JSON (open in "
                              "Perfetto) plus FILE's .jsonl sibling")
@@ -601,7 +606,9 @@ def main(argv: list[str] | None = None) -> int:
         task_backend=args.backend,
     ))
 
-    telemetry = Telemetry()
+    # Metrics are always on: they back --timings and the progress line as
+    # well as the --metrics exports.
+    metrics = Metrics()
     recorder = (
         TraceRecorder() if (args.trace or args.trace_dir) else None
     )
@@ -610,23 +617,8 @@ def main(argv: list[str] | None = None) -> int:
         if (args.timings or args.timings_json or command in ("run", "audit"))
         else None
     )
-    metrics = Metrics() if (args.metrics or args.metrics_prom) else None
     profile = ProfileCollector() if args.profile else None
-
-    @contextmanager
-    def observe():
-        """Activate every requested observability sink for a block."""
-        with ExitStack() as stack:
-            stack.enter_context(use_telemetry(telemetry))
-            if recorder is not None:
-                stack.enter_context(use_recorder(recorder))
-            if audit is not None:
-                stack.enter_context(use_audit(audit))
-            if metrics is not None:
-                stack.enter_context(use_metrics(metrics))
-            if profile is not None:
-                stack.enter_context(use_profile(profile))
-            yield
+    sinks = Sinks(metrics, recorder, audit, profile)
 
     def export_traces() -> None:
         if recorder is None:
@@ -646,22 +638,22 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
 
     def emit_timings() -> None:
+        if not (args.timings or args.timings_json):
+            return
+        snapshot = metrics.to_dict()
         if args.timings:
-            print(telemetry.summary())
+            print(timings_summary(snapshot))
             if audit is not None:
                 print()
-                print(audit.table())
+                print(audit.table(snapshot["counters"]))
         if args.timings_json:
-            doc = telemetry.to_dict()
-            if audit is not None:
-                doc["solve_audit"] = audit.to_dicts()
             out = Path(args.timings_json)
             out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(json.dumps(doc, indent=1) + "\n")
+            out.write_text(
+                json.dumps(timings_doc(snapshot, audit), indent=1) + "\n"
+            )
 
     def export_metrics() -> None:
-        if metrics is None:
-            return
         if args.metrics:
             out = Path(args.metrics)
             out.parent.mkdir(parents=True, exist_ok=True)
@@ -692,7 +684,7 @@ def main(argv: list[str] | None = None) -> int:
         """The manifest-safe (deterministic-only) metrics snapshot."""
         return (
             metrics.to_dict(deterministic_only=True)
-            if metrics is not None else None
+            if (args.metrics or args.metrics_prom) else None
         )
 
     def save_manifest(
@@ -725,7 +717,7 @@ def main(argv: list[str] | None = None) -> int:
                 label="serve",
                 stream=progress_stream,
                 jsonl_path=args.progress_file,
-                telemetry=telemetry,
+                metrics=metrics,
                 depth_fn=queue.depth,
             )
         dispatcher = FleetDispatcher(
@@ -741,7 +733,7 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.time()
         totals = None
         try:
-            with observe():
+            with sinks.active():
                 totals = dispatcher.serve(
                     poll_s=args.poll,
                     max_idle_s=args.max_idle,
@@ -781,7 +773,7 @@ def main(argv: list[str] | None = None) -> int:
             # Historical three-way output (byte-stable for CI greps).
             cfg = _run_config(args)
             t0 = time.time()
-            with observe():
+            with sinks.active():
                 result = run_comparison(cfg, args.cap)
             text = _comparison_text(result)
             print(text)
@@ -812,11 +804,11 @@ def main(argv: list[str] | None = None) -> int:
                 label=f"{command}:{spec.benchmark}",
                 stream=progress_stream,
                 jsonl_path=args.progress_file,
-                telemetry=telemetry,
+                metrics=metrics,
             )
         t0 = time.time()
         try:
-            with observe():
+            with sinks.active():
                 result = run_scenarios(
                     spec,
                     keep_going=args.keep_going,
@@ -917,13 +909,13 @@ def main(argv: list[str] | None = None) -> int:
         if unknown:
             parser.error(f"unknown exhibits: {unknown}; try 'list'")
         ranks = 8 if args.quick and args.ranks == 32 else args.ranks
-        with observe():
+        with sinks.active():
             if names:
                 for name in names:
                     EXHIBITS[name](args.quick, ranks)
             else:
                 run_comparison(_run_config(args), args.cap)
-        print(audit.table())
+        print(audit.table(metrics.counters))
         export_obs()
         return 0
 
@@ -936,7 +928,7 @@ def main(argv: list[str] | None = None) -> int:
         names = args.exhibits[2:] or [
             n for n in EXHIBITS if (Path(ref_dir) / f"{n}.txt").exists()
         ]
-        with observe():
+        with sinks.active():
             results = {
                 n: EXHIBITS[n](args.quick, args.ranks) for n in names
             }
@@ -961,7 +953,7 @@ def main(argv: list[str] | None = None) -> int:
         svg_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
         t0 = time.time()
-        with observe():
+        with sinks.active():
             result = EXHIBITS[name](args.quick, ranks)
         text = result.render()
         print(text)

@@ -13,6 +13,8 @@ one aligned-text report:
   per-iteration times across the cap grid;
 * cache statistics (hits/misses/stores, derived hit rate) and solve
   totals from the metrics snapshot;
+* where the time went: per-phase seconds and calls from the snapshot's
+  ``phase.*`` histograms, rendered exactly as ``--timings`` renders them;
 * the failure table of a ``--keep-going`` run, in cap order;
 * the slowest cells by journaled wall seconds.
 
@@ -26,6 +28,7 @@ import json
 from pathlib import Path
 
 from ..exec.checkpoint import SweepJournal
+from ..obs.metrics import phase_lines
 from .report import render_kv, render_table
 
 __all__ = [
@@ -168,6 +171,10 @@ def render_sweep_report(
         if counters.get("task.retry"):
             stats["task retries"] = counters["task.retry"]
         sections.append(render_kv(stats, title="cache and solver traffic"))
+        sections.append("\n".join(
+            ["where the time went"]
+            + [f"  {line}" for line in phase_lines(metrics)]
+        ))
 
     # -- failures ------------------------------------------------------
     failures = [

@@ -1,6 +1,8 @@
 """repro.obs — structured observability: tracing, audit, metrics, provenance.
 
-Several pillars, all contextvar-activated and zero-cost when disabled:
+Several pillars, all contextvar-activated and zero-cost when disabled,
+and activated, snapshotted, and merged as one unit by :class:`Sinks`
+(:mod:`.sinks`):
 
 * **Event tracing** (:mod:`.events`, :mod:`.recorder`, :mod:`.export`) —
   the simulator engine, the Conductor runtime, RAPL, and the LP solver
@@ -8,12 +10,13 @@ Several pillars, all contextvar-activated and zero-cost when disabled:
   render Chrome trace-event JSON (loadable in Perfetto) and JSONL.
 * **Solver audit** (:mod:`.audit`) — every LP/MILP solve records model
   shape, iterations, status, objective, wall time, and provenance
-  (cold / parametric re-solve / cache hit) into a :class:`SolveAudit`
-  ledger.
-* **Operational metrics** (:mod:`.metrics`) — counters, gauges, and
-  fixed-bucket histograms with deterministic merge semantics, plus JSON
-  and Prometheus text exporters; the deterministic subset is
-  byte-identical serial vs. parallel.
+  (cold / parametric re-solve) into a :class:`SolveAudit` ledger; the
+  trace's solve event is a view of the same record.
+* **Operational metrics** (:mod:`.metrics`) — the one store for
+  counters and timers: counters, gauges, and fixed-bucket histograms
+  (``phase.*`` wall-clock timers included) with deterministic merge
+  semantics, plus JSON, Prometheus text, and ``--timings`` renderings;
+  the deterministic subset is byte-identical serial vs. parallel.
 * **Live progress** (:mod:`.progress`) — out-of-band sweep heartbeats
   (cells done/total, ETA, cache hit-rate) on a TTY-aware stderr line and
   a ``progress.jsonl`` stream.
@@ -23,8 +26,8 @@ Several pillars, all contextvar-activated and zero-cost when disabled:
   (config hash, seed, model-layer version, package version, platform)
   stamped into saved artifacts and cache entries.
 
-The package is stdlib-only and sits at the bottom of the layering,
-beside :mod:`repro.exec.timing`: every other layer may import it.
+The package is stdlib-only and sits at the bottom of the layering:
+every other layer may import it.
 See ``docs/observability.md`` for the event taxonomy and workflows.
 """
 
@@ -32,7 +35,6 @@ from .audit import (
     SolveAudit,
     SolveRecord,
     current_audit,
-    note_cache,
     record_solve,
     use_audit,
 )
@@ -89,6 +91,7 @@ from .recorder import (
     emit,
     use_recorder,
 )
+from .sinks import Sinks
 
 __all__ = [
     "CapExceededEvent",
@@ -110,6 +113,7 @@ __all__ = [
     "SolveAudit",
     "SolveEvent",
     "SolveRecord",
+    "Sinks",
     "TaskEvent",
     "TraceRecorder",
     "chrome_trace",
@@ -123,7 +127,6 @@ __all__ = [
     "emit",
     "export_chrome_trace",
     "export_jsonl",
-    "note_cache",
     "profile_block",
     "prometheus_text",
     "read_manifest",

@@ -1,18 +1,22 @@
-"""Solver audit ledger: one record per LP/MILP solve, plus cache traffic.
+"""Solver audit ledger: one record per LP/MILP solve.
 
 The LP bound is only as trustworthy as the solves behind it.  The audit
 ledger records, for every :class:`~repro.core.solver.FrozenProgram`
 solve, the model shape (rows, columns, nonzeros), the simplex iteration
 count, termination status, objective, wall time, and *provenance* — a
 cold first solve versus a parametric RHS re-solve versus a
-content-addressed cache hit that skipped the solver entirely.
+content-addressed cache hit that skipped the solver entirely.  Cache
+traffic itself is counted once, by the ``cache.hit`` / ``cache.miss``
+metrics counters; :meth:`SolveAudit.table` and the ``--timings-json``
+view (:func:`repro.obs.metrics.timings_doc`) read it from there.
 
-Activation mirrors :class:`~repro.exec.timing.Telemetry`: instrumented
-code calls :func:`record_solve` / :func:`note_cache`, which are no-ops
-unless a :class:`SolveAudit` is active in the current context via
+A :class:`SolveRecord` is the one per-solve fact: the ledger stores it,
+and the trace's :class:`~repro.obs.events.SolveEvent` is a view of it.
+Instrumented code calls :func:`record_solve`, a no-op unless a
+:class:`SolveAudit` is active in the current context via
 :func:`use_audit`.  Parallel workers activate fresh ledgers and ship
 :meth:`SolveAudit.to_dicts` back; the parent folds them in submission
-order with :meth:`SolveAudit.extend`.
+order with :meth:`SolveAudit.extend` (see :class:`repro.obs.sinks.Sinks`).
 
 Stdlib-only: ``repro.core.solver`` imports this module, so it must not
 import anything from ``repro`` or third-party packages.
@@ -30,7 +34,6 @@ __all__ = [
     "current_audit",
     "use_audit",
     "record_solve",
-    "note_cache",
 ]
 
 
@@ -84,22 +87,14 @@ class SolveRecord:
 
 
 class SolveAudit:
-    """Ordered ledger of solve records plus cache hit/miss tallies."""
+    """Ordered ledger of solve records."""
 
     def __init__(self) -> None:
         self.records: list[SolveRecord] = []
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     # ------------------------------------------------------------------
     def record(self, record: SolveRecord) -> None:
         self.records.append(record)
-
-    def note_cache(self, hit: bool) -> None:
-        if hit:
-            self.cache_hits += 1
-        else:
-            self.cache_misses += 1
 
     def __len__(self) -> int:
         return len(self.records)
@@ -110,21 +105,19 @@ class SolveAudit:
     # ------------------------------------------------------------------
     def to_dicts(self) -> dict:
         """JSON-safe snapshot (embedded in ``--timings-json`` payloads)."""
-        return {
-            "solves": [r.to_dict() for r in self.records],
-            "cache": {"hits": self.cache_hits, "misses": self.cache_misses},
-        }
+        return {"solves": [r.to_dict() for r in self.records]}
 
     def extend(self, snapshot: dict) -> None:
         """Fold a :meth:`to_dicts` snapshot (e.g. from a worker) in."""
         for doc in snapshot.get("solves", []):
             self.records.append(SolveRecord.from_dict(doc))
-        cache = snapshot.get("cache", {})
-        self.cache_hits += int(cache.get("hits", 0))
-        self.cache_misses += int(cache.get("misses", 0))
 
-    def table(self) -> str:
-        """Human-readable audit table (the ``repro-exp audit`` output)."""
+    def table(self, counters: dict | None = None) -> str:
+        """Human-readable audit table (the ``repro-exp audit`` output).
+
+        ``counters`` — a metrics snapshot's counters — adds the run's
+        ``cache.hit`` / ``cache.miss`` traffic as the last line.
+        """
         lines = ["solver audit", "------------"]
         if not self.records:
             lines.append("(no solves recorded)")
@@ -147,9 +140,11 @@ class SolveAudit:
                 f"{len(self.records)} solve(s), "
                 f"{self.total_wall_s():.3f}s in the solver"
             )
-        lines.append(
-            f"cache: {self.cache_hits} hit(s), {self.cache_misses} miss(es)"
-        )
+        if counters is not None:
+            lines.append(
+                f"cache: {counters.get('cache.hit', 0)} hit(s), "
+                f"{counters.get('cache.miss', 0)} miss(es)"
+            )
         return "\n".join(lines)
 
 
@@ -179,10 +174,3 @@ def record_solve(record: SolveRecord) -> None:
     audit = _current.get()
     if audit is not None:
         audit.record(record)
-
-
-def note_cache(hit: bool) -> None:
-    """Tally a cache hit/miss on the active ledger (no-op when disabled)."""
-    audit = _current.get()
-    if audit is not None:
-        audit.note_cache(hit)

@@ -20,13 +20,15 @@ Two timestamp conventions coexist:
 
 The module is stdlib-only: it sits below every other layer (the
 simulator, the runtimes, and the solver all import it), so it must not
-import anything from ``repro`` or from third-party packages.
+import anything outside ``repro.obs`` or from third-party packages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import ClassVar
+
+from .audit import SolveRecord
 
 __all__ = [
     "TaskEvent",
@@ -172,32 +174,32 @@ class CapExceededEvent:
 
 @dataclass(frozen=True)
 class SolveEvent:
-    """One LP/MILP solve: which model, cold or parametric re-solve."""
+    """One LP/MILP solve in the trace: a view of its :class:`SolveRecord`.
+
+    Only the deterministic fields reach the trace (which model, cold or
+    parametric re-solve, shape, status); iterations, objective, and wall
+    time stay in the audit ledger.
+    """
 
     kind: ClassVar[str] = "solve"
 
-    program: str
-    source: str  # "cold" | "resolve"
-    backend: str  # "highs-direct" | "linprog" | "milp"
-    rows: int
-    cols: int
-    nnz: int
-    status: str
+    record: SolveRecord
 
     def to_dict(self) -> dict:
+        r = self.record
         return {
             "kind": self.kind,
-            "name": f"solve:{self.program}",
+            "name": f"solve:{r.program}",
             "rank": None,
             "ts_s": None,
             "dur_s": None,
             "args": {
-                "source": self.source,
-                "backend": self.backend,
-                "rows": self.rows,
-                "cols": self.cols,
-                "nnz": self.nnz,
-                "status": self.status,
+                "source": r.source,
+                "backend": r.backend,
+                "rows": r.rows,
+                "cols": r.cols,
+                "nnz": r.nnz,
+                "status": r.status,
             },
         }
 

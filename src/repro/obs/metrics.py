@@ -1,11 +1,13 @@
 """Typed operational metrics: counters, gauges, fixed-bucket histograms.
 
-Where :mod:`repro.exec.timing` answers "where did the seconds go" and the
-trace recorder answers "what happened, in order", this module answers the
-fleet operator's question: *how much, how fast, how healthy* — as
-aggregable numbers that merge deterministically across workers and
-export to standard tooling (a JSON snapshot, Prometheus text
-exposition).
+Where the trace recorder answers "what happened, in order", this module
+answers the fleet operator's question: *how much, how fast, how
+healthy* — and "where did the seconds go" — as aggregable numbers that
+merge deterministically across workers and export to standard tooling
+(a JSON snapshot, Prometheus text exposition).  It is the one store for
+counters and timers: the ``--timings`` / ``--timings-json`` views
+(:func:`timings_summary`, :func:`timings_doc`) and the sweep report's
+phase section are renderings of the same snapshot.
 
 Three metric types, all name-addressed:
 
@@ -16,13 +18,17 @@ Three metric types, all name-addressed:
   ``sum`` / ``min`` / ``max``, Prometheus-shaped (``solve.wall_s``,
   ``cell.wall_s``, ``solve.iterations``).
 
-Activation mirrors :class:`~repro.exec.timing.Telemetry`: instrumented
-code calls :func:`inc` / :func:`observe` / :func:`set_gauge`, which are
-no-ops unless a :class:`Metrics` object is active in the current context
-via :func:`use_metrics` — with metrics off, each site costs one
-contextvar read.  Parallel workers activate fresh :class:`Metrics`, ship
-:meth:`Metrics.to_dict` snapshots back, and the parent folds them with
-:meth:`Metrics.merge` in submission order.
+Instrumented code calls :func:`inc` / :func:`observe` / :func:`set_gauge`
+/ :func:`timed`, which are no-ops unless a :class:`Metrics` object is
+active in the current context via :func:`use_metrics` — with metrics
+off, each site costs one contextvar read.  Library phases (trace build,
+LP assembly and solve, replay) are ``timed("phase.<name>")`` blocks:
+operational wall-clock histograms whose ``sum`` is the phase's seconds
+and ``count`` its calls.  Parallel workers activate fresh
+:class:`Metrics`, ship :meth:`Metrics.to_dict` snapshots back, and the
+parent folds them with :meth:`Metrics.merge` in submission order (see
+:class:`repro.obs.sinks.Sinks`), so phase seconds aggregate across
+workers and can exceed wall-clock time.
 
 **The determinism contract.**  Every metric is either *deterministic* —
 a pure function of what was computed (task counts, solve totals, cache
@@ -62,6 +68,10 @@ __all__ = [
     "set_gauge",
     "observe",
     "timed",
+    "PHASE_PREFIX",
+    "phase_lines",
+    "timings_doc",
+    "timings_summary",
     "prometheus_text",
     "validate_metrics_doc",
 ]
@@ -373,6 +383,84 @@ def timed(name: str, buckets: tuple[float, ...] = TIME_BUCKETS_S):
         metrics.observe(
             name, time.perf_counter() - start, buckets=buckets, operational=True
         )
+
+
+# ----------------------------------------------------------------------
+#: Name prefix of the wall-clock phase histograms behind ``--timings``.
+PHASE_PREFIX = "phase."
+
+
+def _phases(doc: dict) -> dict[str, dict]:
+    """``{phase: {"calls", "total_s"}}`` from a snapshot's ``phase.*``
+    histograms, sorted by phase name."""
+    return {
+        name[len(PHASE_PREFIX):]: {"calls": hist["count"], "total_s": hist["sum"]}
+        for name, hist in sorted(doc.get("histograms", {}).items())
+        if name.startswith(PHASE_PREFIX)
+    }
+
+
+def phase_lines(doc: dict) -> list[str]:
+    """Per-phase "where the time went" rows of a metrics snapshot.
+
+    The one phase renderer: :func:`timings_summary` (``--timings``) and
+    the ``repro-exp report`` phase section both call it.
+    """
+    phases = _phases(doc)
+    if not phases:
+        return ["(no phases recorded)"]
+    width = max(len(name) for name in phases)
+    return [
+        f"{name:<{width}}  {p['total_s']:>9.3f} s  ({p['calls']} calls)"
+        for name, p in phases.items()
+    ]
+
+
+def timings_doc(doc: dict, audit=None) -> dict:
+    """The ``--timings-json`` view of a metrics snapshot.
+
+    ``phases`` comes from the ``phase.*`` histograms (``total_s`` = sum,
+    ``calls`` = count) and ``counters`` from the snapshot's counters.
+    With a :class:`~repro.obs.audit.SolveAudit`, a ``solve_audit``
+    section carries its solves plus a ``cache`` block read from the
+    ``cache.hit`` / ``cache.miss`` counters.
+    """
+    counters = doc.get("counters", {})
+    out = {
+        "version": doc["version"],
+        "phases": _phases(doc),
+        "counters": dict(counters),
+    }
+    if audit is not None:
+        out["solve_audit"] = {
+            **audit.to_dicts(),
+            "cache": {
+                "hits": counters.get("cache.hit", 0),
+                "misses": counters.get("cache.miss", 0),
+            },
+        }
+    return out
+
+
+def timings_summary(doc: dict) -> str:
+    """The ``--timings`` text: phases, counters, and the cache hit rate."""
+    counters = doc.get("counters", {})
+    lines = ["timing summary", "--------------", *phase_lines(doc)]
+    if counters:
+        lines.append("")
+        width = max(len(n) for n in counters)
+        for name in sorted(counters):
+            lines.append(f"{name:<{width}}  {counters[name]}")
+    hits = counters.get("cache.hit", 0)
+    lookups = hits + counters.get("cache.miss", 0)
+    if lookups:
+        lines.append("")
+        lines.append(
+            f"cache hit rate  {100.0 * hits / lookups:.1f}% "
+            f"({hits}/{lookups} lookups, "
+            f"{counters.get('cache.store', 0)} stores)"
+        )
+    return "\n".join(lines)
 
 
 # ----------------------------------------------------------------------

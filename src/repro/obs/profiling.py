@@ -13,7 +13,7 @@ fleet-wide view:
   ``(calls, total, cumulative)`` seconds keyed by
   ``file:line(function)``; snapshots are plain JSON-safe dicts, so
   workers ship them back with their results and the parent merges them
-  exactly like telemetry;
+  like every other sink (:class:`~repro.obs.sinks.Sinks`);
 * :meth:`ProfileCollector.table` — the run artifact: a top-N table
   sorted by cumulative seconds, the classic ``pstats`` view aggregated
   across every cell of the sweep.

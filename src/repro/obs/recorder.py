@@ -1,7 +1,6 @@
 """The event sink: a ring-buffer recorder, contextvar-activated.
 
-Mirrors the activation pattern of :class:`repro.exec.timing.Telemetry`:
-instrumented code calls :func:`emit` (or checks :func:`current_recorder`
+Instrumented code calls :func:`emit` (or checks :func:`current_recorder`
 once and emits directly on hot paths), which is a no-op unless a
 :class:`TraceRecorder` has been activated for the current context via
 :func:`use_recorder` — so with tracing off, the only cost at every
@@ -15,10 +14,13 @@ monotone per-recorder sequence number, and ``run``, the label of the
 enclosing :meth:`TraceRecorder.run_scope` — which makes worker batches
 picklable and merges deterministic.
 
-Parallel workers each activate a fresh recorder, ship
-:meth:`TraceRecorder.snapshot` back with their result, and the parent
-folds the batches in submission order via :meth:`TraceRecorder.extend`
-— so a parallel run's merged event stream is stable across executions.
+Parallel workers each activate a fresh recorder of the parent's
+capacity, ship :meth:`TraceRecorder.snapshot` and their ``dropped``
+count back with their result (see :class:`repro.obs.sinks.Sinks`), and
+the parent folds the batches in submission order via
+:meth:`TraceRecorder.extend` — so a parallel run's merged event stream
+is stable across executions and ``len(recorder) + recorder.dropped``
+counts every event any process emitted.
 """
 
 from __future__ import annotations
@@ -89,14 +91,17 @@ class TraceRecorder:
         """The buffered events as picklable dicts, in emission order."""
         return list(self._events)
 
-    def extend(self, batch: list[dict]) -> None:
+    def extend(self, batch: list[dict], dropped: int = 0) -> None:
         """Fold a worker's :meth:`snapshot` in, re-sequencing its events.
 
         Callers merge batches in submission order (the order
         :class:`~repro.exec.parallel.ParallelRunner` returns results),
         which keeps the merged stream — and any export of it —
         deterministic regardless of worker completion order.
+        ``dropped`` is the worker's own :attr:`dropped` count: events
+        its ring buffer overwrote before the batch was shipped.
         """
+        self.dropped += dropped
         for doc in batch:
             if self.capacity is not None and len(self._events) == self.capacity:
                 self.dropped += 1

@@ -47,7 +47,6 @@ from ..exec.parallel import (
     ParallelRunner,
     resolve_workers,
 )
-from ..exec.timing import count
 from ..machine.device import LEGACY_NODE, NodeSpec, get_node, rank_nodes
 from ..machine.frontiers import FrontierStore, NodeFrontierStore
 from ..machine.power import SocketPowerModel
@@ -670,7 +669,6 @@ def run_scenarios(
                     # Same structural guard as the cache path: a stale
                     # or foreign payload is recomputed, not mis-mapped.
                     cells[cap] = cell
-                    count("journal.resumed")
                     # Resumption depends on what a prior (possibly
                     # interrupted) run got through: operational.
                     metric_inc("journal.resumed", operational=True)
@@ -684,7 +682,6 @@ def run_scenarios(
     multiplicity = {cap: pending.count(cap) for cap in dict.fromkeys(pending)}
     deduped = len(pending) - len(multiplicity)
     if deduped:
-        count("cells.deduped", deduped)
         # Derived from the spec's cap grid alone, so deterministic.
         metric_inc("cells.deduped", deduped)
     pending = list(multiplicity)
@@ -728,7 +725,7 @@ def run_scenarios(
             # Fires in submission (cap) order as each cell settles, so
             # an interrupted sweep has journaled its whole settled
             # prefix.  Worker cache hit/miss accounting arrives via the
-            # telemetry snapshots ParallelRunner merges.
+            # sink snapshots ParallelRunner merges.
             cap = pending[outcome.index]
             if progress is not None:
                 for _ in range(multiplicity[cap]):
@@ -744,7 +741,6 @@ def run_scenarios(
                         wall_s=round(outcome.elapsed_s, 6),
                     )
                 return
-            count("cell.failed")
             metric_inc("cell.failed")
             emit(CellFailureEvent(
                 benchmark=spec.benchmark,

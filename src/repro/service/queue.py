@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..exec.keys import scenario_cell_key
-from ..exec.timing import count
 from ..obs.metrics import inc as metric_inc
 from ..scenarios.spec import SCENARIO_LAYER_VERSION, ScenarioSpec
 
@@ -268,10 +267,9 @@ class JobQueue:
                 }
             )
         n_dedup = len(attach) + (len(grid) - len(ids))
-        count("queue.submitted", len(new) + len(requeue))
+        # Both depend on what earlier submissions queued: operational.
+        metric_inc("queue.submitted", len(new) + len(requeue), operational=True)
         if n_dedup:
-            count("queue.deduped", n_dedup)
-            # Dedup depends on what earlier submissions queued: operational.
             metric_inc("queue.deduped", n_dedup, operational=True)
         return SubmitReceipt(
             submitted=len(new),

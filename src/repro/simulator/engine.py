@@ -23,7 +23,6 @@ from typing import Protocol
 
 import numpy as np
 
-from ..exec.timing import count, span
 from ..machine.configuration import Configuration
 from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.device import NodeSpec
@@ -31,6 +30,7 @@ from ..machine.performance import TaskKernel, TaskTimeModel
 from ..machine.power import SocketPowerModel
 from ..obs.events import CollectiveEvent, MpiWaitEvent, TaskEvent
 from ..obs.metrics import inc as metric_inc
+from ..obs.metrics import timed
 from ..obs.recorder import current_recorder
 from .network import IB_QDR, NetworkModel
 from .program import (
@@ -581,7 +581,7 @@ class Engine:
 
         ``vectorized`` overrides the engine default for this run only.
         """
-        with span("replay"):
+        with timed("phase.replay"):
             use_vec = self.vectorized if vectorized is None else vectorized
             plan = None
             if use_vec:
@@ -630,7 +630,7 @@ class Engine:
                 f"application has {app.n_ranks} ranks but engine has "
                 f"{len(self.power_models)} power models"
             )
-        with span("replay.sweep"):
+        with timed("phase.replay.sweep"):
             return self._run_sweep(app, policy, plan)
 
     def _run_sweep(
@@ -810,9 +810,6 @@ class Engine:
         for r in range(1, n):
             makespans = np.maximum(makespans, clocks[r])
 
-        count("sim.tasks", len(emissions) * n_points)
-        count("sim.mpi_waits", mpi_waits * n_points)
-        count("sim.collectives", collectives * n_points)
         metric_inc("sim.tasks", len(emissions) * n_points)
         metric_inc("sim.mpi_waits", mpi_waits * n_points)
         metric_inc("sim.collectives", collectives * n_points)
@@ -1056,9 +1053,6 @@ class Engine:
             }
             raise RuntimeError(f"deadlock: ranks blocked at {details}")
 
-        count("sim.tasks", len(records))
-        count("sim.mpi_waits", mpi_waits)
-        count("sim.collectives", collectives)
         metric_inc("sim.tasks", len(records))
         metric_inc("sim.mpi_waits", mpi_waits)
         metric_inc("sim.collectives", collectives)

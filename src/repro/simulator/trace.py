@@ -24,7 +24,7 @@ import numpy as np
 
 from ..dag.builder import DagBuilder
 from ..dag.graph import TaskGraph, VertexKind
-from ..exec.timing import span
+from ..obs.metrics import timed
 from ..machine.configuration import ConfigPoint
 from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.frontiers import FrontierStore, NodeFrontierStore
@@ -230,7 +230,7 @@ def trace_application(
     precedence over ``measurement_noise``/``seed``, which configure the
     internally created store.
     """
-    with span("trace"):
+    with timed("phase.trace"):
         return _trace_application(
             app, power_models, network, spec, measurement_noise, seed,
             frontier_store,

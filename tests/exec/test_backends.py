@@ -24,6 +24,11 @@ from repro.exec.backends import (
     run_task,
 )
 from repro.exec.parallel import ParallelRunner
+from repro.obs.events import CounterEvent
+from repro.obs.metrics import Metrics
+from repro.obs.profiling import ProfileCollector
+from repro.obs.recorder import TraceRecorder, emit
+from repro.obs.sinks import Sinks
 
 
 def square(x):
@@ -32,6 +37,12 @@ def square(x):
 
 def boom(x):
     raise ValueError(f"boom {x}")
+
+
+def emits(n):
+    for i in range(n):
+        emit(CounterEvent(name="c", ts_s=float(i), values={"v": i}))
+    return n
 
 
 def sleepy(x):
@@ -57,15 +68,22 @@ class TestMakeBackend:
 
 class TestRunTask:
     def test_payload_shape_and_telemetry(self):
-        value, telemetry, trace, audit, metrics, profile = run_task(square, 3)
-        assert value == 9
-        assert isinstance(telemetry, dict)
-        assert trace is None and audit is None
-        assert metrics is None and profile is None
+        # Nothing observed: a bare value and no snapshot.
+        assert run_task(square, 3) == (9, None)
 
     def test_wanted_snapshots_come_back(self):
-        payload = run_task(square, 2, want_metrics=True, want_profile=True)
-        assert payload[4] is not None and payload[5] is not None
+        observe = Sinks(metrics=Metrics(), profile=ProfileCollector())
+        value, snapshot = run_task(square, 2, observe)
+        assert value == 4
+        assert set(snapshot) == {"metrics", "profile"}
+        assert snapshot["metrics"] == Metrics().to_dict()
+
+    def test_worker_recorder_keeps_parent_capacity_and_ships_drops(self):
+        parent = TraceRecorder(capacity=2)
+        _, snapshot = run_task(emits, 5, Sinks(recorder=parent))
+        assert len(parent) == 0  # the task recorded into a fresh recorder
+        assert [e["ts_s"] for e in snapshot["trace"]["events"]] == [3.0, 4.0]
+        assert snapshot["trace"]["dropped"] == 3
 
 
 class TestInlineBackend:
@@ -74,7 +92,7 @@ class TestInlineBackend:
         backend.start(4)
         handle = backend.submit(TaskSpec(index=0, fn=square, item=5))
         payload = backend.result(handle, timeout_s=None)
-        assert payload == (25, None, None, None, None, None)
+        assert payload == (25, None)
         assert backend.result(handle, timeout_s=None) is payload  # settled
 
     def test_task_exceptions_propagate_raw(self):

@@ -150,15 +150,22 @@ class TestSolverCache:
         assert cache.get(key) == {"answer": 42}
 
     def test_cache_traffic_reaches_the_audit_ledger(self, tmp_path):
-        from repro.obs.audit import SolveAudit, use_audit
+        # One count per lookup, in metrics; the audit table reads it there.
+        from repro.obs.audit import SolveAudit
+        from repro.obs.metrics import Metrics, use_metrics
 
         cache = SolverCache(tmp_path)
-        audit = SolveAudit()
-        with use_audit(audit):
+        metrics = Metrics()
+        with use_metrics(metrics):
             cache.get("ab" * 32)
             cache.put("ab" * 32, {"v": 1})
             cache.get("ab" * 32)
-        assert (audit.cache_hits, audit.cache_misses) == (1, 1)
+        assert (metrics.counter("cache.hit"), metrics.counter("cache.miss")) == (
+            1, 1,
+        )
+        assert "cache: 1 hit(s), 1 miss(es)" in SolveAudit().table(
+            metrics.counters
+        )
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
         cache = SolverCache(tmp_path)

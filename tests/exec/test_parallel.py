@@ -1,4 +1,8 @@
-"""ParallelRunner: ordering, serial fallback, retries, timeouts, telemetry."""
+"""ParallelRunner: ordering, serial fallback, retries, timeouts, telemetry.
+
+Worker telemetry is the :class:`~repro.obs.metrics.Metrics` snapshot
+(counters plus ``phase.*`` timers) each worker ships back.
+"""
 
 from __future__ import annotations
 
@@ -16,9 +20,9 @@ from repro.exec.parallel import (
     resolve_workers,
     retry_delay_s,
 )
-from repro.exec.timing import Telemetry, count, span, use_telemetry
 from repro.obs.audit import SolveAudit, SolveRecord, record_solve, use_audit
 from repro.obs.events import CounterEvent
+from repro.obs.metrics import Metrics, inc, timed, use_metrics
 from repro.obs.recorder import TraceRecorder, emit, use_recorder
 
 
@@ -78,9 +82,15 @@ def _kill_self_always(item: int) -> int:
 
 
 def _instrumented(item: int) -> int:
-    with span("worker.phase"):
-        count("worker.count", item)
+    with timed("phase.worker"):
+        inc("worker.count", item)
     return item
+
+
+def _emits_counters(n: int) -> int:
+    for i in range(n):
+        emit(CounterEvent(name="w", ts_s=float(i), values={"v": i}))
+    return n
 
 
 def _emits_observability(item: int) -> int:
@@ -169,12 +179,12 @@ class TestParallelMap:
         assert runner.map(_sleepy, [0.01, 0.02]) == [0.01, 0.02]
 
     def test_worker_telemetry_merges_into_parent(self):
-        tel = Telemetry()
-        with use_telemetry(tel):
+        metrics = Metrics()
+        with use_metrics(metrics):
             results = ParallelRunner(max_workers=2).map(_instrumented, [1, 2, 3])
         assert results == [1, 2, 3]
-        assert tel.phases["worker.phase"].calls == 3
-        assert tel.counter("worker.count") == 6
+        assert metrics.histograms["phase.worker"].count == 3
+        assert metrics.counter("worker.count") == 6
 
     def test_no_parent_telemetry_is_fine(self):
         assert ParallelRunner(max_workers=2).map(_instrumented, [1, 2]) == [1, 2]
@@ -189,6 +199,18 @@ class TestParallelMap:
         assert [d["ts_s"] for d in counters] == [2.0, 0.0, 1.0]
         assert [d["seq"] for d in counters] == [0, 1, 2]
         assert [r.program for r in audit.records] == ["p2", "p0", "p1"]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_dropped_trace_events_are_counted(self, workers):
+        # A small ring buffer overflows in the parent (serial) or in each
+        # worker (parallel, at the parent's capacity); either way every
+        # emitted event is either kept or counted as dropped.
+        items = [3, 5, 2]
+        rec = TraceRecorder(capacity=4)
+        with use_recorder(rec):
+            ParallelRunner(max_workers=workers).map(_emits_counters, items)
+        assert len(rec) == 4
+        assert len(rec) + rec.dropped == sum(items)
 
     def test_workers_skip_observability_when_parent_has_none(self):
         # No recorder/audit in the parent: workers must not build them.
@@ -308,13 +330,13 @@ class TestBrokenPool:
     def test_worker_death_rebuilds_pool_and_retries(self, tmp_path):
         # Breakage is charged to the awaited index, so one cell may absorb
         # blame for both kills; retries=3 covers the worst interleaving.
-        tel = Telemetry()
+        metrics = Metrics()
         runner = ParallelRunner(max_workers=2, retries=3, backoff_s=0.0)
         markers = [str(tmp_path / "k0"), str(tmp_path / "k1")]
-        with use_telemetry(tel):
+        with use_metrics(metrics):
             results = runner.map(_kill_self_once, markers)
         assert results == ["survived", "survived"]
-        assert tel.counter("pool.rebuilt") >= 1
+        assert metrics.counter("pool.rebuilt") >= 1
 
     def test_persistent_breakage_raises_pool_broken(self):
         runner = ParallelRunner(max_workers=2, retries=0)
@@ -382,11 +404,11 @@ class TestBatchedDispatch:
         assert seen == [0, 1, 2, 3]
 
     def test_worker_telemetry_merges_into_parent(self):
-        tel = Telemetry()
-        with use_telemetry(tel):
+        metrics = Metrics()
+        with use_metrics(metrics):
             results = ParallelRunner(max_workers=2, batch_size=2).map(
                 _instrumented, [1, 2, 3]
             )
         assert results == [1, 2, 3]
-        assert tel.phases["worker.phase"].calls == 3
-        assert tel.counter("worker.count") == 6
+        assert metrics.histograms["phase.worker"].count == 3
+        assert metrics.counter("worker.count") == 6

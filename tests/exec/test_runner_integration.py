@@ -11,8 +11,8 @@ from repro.exec.options import (
     get_execution_options,
     set_execution_options,
 )
-from repro.exec.timing import TELEMETRY_SCHEMA_VERSION, Telemetry, use_telemetry
 from repro.experiments.cli import main
+from repro.obs.metrics import METRICS_SCHEMA_VERSION, Metrics, use_metrics
 from repro.experiments.runner import (
     ExperimentConfig,
     run_comparison,
@@ -48,24 +48,24 @@ def test_warm_cache_returns_identical_results(tmp_path):
 def test_warm_cache_skips_all_solves(tmp_path):
     cache = SolverCache(tmp_path)
     sweep_caps(_CFG, _CAPS, workers=1, cache=cache)
-    tel = Telemetry()
-    with use_telemetry(tel):
+    metrics = Metrics()
+    with use_metrics(metrics):
         sweep_caps(_CFG, _CAPS, workers=1, cache=SolverCache(tmp_path))
-    assert tel.counter("cache.hit") == len(_CAPS)
-    assert "solve" not in tel.phases
-    assert "replay" not in tel.phases
-    assert "trace" not in tel.phases
+    assert metrics.counter("cache.hit") == len(_CAPS)
+    assert "phase.solve" not in metrics.histograms
+    assert "phase.replay" not in metrics.histograms
+    assert "phase.trace" not in metrics.histograms
 
 
 def test_parallel_warm_cache_counts_hits_across_processes(tmp_path):
     cache = SolverCache(tmp_path)
     cold = sweep_caps(_CFG, _CAPS, workers=1, cache=cache)
-    tel = Telemetry()
-    with use_telemetry(tel):
+    metrics = Metrics()
+    with use_metrics(metrics):
         warm = sweep_caps(_CFG, _CAPS, workers=2, cache=SolverCache(tmp_path))
     assert warm == cold
-    assert tel.counter("cache.hit") == len(_CAPS)
-    assert "solve" not in tel.phases
+    assert metrics.counter("cache.hit") == len(_CAPS)
+    assert "phase.solve" not in metrics.histograms
 
 
 def test_uncached_comparison_matches_cached(tmp_path):
@@ -107,4 +107,4 @@ def test_cli_flags_wire_through(tmp_path, capsys):
     assert "fig1 regenerated" in out
     doc = json.loads(timings.read_text())
     assert set(doc) == {"version", "phases", "counters", "solve_audit"}
-    assert doc["version"] == TELEMETRY_SCHEMA_VERSION
+    assert doc["version"] == METRICS_SCHEMA_VERSION

@@ -1,4 +1,4 @@
-"""Telemetry: spans, counters, merging, and the disabled fast path."""
+"""Phase timings: ``phase.*`` timers in Metrics and the ``--timings`` views."""
 
 from __future__ import annotations
 
@@ -6,107 +6,100 @@ import json
 
 import pytest
 
-from repro.exec.timing import (
-    TELEMETRY_SCHEMA_VERSION,
-    Telemetry,
-    count,
-    current_telemetry,
-    span,
-    use_telemetry,
+from repro.obs.audit import SolveAudit
+from repro.obs.metrics import (
+    METRICS_SCHEMA_VERSION,
+    Metrics,
+    inc,
+    phase_lines,
+    timed,
+    timings_doc,
+    timings_summary,
+    use_metrics,
 )
 
 
 def test_span_accumulates_into_active_telemetry():
-    tel = Telemetry()
-    with use_telemetry(tel):
-        with span("solve"):
+    metrics = Metrics()
+    with use_metrics(metrics):
+        with timed("phase.solve"):
             pass
-        with span("solve"):
+        with timed("phase.solve"):
             pass
-        with span("trace"):
+        with timed("phase.trace"):
             pass
-    assert tel.phases["solve"].calls == 2
-    assert tel.phases["trace"].calls == 1
-    assert tel.phase_seconds("solve") >= 0.0
-    assert tel.phase_seconds("absent") == 0.0
-
-
-def test_span_and_count_are_noops_when_disabled():
-    assert current_telemetry() is None
-    with span("anything"):
-        count("anything")
-    assert current_telemetry() is None
-
-
-def test_counters():
-    tel = Telemetry()
-    with use_telemetry(tel):
-        count("cache.hit")
-        count("cache.hit", 3)
-    assert tel.counter("cache.hit") == 4
-    assert tel.counter("cache.miss") == 0
+    phases = timings_doc(metrics.to_dict())["phases"]
+    assert phases["solve"]["calls"] == 2
+    assert phases["trace"]["calls"] == 1
+    assert phases["solve"]["total_s"] >= 0.0
+    assert "absent" not in phases
+    # Wall seconds are operational: never in the deterministic subset.
+    assert metrics.to_dict(deterministic_only=True)["histograms"] == {}
 
 
 def test_use_telemetry_restores_previous():
-    outer, inner = Telemetry(), Telemetry()
-    with use_telemetry(outer):
-        with use_telemetry(inner):
-            count("c")
-        count("c")
+    outer, inner = Metrics(), Metrics()
+    with use_metrics(outer):
+        with use_metrics(inner):
+            inc("c")
+        inc("c")
     assert inner.counter("c") == 1
     assert outer.counter("c") == 1
 
 
 def test_to_dict_round_trip_and_merge():
-    tel = Telemetry()
-    with use_telemetry(tel):
-        with span("solve"):
+    metrics = Metrics()
+    with use_metrics(metrics):
+        with timed("phase.solve"):
             pass
-        count("cache.hit", 2)
-    snapshot = json.loads(tel.to_json())
+        inc("cache.hit", 2)
+    snapshot = json.loads(metrics.to_json())
 
-    other = Telemetry()
+    other = Metrics()
     other.merge(snapshot)
     other.merge(snapshot)
-    assert other.phases["solve"].calls == 2
-    assert other.counter("cache.hit") == 4
+    doc = timings_doc(other.to_dict())
+    assert doc["phases"]["solve"]["calls"] == 2
+    assert doc["counters"]["cache.hit"] == 4
 
 
 def test_summary_mentions_phases_and_counters():
-    tel = Telemetry()
-    with use_telemetry(tel):
-        with span("replay"):
+    metrics = Metrics()
+    with use_metrics(metrics):
+        with timed("phase.replay"):
             pass
-        count("cache.miss")
-    text = tel.summary()
+        inc("cache.miss")
+    text = timings_summary(metrics.to_dict())
     assert "replay" in text
     assert "cache.miss" in text
-    assert "(no phases recorded)" in Telemetry().summary()
+    assert "(no phases recorded)" in timings_summary(Metrics().to_dict())
+    # Histograms outside phase.* are not phases.
+    other = Metrics()
+    other.observe("cell.wall_s", 0.5, operational=True)
+    assert phase_lines(other.to_dict()) == ["(no phases recorded)"]
 
 
 def test_nested_spans_record_both():
-    tel = Telemetry()
-    with use_telemetry(tel):
-        with span("outer"):
-            with span("inner"):
+    metrics = Metrics()
+    with use_metrics(metrics):
+        with timed("phase.outer"):
+            with timed("phase.inner"):
                 pass
-    assert tel.phases["outer"].calls == 1
-    assert tel.phases["inner"].calls == 1
-    assert tel.phases["outer"].total_s >= tel.phases["inner"].total_s
+    phases = timings_doc(metrics.to_dict())["phases"]
+    assert phases["outer"]["calls"] == 1
+    assert phases["inner"]["calls"] == 1
+    assert phases["outer"]["total_s"] >= phases["inner"]["total_s"]
 
 
 def test_snapshot_carries_schema_version():
-    assert Telemetry().to_dict()["version"] == TELEMETRY_SCHEMA_VERSION
-
-
-def test_merge_rejects_mismatched_schema_version():
-    snapshot = Telemetry().to_dict()
-    snapshot["version"] = TELEMETRY_SCHEMA_VERSION + 1
-    with pytest.raises(ValueError, match="does not match"):
-        Telemetry().merge(snapshot)
+    doc = timings_doc(Metrics().to_dict(), SolveAudit())
+    assert doc["version"] == METRICS_SCHEMA_VERSION
+    assert doc["solve_audit"] == {
+        "solves": [], "cache": {"hits": 0, "misses": 0},
+    }
 
 
 def test_merge_rejects_versionless_snapshot():
     # Pre-versioning snapshots must not be silently folded in either.
     with pytest.raises(ValueError, match="None"):
-        Telemetry().merge({"phases": {}, "counters": {}})
+        Metrics().merge({"counters": {}, "histograms": {}})

@@ -353,6 +353,38 @@ class TestTelemetryFlags:
         assert text.startswith("aggregated profile: 2 profiled cell(s)")
         assert "cumtime" in text
 
+    def test_every_view_shows_the_same_numbers(self, capsys, tmp_path):
+        # --timings-json, --metrics and --metrics-prom all render the one
+        # metrics snapshot: phases are the phase.* histograms.
+        paths = {k: tmp_path / k for k in ("t.json", "m.json", "m.prom")}
+        argv = ["sweep", *self.QUICK, "--caps", "40,60", "--quiet",
+                "--timings-json", str(paths["t.json"]),
+                "--metrics", str(paths["m.json"]),
+                "--metrics-prom", str(paths["m.prom"])]
+        assert main(argv) == 0
+        capsys.readouterr()
+        timings = json.loads(paths["t.json"].read_text())
+        metrics = json.loads(paths["m.json"].read_text())
+        prom = dict(
+            line.rsplit(" ", 1)
+            for line in paths["m.prom"].read_text().splitlines()
+            if not line.startswith("#")
+        )
+
+        def prom_name(name):
+            return "repro_" + re.sub(r"[^0-9A-Za-z_]", "_", name)
+
+        assert timings["phases"], "a cold sweep records phases"
+        for phase, doc in timings["phases"].items():
+            hist = metrics["histograms"][f"phase.{phase}"]
+            assert doc == {"calls": hist["count"], "total_s": hist["sum"]}
+            base = prom_name(f"phase.{phase}")
+            assert float(prom[f"{base}_sum"]) == doc["total_s"]
+            assert int(prom[f"{base}_count"]) == doc["calls"]
+        assert timings["counters"] == metrics["counters"]
+        for name, value in timings["counters"].items():
+            assert int(prom[f"{prom_name(name)}_total"]) == value
+
     def test_timings_text_reports_cache_hit_rate(self, capsys, tmp_path):
         argv = ["sweep", *self.QUICK, "--caps", "40,60", "--timings",
                 "--cache-dir", str(tmp_path)]
@@ -394,6 +426,19 @@ class TestReportSubcommand:
         assert "failed cells" in out and "InjectedFault" in out
         assert "slowest cells" in out
 
+    def test_report_renders_phases_like_timings(self, capsys, tmp_path):
+        from repro.obs.metrics import phase_lines
+
+        journal, _, metrics = self._chaos_run(tmp_path)
+        capsys.readouterr()
+        argv = ["report", "--journal", str(journal), "--metrics", str(metrics)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        section = out.split("where the time went\n", 1)[1].split("\n\n")[0]
+        doc = json.loads(metrics.read_text())
+        assert "(no phases recorded)" not in section
+        assert section.splitlines() == [f"  {line}" for line in phase_lines(doc)]
+
     def test_report_from_journal_alone(self, capsys, tmp_path):
         journal, _, _ = self._chaos_run(tmp_path)
         capsys.readouterr()
@@ -401,6 +446,7 @@ class TestReportSubcommand:
         out = capsys.readouterr().out
         assert re.search(r"cells settled\s*:\s*3", out)
         assert "cache and solver traffic" not in out  # no metrics given
+        assert "where the time went" not in out
 
     def test_report_needs_journal(self):
         with pytest.raises(SystemExit):

@@ -9,7 +9,6 @@ from repro.obs.audit import (
     SolveAudit,
     SolveRecord,
     current_audit,
-    note_cache,
     record_solve,
     use_audit,
 )
@@ -35,12 +34,10 @@ class TestLedger:
     def test_snapshot_roundtrip(self):
         audit = SolveAudit()
         audit.record(_record())
-        audit.note_cache(True)
-        audit.note_cache(False)
+        audit.record(_record(source="resolve"))
         other = SolveAudit()
         other.extend(audit.to_dicts())
         assert other.records == audit.records
-        assert (other.cache_hits, other.cache_misses) == (1, 1)
 
     def test_record_none_fields_survive_roundtrip(self):
         record = SolveRecord(
@@ -53,11 +50,13 @@ class TestLedger:
     def test_table_lists_solves_and_cache(self):
         audit = SolveAudit()
         audit.record(_record(program="fixed-order-comd"))
-        audit.note_cache(True)
-        table = audit.table()
+        # Cache traffic is read from the metrics counters, not tallied
+        # on the ledger.
+        table = audit.table({"cache.hit": 1})
         assert "solver audit" in table
         assert "fixed-order-comd" in table
-        assert "1 hit(s)" in table
+        assert "cache: 1 hit(s), 0 miss(es)" in table
+        assert "cache:" not in audit.table()
 
     def test_empty_table(self):
         assert "(no solves recorded)" in SolveAudit().table()
@@ -67,14 +66,12 @@ class TestActivation:
     def test_helpers_are_noops_when_disabled(self):
         assert current_audit() is None
         record_solve(_record())
-        note_cache(True)
 
     def test_helpers_target_active_audit(self):
         audit = SolveAudit()
         with use_audit(audit):
             record_solve(_record())
-            note_cache(False)
-        assert len(audit) == 1 and audit.cache_misses == 1
+        assert len(audit) == 1 and current_audit() is None
 
 
 def _toy_program() -> LinearProgram:
@@ -110,6 +107,20 @@ class TestSolverIntegration:
         assert len(docs) == 1
         assert docs[0]["name"] == "solve:toy"
         assert docs[0]["args"]["source"] == "cold"
+
+    def test_solve_event_is_a_view_of_the_audit_record(self):
+        frozen = _toy_program().freeze()
+        audit, rec = SolveAudit(), TraceRecorder()
+        with use_audit(audit), use_recorder(rec):
+            frozen.solve()
+        (record,) = audit.records
+        (doc,) = [d for d in rec.snapshot() if d["kind"] == "solve"]
+        assert doc["name"] == f"solve:{record.program}"
+        assert doc["args"] == {
+            "source": record.source, "backend": record.backend,
+            "rows": record.rows, "cols": record.cols, "nnz": record.nnz,
+            "status": record.status,
+        }
 
     def test_unaudited_solve_is_silent(self):
         frozen = _toy_program().freeze()

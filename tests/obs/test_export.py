@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from repro.obs.audit import SolveRecord
 from repro.obs.events import (
     CapExceededEvent,
     CounterEvent,
@@ -39,9 +40,11 @@ def _sample_recorder() -> TraceRecorder:
         rec.emit(ReallocEvent(ts_s=0.4, iteration=1, job_cap_w=100.0,
                               alloc_before_w=(40.0, 60.0),
                               alloc_after_w=(50.0, 50.0)))
-        rec.emit(SolveEvent(program="lp", source="cold",
-                            backend="highs-direct", rows=3, cols=4, nnz=8,
-                            status="optimal"))
+        rec.emit(SolveEvent(SolveRecord(
+            program="lp", backend="highs-direct", source="cold", rows=3,
+            cols=4, nnz=8, iterations=2, status="optimal", objective=1.0,
+            wall_s=0.001,
+        )))
     return rec
 
 

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.exec.timing import Telemetry
+from repro.obs.metrics import Metrics
 from repro.obs.progress import (
     PROGRESS_SCHEMA_VERSION,
     ProgressReporter,
@@ -58,12 +58,12 @@ def test_heartbeat_records_schema_and_counts(tmp_path):
 
 
 def test_telemetry_counters_flow_into_records(tmp_path):
-    tel = Telemetry()
-    tel.count("cache.hit", 3)
-    tel.count("cache.miss", 1)
-    tel.count("task.retry", 2)
+    metrics = Metrics()
+    metrics.inc("cache.hit", 3)
+    metrics.inc("cache.miss", 1)
+    metrics.inc("task.retry", 2, operational=True)
     path = tmp_path / "progress.jsonl"
-    ProgressReporter(total=1, jsonl_path=path, telemetry=tel).update()
+    ProgressReporter(total=1, jsonl_path=path, metrics=metrics).update()
     doc = json.loads(path.read_text())
     assert doc["cache_hits"] == 3
     assert doc["cache_misses"] == 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.audit import SolveRecord
 from repro.obs.events import (
     EVENT_KINDS,
     CapExceededEvent,
@@ -117,8 +118,11 @@ class TestEventShapes:
                          alloc_before_w=(90.0, 110.0),
                          alloc_after_w=(100.0, 100.0)),
             CapExceededEvent(cap_w=30.0, power_w=33.0),
-            SolveEvent(program="lp", source="cold", backend="highs-direct",
-                       rows=10, cols=20, nnz=40, status="optimal"),
+            SolveEvent(SolveRecord(
+                program="lp", backend="highs-direct", source="cold",
+                rows=10, cols=20, nnz=40, iterations=7, status="optimal",
+                objective=1.0, wall_s=0.001,
+            )),
             CounterEvent(name="job_power_w", ts_s=0.0, values={"watts": 120.0}),
             CellFailureEvent(benchmark="comd", cap_per_socket_w=50.0,
                              error_type="InjectedFault",

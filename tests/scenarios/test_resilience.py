@@ -7,7 +7,7 @@ import pytest
 from repro.exec.checkpoint import SweepJournal
 from repro.exec.faults import FaultInjector, FaultSpec
 from repro.exec.parallel import ParallelExecutionError
-from repro.exec.timing import Telemetry, use_telemetry
+from repro.obs.metrics import Metrics, use_metrics
 from repro.obs.recorder import TraceRecorder, use_recorder
 from repro.scenarios.run import run_scenarios
 from repro.scenarios.spec import PolicySpec, ScenarioSpec
@@ -107,10 +107,10 @@ class TestJournalResume:
             small_spec(), keep_going=True, journal=journal,
             faults=mid_cap_fault(),
         )
-        tel = Telemetry()
-        with use_telemetry(tel):
+        metrics = Metrics()
+        with use_metrics(metrics):
             resumed = run_scenarios(small_spec(), keep_going=True, journal=journal)
-        assert tel.counter("journal.resumed") == 2  # the two ok cells
+        assert metrics.counter("journal.resumed") == 2  # the two ok cells
         assert not resumed.failed_cells()  # the failed cell was retried
         clean = run_scenarios(small_spec())
         assert times(resumed) == times(clean)
@@ -121,20 +121,20 @@ class TestJournalResume:
         # Keep only the first journaled cell, as if the process died there.
         first_line = path.read_text().splitlines()[0]
         path.write_text(first_line + "\n")
-        tel = Telemetry()
-        with use_telemetry(tel):
+        metrics = Metrics()
+        with use_metrics(metrics):
             resumed = run_scenarios(small_spec(), journal=str(path))
-        assert tel.counter("journal.resumed") == 1
+        assert metrics.counter("journal.resumed") == 1
         assert times(resumed) == times(run_scenarios(small_spec()))
 
     def test_foreign_journal_records_are_recomputed(self, tmp_path):
         journal = SweepJournal(tmp_path / "j.jsonl")
         run_scenarios(small_spec(), journal=journal)
         other = small_spec(caps=(40.0, 45.0))  # different grid, different keys
-        tel = Telemetry()
-        with use_telemetry(tel):
+        metrics = Metrics()
+        with use_metrics(metrics):
             result = run_scenarios(other, journal=journal)
-        assert tel.counter("journal.resumed") == 1  # only cap=40 is shared
+        assert metrics.counter("journal.resumed") == 1  # only cap=40 is shared
         assert len(result.cells) == 2
         assert not result.failed_cells()
 

@@ -253,17 +253,18 @@ class TestCellCaching:
 
 class TestWithinRunDedup:
     def test_duplicate_caps_compute_once_and_fan_out(self):
-        from repro.exec.timing import Telemetry, use_telemetry
         from repro.obs.metrics import Metrics, use_metrics
 
         spec = small_spec(
             policies=ALL_FIVE[:2], caps=(40.0, 60.0, 40.0, 40.0)
         )
-        telemetry, metrics = Telemetry(), Metrics()
-        with use_telemetry(telemetry), use_metrics(metrics):
+        metrics = Metrics()
+        with use_metrics(metrics):
             result = run_scenarios(spec)
-        assert telemetry.counter("cells.deduped") == 2
-        assert metrics.to_dict()["counters"]["cells.deduped"] == 2
+        assert metrics.counter("cells.deduped") == 2
+        # Deterministic: it lands in the manifest-safe view too.
+        det = metrics.to_dict(deterministic_only=True)
+        assert det["counters"]["cells.deduped"] == 2
         # The result still fans out to every grid occurrence...
         assert [c.cap_per_socket_w for c in result.cells] == [
             40.0, 60.0, 40.0, 40.0,

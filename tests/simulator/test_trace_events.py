@@ -1,8 +1,8 @@
-"""Engine trace-event emission and simulator telemetry counters."""
+"""Engine trace-event emission and simulator metrics counters."""
 
 from __future__ import annotations
 
-from repro.exec.timing import Telemetry, use_telemetry
+from repro.obs.metrics import Metrics, use_metrics
 from repro.obs.recorder import TraceRecorder, use_recorder
 from repro.simulator import Application, ComputeOp, Engine
 
@@ -70,20 +70,20 @@ class TestEventEmission:
 class TestSimulatorCounters:
     def test_run_bumps_sim_counters(self, kernel, two_rank_models):
         app = make_p2p_app(kernel, iterations=2)
-        telemetry = Telemetry()
-        with use_telemetry(telemetry):
+        metrics = Metrics()
+        with use_metrics(metrics):
             res = Engine(two_rank_models).run(app, FixedPolicy())
-        assert telemetry.counter("sim.tasks") == len(res.records)
-        assert telemetry.counter("sim.collectives") == res.collective_count
-        assert telemetry.counter("sim.mpi_waits") > 0
+        assert metrics.counter("sim.tasks") == len(res.records)
+        assert metrics.counter("sim.collectives") == res.collective_count
+        assert metrics.counter("sim.mpi_waits") > 0
 
     def test_compute_only_app_counts_zero_waits(self, kernel, two_rank_models):
         app = Application(
             "t", [[ComputeOp(kernel)], [ComputeOp(kernel)]]
         )
-        telemetry = Telemetry()
-        with use_telemetry(telemetry):
+        metrics = Metrics()
+        with use_metrics(metrics):
             Engine(two_rank_models).run(app, FixedPolicy())
-        assert telemetry.counter("sim.tasks") == 2
-        assert telemetry.counter("sim.mpi_waits") == 0
-        assert telemetry.counter("sim.collectives") == 0
+        assert metrics.counter("sim.tasks") == 2
+        assert metrics.counter("sim.mpi_waits") == 0
+        assert metrics.counter("sim.collectives") == 0
