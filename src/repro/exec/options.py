@@ -1,4 +1,4 @@
-"""Ambient execution options: workers, cache directory, task transport.
+"""Ambient execution options: workers, cache directory, task policy.
 
 The figure/table entry points have stable, paper-shaped signatures
 (``figure11_comd(n_ranks)``); execution policy — how many workers, which
@@ -42,11 +42,6 @@ class ExecutionOptions:
     #: Sweep cells per pool dispatch (> 1 amortizes pickling/IPC when
     #: individual cells are cheap; see ParallelRunner.batch_size).
     task_batch_size: int = 1
-    #: Task transport for parallel sweeps: "process" (the classic
-    #: per-map ProcessPoolExecutor), "socket" (a spawned local worker
-    #: fleet), or "inline" (in-process; tests/debugging).  See
-    #: repro.exec.backends.
-    task_backend: str = "process"
 
     def make_cache(self) -> SolverCache | None:
         """A cache handle per these options (None when caching is off)."""

@@ -2,12 +2,10 @@
 
 A cap sweep is embarrassingly parallel: every (workload, cap, seed) cell
 is an independent, fully seeded computation.  :class:`ParallelRunner`
-fans such cells out over a task transport — an
-:class:`~repro.exec.backends.base.ExecBackend`: the default process
-pool, an in-process inline backend, or a socket worker fleet — while
-keeping the *results in submission order*: the caller sees exactly the
-list a serial loop would produce, so parallel and serial runs are
-interchangeable byte-for-byte.
+fans such cells out over a ``ProcessPoolExecutor`` while keeping the
+*results in submission order*: the caller sees exactly the list a serial
+loop would produce, so parallel and serial runs are interchangeable
+byte-for-byte.
 
 Failure semantics come in two flavors:
 
@@ -21,36 +19,32 @@ Failure semantics come in two flavors:
   submission order, which is how the sweep journal checkpoints progress
   (see :mod:`repro.exec.checkpoint`).
 
-Reliability machinery, hardened for production sweeps and shared by
-every backend:
+Reliability machinery, hardened for production sweeps:
 
 * per-task deadlines are measured **from submission**, not from when the
   parent starts waiting on that index — every concurrent cell gets the
-  same wall-clock budget;
+  same wall-clock budget; a map that abandoned a timed-out task kills
+  its workers on the way out instead of waiting for the task to return;
 * a worker death (a worker killed by the OOM killer, ``os._exit``, a
-  segfault — surfaced by the backend as
-  :class:`~repro.exec.backends.base.WorkerLostError`) is detected
-  distinctly from task failures: the backend recovers its capacity
-  (pool rebuild, fleet respawn) and every task that died with the
-  worker is resubmitted rather than charged;
+  segfault — surfaced by the pool as ``BrokenProcessPool``) is detected
+  distinctly from task failures: the pool is rebuilt and every task
+  that died with it is resubmitted rather than charged;
 * retries back off with deterministic seeded exponential delays plus
   jitter (:func:`retry_delay_s`), so a thundering herd of workers
   retrying a shared resource de-synchronizes the same way every run.
 
-With ``max_workers <= 1`` (and no injected backend) the runner degrades
-to a plain in-process loop — no pickling, no subprocesses — which is
-also the benchmark harness's measured path.
+With ``max_workers <= 1`` the runner degrades to a plain in-process
+loop — no pickling, no subprocesses — which is also the benchmark
+harness's measured path.
 
 Observability: each worker runs its task under fresh sinks of the kinds
 the parent has active (:class:`~repro.obs.sinks.Sinks` — metrics with
 their phase timers, trace events, solver audits, cProfile aggregates)
-and ships one snapshot back with the result
-(:func:`~repro.exec.backends.base.run_task`); the parent folds the
-snapshots in *submission order*, so cache counters and phase times
-survive process boundaries and a parallel run's trace, audit, and
-deterministic metric subset are identical to a serial run's (modulo
-re-sequencing, which is itself deterministic), whichever transport
-carried them.
+and ships one snapshot back with the result (:func:`run_task`); the
+parent folds the snapshots in *submission order*, so cache counters and
+phase times survive process boundaries and a parallel run's trace,
+audit, and deterministic metric subset are identical to a serial run's
+(modulo re-sequencing, which is itself deterministic).
 """
 
 from __future__ import annotations
@@ -58,19 +52,14 @@ from __future__ import annotations
 import os
 import random
 import time
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 from ..obs.metrics import inc as metric_inc
 from ..obs.metrics import observe as metric_observe
 from ..obs.sinks import Sinks
-from .backends.base import (
-    BackendTimeoutError,
-    ExecBackend,
-    TaskSpec,
-    WorkerLostError,
-)
-from .backends.pool import ProcessPoolBackend
 
 __all__ = [
     "ParallelRunner",
@@ -79,6 +68,7 @@ __all__ = [
     "CellOutcome",
     "retry_delay_s",
     "resolve_workers",
+    "run_task",
 ]
 
 
@@ -90,11 +80,10 @@ class PoolBrokenError(ParallelExecutionError):
     """The workers underneath a task died on every allowed attempt.
 
     Raised instead of the generic :class:`ParallelExecutionError` when
-    what kept failing was not the task's own code but the transport
+    what kept failing was not the task's own code but the worker process
     beneath it — a worker killed by the OOM killer, ``os._exit``, or a
-    crash in the pickling machinery.  The backend recovers its capacity
-    between attempts, so seeing this means even fresh workers kept
-    dying.
+    crash in the pickling machinery.  The pool is rebuilt between
+    attempts, so seeing this means even fresh workers kept dying.
     """
 
 
@@ -130,11 +119,18 @@ class CellOutcome:
 
 
 def resolve_workers(workers: int | None) -> int:
-    """Normalize a worker-count request: None -> 1, 0 -> all cores."""
+    """Normalize a worker-count request: None -> 1, 0 -> all usable CPUs.
+
+    "Usable" is the process's CPU affinity set where the platform has
+    one, so ``taskset -c 0`` yields one worker on a many-core host.
+    """
     if workers is None:
         return 1
     if workers == 0:
-        return os.cpu_count() or 1
+        try:
+            return len(os.sched_getaffinity(0)) or 1
+        except AttributeError:  # pragma: no cover - platforms without affinity
+            return os.cpu_count() or 1
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     return workers
@@ -158,6 +154,54 @@ def retry_delay_s(
     return exp * (0.5 + 0.5 * rng.random())
 
 
+def run_task(
+    fn: Callable[[Any], Any],
+    item: Any,
+    observe: Sinks | None = None,
+) -> tuple[Any, dict | None]:
+    """Worker-side wrapper: run one task under fresh observability state.
+
+    Returns ``(value, snapshot)``: the task runs with empty sinks of the
+    kinds ``observe`` holds active, and ``snapshot`` is their
+    :meth:`Sinks.snapshot` (None, with nothing activated, when
+    ``observe`` is None).  The parent folds the snapshot in submission
+    order.
+    """
+    sinks = observe.fresh() if observe is not None else None
+    if sinks is None:
+        return fn(item), None
+    with sinks.active():
+        value = fn(item)
+    return value, sinks.snapshot()
+
+
+def _lost(future: Future) -> bool:
+    """Whether a future's work died with a broken pool and must rerun.
+
+    A future that settled for real — with a result or with its own
+    task exception — keeps its state.
+    """
+    if not future.done() or future.cancelled():
+        return True
+    return isinstance(future.exception(), BrokenExecutor)
+
+
+def _kill_workers(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down without waiting and kill its worker processes.
+
+    A running task cannot be interrupted, so a pool holding an abandoned
+    (timed-out) task would otherwise block its shutdown until that task
+    returns on its own.  Python 3.14 has ``terminate_workers()`` for
+    this; earlier versions have no public call, hence ``_processes``.
+    """
+    processes = list((pool._processes or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in processes:
+        proc.kill()
+    for proc in processes:
+        proc.join()
+
+
 def _run_batch(packed: tuple) -> list[dict]:
     """Worker-side batch: several items through one dispatch.
 
@@ -167,9 +211,8 @@ def _run_batch(packed: tuple) -> list[dict]:
     schedule as the unbatched map — :func:`retry_delay_s` keyed by the
     item's global index — and settles into a structured doc, so one
     failing item never discards its batch-mates' results.  The retry and
-    failure counters land in the worker metrics that
-    :func:`~repro.exec.backends.base.run_task` snapshots around the
-    whole batch.
+    failure counters land in the worker metrics that :func:`run_task`
+    snapshots around the whole batch.
     """
     fn, batch, start, retries, backoff_s, seed = packed
     docs: list[dict] = []
@@ -198,7 +241,7 @@ def _run_batch(packed: tuple) -> list[dict]:
 
 
 class ParallelRunner:
-    """Ordered, fault-tolerant map over a task transport.
+    """Ordered, fault-tolerant map over a process pool.
 
     Parameters
     ----------
@@ -207,12 +250,11 @@ class ParallelRunner:
         one per CPU core, via :func:`resolve_workers`).
     timeout_s:
         Per-task wall-clock budget, measured from the task's (re-)
-        submission.  None waits forever.  A timed-out task is retried;
-        its abandoned worker finishes (or idles) in the background —
-        no transport here can interrupt a running call — so timeouts
-        should be generous, a last line of defense.  (The inline
-        backend runs tasks on the caller's thread and cannot enforce
-        deadlines at all.)
+        submission.  None waits forever.  A timed-out task is retried
+        on the same pool while its abandoned worker keeps running (a
+        running call cannot be interrupted), and the map kills the
+        pool's workers when it returns rather than waiting for them —
+        so timeouts should be generous, a last line of defense.
     retries:
         Extra attempts per task after the first failure or timeout.
     backoff_s:
@@ -230,16 +272,9 @@ class ParallelRunner:
         failures settle in-worker; the per-task ``timeout_s`` budget
         scales to ``timeout_s * batch_size`` per dispatch.  Serial runs
         ignore it.
-    backend:
-        The task transport (:class:`~repro.exec.backends.base.
-        ExecBackend`).  None — the default — builds a fresh
-        :class:`~repro.exec.backends.pool.ProcessPoolBackend` per map
-        and shuts it down afterwards, reproducing the classic
-        process-pool semantics exactly.  An injected backend is started
-        idempotently and **never shut down by the runner** (its creator
-        owns its lifecycle — how a service dispatcher keeps one warm
-        fleet across many sweeps); with one injected, even single-item
-        maps route through it.
+
+    Each parallel map builds its own ``ProcessPoolExecutor`` and shuts
+    it down before returning.
     """
 
     def __init__(
@@ -250,7 +285,6 @@ class ParallelRunner:
         backoff_s: float = 0.05,
         backoff_seed: int = 0,
         batch_size: int = 1,
-        backend: ExecBackend | None = None,
     ) -> None:
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
@@ -266,7 +300,6 @@ class ParallelRunner:
         self.backoff_s = backoff_s
         self.backoff_seed = backoff_seed
         self.batch_size = batch_size
-        self.backend = backend
 
     # ------------------------------------------------------------------
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
@@ -275,12 +308,12 @@ class ParallelRunner:
         A task that fails every attempt aborts the map with
         :class:`ParallelExecutionError` (:class:`PoolBrokenError` when
         the workers themselves kept dying).  ``fn`` and the items must
-        be picklable on out-of-process transports (``fn`` should be a
+        be picklable when the map runs on the pool (``fn`` should be a
         module-level function).  Serially, exceptions propagate raw —
         the in-process loop adds no retry machinery.
         """
         items = list(items)
-        if self.backend is None and (self.max_workers <= 1 or len(items) <= 1):
+        if self.max_workers <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
         if self.batch_size > 1:
             return [
@@ -308,11 +341,10 @@ class ParallelRunner:
         order, as soon as that item settles — the checkpoint hook: an
         interrupted sweep has journaled every settled prefix cell.
         Serially the same retry/backoff policy applies in-process
-        (without the timeout, which needs an out-of-process transport
-        to enforce).
+        (without the timeout, which needs a worker process to enforce).
         """
         items = list(items)
-        if self.backend is None and (self.max_workers <= 1 or len(items) <= 1):
+        if self.max_workers <= 1 or len(items) <= 1:
             return self._map_serial_outcomes(fn, items, on_outcome)
         if self.batch_size > 1:
             return self._map_batched(
@@ -396,7 +428,6 @@ class ParallelRunner:
             retries=self.retries,
             backoff_s=self.backoff_s,
             backoff_seed=self.backoff_seed,
-            backend=self.backend,
         )
         flat: list[CellOutcome] = []
 
@@ -463,24 +494,18 @@ class ParallelRunner:
         outcomes: list[CellOutcome | None] = [None] * len(items)
         parent = Sinks.current()
         observe = parent.fresh()
-        n_workers = min(self.max_workers, len(items))
-
-        backend = self.backend
-        owns_backend = backend is None
-        if owns_backend:
-            backend = ProcessPoolBackend()
-        backend.start(max(1, n_workers))
+        n_workers = max(1, min(self.max_workers, len(items)))
+        pool = ProcessPoolExecutor(max_workers=n_workers)
+        abandoned = False
         deadlines: list[float | None] = [None] * len(items)
         started: list[float] = [0.0] * len(items)
-        handles: list[Any] = [None] * len(items)
+        futures: list[Future | None] = [None] * len(items)
 
         def submit(i: int) -> None:
             # The deadline starts at (re-)submission: every attempt of
             # every cell gets the same wall-clock budget, regardless of
             # when the parent reaches index i in its wait loop.
-            handles[i] = backend.submit(TaskSpec(
-                index=i, fn=fn, item=items[i], observe=observe,
-            ))
+            futures[i] = pool.submit(run_task, fn, items[i], observe)
             now = time.monotonic()
             if not started[i]:
                 started[i] = now
@@ -496,18 +521,16 @@ class ParallelRunner:
                         wait = None
                         if deadlines[i] is not None:
                             wait = max(0.0, deadlines[i] - time.monotonic())
-                        result, snapshot = backend.result(handles[i], wait)
+                        result, snapshot = futures[i].result(timeout=wait)
                         elapsed = time.monotonic() - started[i]
                         outcomes[i] = CellOutcome(
                             index=i, ok=True, value=result, attempts=attempt + 1,
                             elapsed_s=elapsed,
                         )
                         # Fold worker observability in submission order:
-                        # the loop consumes handles by index, so the
+                        # the loop consumes futures by index, so the
                         # merged stream is stable regardless of which
-                        # worker finished first.  An in-process backend
-                        # ships a None snapshot (the parent's own context
-                        # already recorded everything live).
+                        # worker finished first.
                         if snapshot is not None:
                             parent.merge(snapshot)
                         # Dispatch latency includes queueing and IPC, so
@@ -516,32 +539,34 @@ class ParallelRunner:
                             "task.dispatch_wall_s", elapsed, operational=True
                         )
                         break
-                    except BackendTimeoutError as exc:
-                        backend.cancel(handles[i])
+                    except FuturesTimeoutError as exc:
+                        # A queued task is dropped; a running one cannot
+                        # be interrupted and is left to the final kill.
+                        if not futures[i].cancel():
+                            abandoned = True
                         metric_inc("task.deadline_expired", operational=True)
                         attempt, failed = self._note_failure(
-                            i, attempt, "timed out", exc.cause, keep_going,
+                            i, attempt, "timed out", exc, keep_going,
                             started, outcomes,
                         )
                         if failed:
                             break
                         submit(i)
-                    except WorkerLostError as exc:
-                        # The worker underneath the task died.
-                        # Resubmitting before the transport recovers
+                    except BrokenExecutor as exc:
+                        # A worker died.  Resubmitting to the dead pool
                         # would fail instantly and misreport the cause,
-                        # so recover first; the death is charged to the
+                        # so rebuild first; the death is charged to the
                         # task being awaited — the closest observable
                         # culprit.
-                        backend.recover()
+                        pool.shutdown(wait=False, cancel_futures=True)
+                        metric_inc("pool.rebuilt", operational=True)
+                        pool = ProcessPoolExecutor(max_workers=n_workers)
                         attempt, failed = self._note_failure(
-                            i, attempt, "broke the worker pool", exc.cause,
+                            i, attempt, "broke the worker pool", exc,
                             keep_going, started, outcomes, broke_pool=True,
                         )
                         for j in range(i + (1 if failed else 0), len(items)):
-                            if outcomes[j] is None and backend.needs_resubmit(
-                                handles[j]
-                            ):
+                            if outcomes[j] is None and _lost(futures[j]):
                                 submit(j)
                         if failed:
                             break
@@ -556,8 +581,10 @@ class ParallelRunner:
                 if on_outcome is not None:
                     on_outcome(outcomes[i])
         finally:
-            if owns_backend:
-                backend.shutdown()
+            if abandoned:
+                _kill_workers(pool)
+            else:
+                pool.shutdown(wait=True, cancel_futures=True)
         return outcomes  # type: ignore[return-value]
 
     def _note_failure(

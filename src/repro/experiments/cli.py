@@ -42,22 +42,6 @@ embed its deterministic subset in saved manifests); ``--progress`` /
 data into a top-N cumulative-time table; and ``repro-exp report
 --journal FILE [--manifest FILE] [--metrics FILE]`` renders a post-hoc
 sweep report from the journal, manifest, and metrics artifacts alone.
-
-Service mode (PR 9, see ``docs/execution.md`` "Running as a service")::
-
-    repro-exp submit --queue q/ --policies static,lp --caps 30,50,70
-    repro-exp serve  --queue q/ --workers 4 --backend socket \
-                     --journal q/sweep.jsonl --drain
-    repro-exp status --queue q/ --json
-    repro-exp worker --connect tcp://host:7077 --token SECRET
-
-``submit`` enqueues one job per (spec, cap) cell into a persistent,
-deduplicating :class:`~repro.service.queue.JobQueue`; ``serve`` drains
-it onto the transport picked by ``--backend`` (``process``, ``socket``
-— a spawned local worker fleet — or ``inline``), journaling results so
-CLI sweeps resume from them byte-identically; ``status`` prints the
-schema-versioned queue status (``--json`` for the validated document);
-``worker`` runs one externally managed fleet worker.
 """
 
 from __future__ import annotations
@@ -69,13 +53,8 @@ import time
 from pathlib import Path
 
 from ..core.model import MODEL_LAYER_VERSION
-from ..exec.backends import make_backend
 from ..exec.faults import FaultInjector
-from ..exec.options import (
-    ExecutionOptions,
-    get_execution_options,
-    set_execution_options,
-)
+from ..exec.options import ExecutionOptions, set_execution_options
 from ..exec.parallel import ParallelExecutionError
 from ..obs.audit import SolveAudit
 from ..obs.export import export_chrome_trace, export_jsonl, validate_trace_file
@@ -244,21 +223,6 @@ def _parse_caps(text: str, parser) -> tuple[float, ...]:
     return caps
 
 
-def _parse_quotas(items, parser) -> dict[str, int]:
-    """Parse repeated ``--quota tenant=N`` flags into a quota map."""
-    quotas: dict[str, int] = {}
-    for item in items or ():
-        name, sep, value = item.partition("=")
-        try:
-            quota = int(value)
-        except ValueError:
-            quota = -1
-        if not sep or not name or quota < 0:
-            parser.error(f"--quota must be TENANT=N (N >= 0), got {item!r}")
-        quotas[name] = quota
-    return quotas
-
-
 def _scenario_cell_text(cell: ScenarioCell, baseline: str | None) -> str:
     """Human summary of one N-way scenario cell (the ``run`` subcommand).
 
@@ -326,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         "exhibits", nargs="*", default=["all"],
         help="exhibit names (see 'list'), 'all', or a subcommand: "
              "run, sweep, audit, bench, report, validate-trace, "
-             "verify-results, submit, serve, status, worker",
+             "verify-results",
     )
     parser.add_argument("--ranks", type=int, default=32,
                         help="MPI ranks / sockets (default 32, as in the paper)")
@@ -440,42 +404,6 @@ def main(argv: list[str] | None = None) -> int:
                              "Perfetto) plus FILE's .jsonl sibling")
     parser.add_argument("--trace-dir", metavar="DIR", default=None,
                         help="like --trace, writing DIR/trace.json[l]")
-    parser.add_argument("--backend", default="process",
-                        choices=("process", "socket", "inline"),
-                        help="task transport for parallel sweeps and serve: "
-                             "process (default), socket (a spawned local "
-                             "worker fleet), or inline (in-process)")
-    parser.add_argument("--queue", metavar="DIR", default=None,
-                        help="job-queue directory for the submit/serve/"
-                             "status subcommands (docs/execution.md)")
-    parser.add_argument("--tenant", default="default",
-                        help="submit: tenant the jobs are accounted to "
-                             "(default 'default')")
-    parser.add_argument("--priority", type=int, default=0,
-                        help="submit: job priority — higher drains first; "
-                             "resubmitting can only raise it (default 0)")
-    parser.add_argument("--quota", metavar="TENANT=N", action="append",
-                        default=None,
-                        help="submit/serve/status: per-tenant active-job "
-                             "quota; repeatable")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="status: print the schema-versioned JSON status "
-                             "document instead of the text rendering")
-    parser.add_argument("--poll", type=float, default=1.0, metavar="S",
-                        help="serve: seconds between queue polls while idle "
-                             "(default 1)")
-    parser.add_argument("--drain", action="store_true",
-                        help="serve: one drain pass over the queue, then exit")
-    parser.add_argument("--max-idle", type=float, default=None, metavar="S",
-                        help="serve: exit after S seconds with nothing queued "
-                             "(default: serve until interrupted)")
-    parser.add_argument("--connect", metavar="ADDR", default=None,
-                        help="worker: dispatcher socket to dial "
-                             "(tcp://host:port or a UNIX socket path)")
-    parser.add_argument("--token", default=None,
-                        help="worker: shared fleet token for the handshake")
-    parser.add_argument("--heartbeat", type=float, default=1.0, metavar="S",
-                        help="worker: heartbeat interval (default 1)")
     args = parser.parse_args(argv)
     if args.workers < 0:
         parser.error(f"--workers must be >= 0, got {args.workers}")
@@ -487,20 +415,18 @@ def main(argv: list[str] | None = None) -> int:
     command = args.exhibits[0] if args.exhibits else None
 
     resilience_flags = args.keep_going or args.inject_faults or (
-        # report *reads* a journal; serve *shares* one with CLI sweeps
-        args.journal and command not in ("report", "serve")
+        args.journal and command != "report"  # report *reads* a journal
     )
     if resilience_flags and command not in ("run", "sweep"):
         parser.error("--keep-going/--journal/--inject-faults only apply to "
                      "the run and sweep subcommands")
     if (args.progress or args.quiet or args.progress_file) and command not in (
-        "run", "sweep", "serve"
+        "run", "sweep"
     ):
         parser.error("--progress/--quiet/--progress-file only apply to "
-                     "the run, sweep, and serve subcommands")
-    if args.node and command not in ("run", "sweep", "submit"):
-        parser.error("--node only applies to the run, sweep, and submit "
-                     "subcommands")
+                     "the run and sweep subcommands")
+    if args.node and command not in ("run", "sweep"):
+        parser.error("--node only applies to the run and sweep subcommands")
     faults = None
     if args.inject_faults:
         try:
@@ -535,52 +461,6 @@ def main(argv: list[str] | None = None) -> int:
         print(text)
         return 0
 
-    if command == "worker":
-        # One externally managed fleet worker: dial the dispatcher and
-        # run tasks until told to shut down (docs/execution.md).
-        if not args.connect or not args.token:
-            parser.error("worker needs --connect ADDR and --token TOKEN")
-        from ..service import run_worker
-
-        return run_worker(args.connect, args.token,
-                          heartbeat_s=args.heartbeat)
-
-    if command == "status":
-        # Pure queue introspection: no computation, no execution options.
-        if not args.queue:
-            parser.error("status needs --queue DIR")
-        from ..service import JobQueue, build_status_doc, render_status_text
-
-        queue = JobQueue(args.queue, quotas=_parse_quotas(args.quota, parser))
-        doc = build_status_doc(queue)
-        if args.as_json:
-            print(json.dumps(doc, indent=1, sort_keys=True))
-        else:
-            print(render_status_text(doc))
-        return 0
-
-    if command == "submit":
-        if not args.queue:
-            parser.error("submit needs --queue DIR")
-        if not (args.policies or args.scenario):
-            parser.error("submit needs --policies or --scenario")
-        from ..service import JobQueue, QuotaExceeded
-
-        caps = _parse_caps(args.caps, parser) if args.caps else None
-        spec = _scenario_spec(args, caps, parser)
-        queue = JobQueue(args.queue, quotas=_parse_quotas(args.quota, parser))
-        try:
-            receipt = queue.submit_cells(
-                spec, tenant=args.tenant, priority=args.priority
-            )
-        except QuotaExceeded as exc:
-            print(f"error: submit: {exc}", file=sys.stderr)
-            return 1
-        print(f"[submit (spec {spec.spec_hash()[:12]}): "
-              f"{receipt.submitted} new, {receipt.deduped} deduped, "
-              f"{receipt.requeued} requeued; queue depth {queue.depth()}]")
-        return 0
-
     if command == "validate-trace":
         if len(args.exhibits) < 2:
             parser.error("validate-trace needs a trace file")
@@ -603,7 +483,6 @@ def main(argv: list[str] | None = None) -> int:
         task_timeout_s=args.task_timeout,
         task_retries=args.task_retries,
         task_batch_size=args.batch_size,
-        task_backend=args.backend,
     ))
 
     # Metrics are always on: they back --timings and the progress line as
@@ -699,61 +578,6 @@ def main(argv: list[str] | None = None) -> int:
             scenario=scenario, failures=failures, metrics=metrics_doc(),
         )
         write_manifest(manifest, save_dir / "manifest.json")
-
-    if command == "serve":
-        if not args.queue:
-            parser.error("serve needs --queue DIR")
-        from ..service import FleetDispatcher, JobQueue
-
-        queue = JobQueue(args.queue, quotas=_parse_quotas(args.quota, parser))
-        backend = None if args.backend == "process" else make_backend(
-            args.backend
-        )
-        progress = None
-        progress_stream = default_progress_stream(args.progress, args.quiet)
-        if progress_stream is not None or args.progress_file:
-            progress = ProgressReporter(
-                total=queue.depth(),
-                label="serve",
-                stream=progress_stream,
-                jsonl_path=args.progress_file,
-                metrics=metrics,
-                depth_fn=queue.depth,
-            )
-        dispatcher = FleetDispatcher(
-            queue,
-            backend=backend,
-            workers=args.workers,
-            cache=get_execution_options().make_cache(),
-            journal=args.journal,
-            timeout_s=args.task_timeout,
-            retries=args.task_retries,
-            progress=progress,
-        )
-        t0 = time.time()
-        totals = None
-        try:
-            with sinks.active():
-                totals = dispatcher.serve(
-                    poll_s=args.poll,
-                    max_idle_s=args.max_idle,
-                    drain_once=args.drain,
-                )
-        except KeyboardInterrupt:
-            print("[serve: interrupted]", file=sys.stderr)
-        finally:
-            if backend is not None:
-                backend.shutdown()
-            if progress is not None:
-                progress.finish()
-        export_obs()
-        if totals is None:
-            return 130
-        print(f"[serve: {totals['claimed']} job(s) claimed — "
-              f"{totals['computed']} computed, {totals['resumed']} resumed "
-              f"from the journal, {totals['failed']} failed — in "
-              f"{time.time() - t0:.1f}s]")
-        return 1 if totals["failed"] else 0
 
     if command in ("run", "sweep"):
         if len(args.exhibits) > 1:

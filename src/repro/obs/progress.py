@@ -67,10 +67,6 @@ class ProgressReporter:
         writing a thousand lines.
     clock:
         Monotonic time source (injectable for tests).
-    depth_fn:
-        Optional zero-argument callable returning the current job-queue
-        depth; when given, every heartbeat carries a ``queue_depth``
-        field (the service dispatcher passes its queue's pending count).
     """
 
     def __init__(
@@ -82,7 +78,6 @@ class ProgressReporter:
         metrics=None,
         min_interval_s: float = 0.0,
         clock=time.monotonic,
-        depth_fn=None,
     ) -> None:
         if total < 0:
             raise ValueError(f"total must be >= 0, got {total}")
@@ -93,7 +88,6 @@ class ProgressReporter:
         self.metrics = metrics
         self.min_interval_s = min_interval_s
         self._clock = clock
-        self.depth_fn = depth_fn
         self._t0 = clock()
         self._last_emit: float | None = None
         self._line_open = False
@@ -132,8 +126,6 @@ class ProgressReporter:
             "elapsed_s": round(elapsed, 3),
             "eta_s": round(eta, 3) if eta is not None else None,
         }
-        if self.depth_fn is not None:
-            doc["queue_depth"] = int(self.depth_fn())
         counters = self._counters()
         if counters:
             doc.update(counters)
@@ -152,8 +144,6 @@ class ProgressReporter:
             parts.append(f"{doc['failed']} failed")
         if doc.get("resumed"):
             parts.append(f"{doc['resumed']} resumed")
-        if doc.get("queue_depth") is not None:
-            parts.append(f"queue {doc['queue_depth']}")
         if doc.get("retries"):
             parts.append(f"{doc['retries']} retries")
         if doc.get("cache_hit_rate") is not None:

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from ..exec.backends import make_backend
 from ..exec.checkpoint import SweepJournal
 from ..core.model import ProblemInstance, build_problem_instance
 from ..exec.cache import SolverCache
@@ -366,10 +365,8 @@ def _emit_power_counters(
 def cell_payload(spec: ScenarioSpec, cell: ScenarioCell) -> dict:
     """The cache/journal payload of one cell: schema-guarded, spec-derived.
 
-    Public because the service dispatcher journals cells it computes on
-    behalf of queued jobs with exactly the payload ``run_scenarios``
-    writes — the two must stay byte-compatible for resume to work across
-    the CLI and the service.
+    Public so that callers outside :func:`run_scenarios` (the benchmark
+    harness) can serialize a cell exactly as the cache and journal do.
     """
     return {
         "scenario_layer": SCENARIO_LAYER_VERSION,
@@ -708,13 +705,6 @@ def run_scenarios(
         )
         fn = faults.wrap(fn)
 
-    # Non-default transport (a spawned socket worker fleet, or inline
-    # for debugging) per the ambient options; "process" leaves backend
-    # None so the runner builds its classic per-map process pool.
-    backend = None
-    if use_pool and opts.task_backend != "process":
-        backend = make_backend(opts.task_backend)
-
     if (
         keep_going
         or journal is not None
@@ -762,24 +752,19 @@ def run_scenarios(
             backoff_s=opts.task_backoff_s,
             backoff_seed=spec.seed,
             batch_size=opts.task_batch_size,
-            backend=backend,
         )
         first_failed: CellOutcome | None = None
-        try:
-            for cap, outcome in zip(
-                pending, runner.map_outcomes(fn, items, on_outcome=on_outcome)
-            ):
-                if outcome.ok:
-                    cells[cap] = outcome.value
-                else:
-                    cells[cap] = _failed_cell(
-                        spec, cap, reg, CellFailure.from_outcome(outcome)
-                    )
-                    if first_failed is None:
-                        first_failed = outcome
-        finally:
-            if backend is not None:
-                backend.shutdown()
+        for cap, outcome in zip(
+            pending, runner.map_outcomes(fn, items, on_outcome=on_outcome)
+        ):
+            if outcome.ok:
+                cells[cap] = outcome.value
+            else:
+                cells[cap] = _failed_cell(
+                    spec, cap, reg, CellFailure.from_outcome(outcome)
+                )
+                if first_failed is None:
+                    first_failed = outcome
         if first_failed is not None and not keep_going:
             raise ParallelExecutionError(
                 f"cell cap={pending[first_failed.index]:g} "
@@ -794,14 +779,9 @@ def run_scenarios(
             backoff_s=opts.task_backoff_s,
             backoff_seed=spec.seed,
             batch_size=opts.task_batch_size,
-            backend=backend,
         )
-        try:
-            for cap, cell in zip(pending, runner.map(fn, items)):
-                cells[cap] = cell
-        finally:
-            if backend is not None:
-                backend.shutdown()
+        for cap, cell in zip(pending, runner.map(fn, items)):
+            cells[cap] = cell
     else:
         for cap in pending:
             cells[cap] = fn(cap)

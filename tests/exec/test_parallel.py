@@ -1,11 +1,13 @@
 """ParallelRunner: ordering, serial fallback, retries, timeouts, telemetry.
 
 Worker telemetry is the :class:`~repro.obs.metrics.Metrics` snapshot
-(counters plus ``phase.*`` timers) each worker ships back.
+(counters plus ``phase.*`` timers) each worker ships back through
+:func:`~repro.exec.parallel.run_task`.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -19,14 +21,21 @@ from repro.exec.parallel import (
     PoolBrokenError,
     resolve_workers,
     retry_delay_s,
+    run_task,
 )
 from repro.obs.audit import SolveAudit, SolveRecord, record_solve, use_audit
 from repro.obs.events import CounterEvent
 from repro.obs.metrics import Metrics, inc, timed, use_metrics
+from repro.obs.profiling import ProfileCollector
 from repro.obs.recorder import TraceRecorder, emit, use_recorder
+from repro.obs.sinks import Sinks
 
 
 # Module-level task functions so worker processes can unpickle them.
+def _square(x: int) -> int:
+    return x * x
+
+
 def _slow_identity(item: int) -> int:
     time.sleep(0.02 * item)
     return item * 10
@@ -112,6 +121,33 @@ class TestResolveWorkers:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             resolve_workers(-2)
+
+    def test_zero_counts_the_affinity_set(self, monkeypatch):
+        # Under `taskset -c 0` the process may run on one CPU however
+        # many the host has.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert resolve_workers(0) == 1
+
+
+class TestRunTask:
+    def test_payload_shape_and_telemetry(self):
+        # Nothing observed: a bare value and no snapshot.
+        assert run_task(_square, 3) == (9, None)
+
+    def test_wanted_snapshots_come_back(self):
+        observe = Sinks(metrics=Metrics(), profile=ProfileCollector())
+        value, snapshot = run_task(_square, 2, observe)
+        assert value == 4
+        assert set(snapshot) == {"metrics", "profile"}
+        assert snapshot["metrics"] == Metrics().to_dict()
+
+    def test_worker_recorder_keeps_parent_capacity_and_ships_drops(self):
+        parent = TraceRecorder(capacity=2)
+        _, snapshot = run_task(_emits_counters, 5, Sinks(recorder=parent))
+        assert len(parent) == 0  # the task recorded into a fresh recorder
+        assert [e["ts_s"] for e in snapshot["trace"]["events"]] == [3.0, 4.0]
+        assert snapshot["trace"]["dropped"] == 3
 
 
 class TestConstruction:
@@ -324,6 +360,33 @@ class TestDeadlines:
         assert all(not o.ok for o in outcomes)
         assert all(o.error_type == "TimeoutError" for o in outcomes)
         assert settled[1] - settled[0] < 0.3
+
+
+class TestAbandonedTasks:
+    """A timed-out task's worker is killed, not waited for."""
+
+    def _children(self) -> set[int]:
+        return {p.pid for p in multiprocessing.active_children()}
+
+    def test_map_raises_without_waiting_for_the_hung_worker(self):
+        before = self._children()
+        runner = ParallelRunner(max_workers=2, timeout_s=0.3, retries=0)
+        t0 = time.monotonic()
+        with pytest.raises(ParallelExecutionError, match="timed out"):
+            runner.map(_sleepy, [30.0, 0.0])
+        assert time.monotonic() - t0 < 5.0
+        assert self._children() - before == set()
+
+    def test_map_outcomes_returns_without_waiting(self):
+        before = self._children()
+        runner = ParallelRunner(max_workers=2, timeout_s=0.3, retries=0)
+        t0 = time.monotonic()
+        outcomes = runner.map_outcomes(_sleepy, [30.0, 0.0])
+        assert time.monotonic() - t0 < 5.0
+        assert [o.ok for o in outcomes] == [False, True]
+        assert outcomes[0].error_type == "TimeoutError"
+        assert outcomes[1].value == 0.0
+        assert self._children() - before == set()
 
 
 class TestBrokenPool:

@@ -154,21 +154,6 @@ def test_resumed_count_shows_in_the_status_line():
     assert "1 resumed" in stream.getvalue()
 
 
-def test_queue_depth_heartbeats(tmp_path):
-    depth = [5]
-    path = tmp_path / "progress.jsonl"
-    stream = io.StringIO()
-    reporter = ProgressReporter(
-        total=2, jsonl_path=path, stream=stream, depth_fn=lambda: depth[0]
-    )
-    reporter.update()
-    depth[0] = 3
-    reporter.update()
-    docs = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [d["queue_depth"] for d in docs] == [5, 3]
-    assert "queue 5" in stream.getvalue()
-
-
 def test_failed_cells_show_in_the_status_line():
     stream = io.StringIO()
     reporter = ProgressReporter(total=2, stream=stream)
