@@ -24,7 +24,9 @@ cached solutions are invalidated automatically.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,7 +104,8 @@ class ProblemInstance:
         Per-compute-edge convex frontiers — the continuous formulations'
         configuration sets.
     pareto:
-        Per-compute-edge full Pareto sets — the discrete MILP's sets.
+        Per-compute-edge full Pareto sets — the discrete MILP's sets,
+        built on first use.
     init_id / fin_id:
         Vertex ids of MPI_Init and MPI_Finalize (objective anchors).
     """
@@ -110,7 +113,6 @@ class ProblemInstance:
     trace: Trace
     events: EventStructure
     convex: dict[int, TaskFrontier]
-    pareto: dict[int, TaskFrontier]
     init_id: int
     fin_id: int
     version: int = MODEL_LAYER_VERSION
@@ -118,6 +120,10 @@ class ProblemInstance:
     @property
     def graph(self):
         return self.trace.graph
+
+    @cached_property
+    def pareto(self) -> dict[int, TaskFrontier]:
+        return _as_frontiers(self.trace.pareto)
 
     def frontier_family(self, discrete: bool = False) -> dict[int, TaskFrontier]:
         """The frontier set a formulation compiles against (paper §3.2:
@@ -130,17 +136,28 @@ class ProblemInstance:
         return float(self.events.initial.makespan)
 
 
-def _as_frontiers(raw: dict[int, list[ConfigPoint]]) -> dict[int, TaskFrontier]:
+def _task_frontier(edge_id: int, points: Sequence[ConfigPoint]) -> TaskFrontier:
+    if not points:
+        raise ValueError(f"task edge {edge_id} has an empty frontier")
+    return TaskFrontier(
+        edge_id=edge_id,
+        points=tuple(points),
+        durations=np.array([p.duration_s for p in points]),
+        powers=np.array([p.power_w for p in points]),
+    )
+
+
+def _as_frontiers(raw: Mapping[int, Sequence[ConfigPoint]]) -> dict[int, TaskFrontier]:
+    """One frontier per edge, converted once per distinct point list: the
+    edges of one profile share its list, so they share the tuple and
+    arrays too."""
+    shared: dict[int, tuple[Sequence[ConfigPoint], TaskFrontier]] = {}
     out: dict[int, TaskFrontier] = {}
     for edge_id, points in raw.items():
-        if not points:
-            raise ValueError(f"task edge {edge_id} has an empty frontier")
-        out[edge_id] = TaskFrontier(
-            edge_id=edge_id,
-            points=tuple(points),
-            durations=np.array([p.duration_s for p in points]),
-            powers=np.array([p.power_w for p in points]),
-        )
+        if id(points) not in shared:  # holding the list keeps its id unique
+            shared[id(points)] = (points, _task_frontier(edge_id, points))
+        f = shared[id(points)][1]
+        out[edge_id] = TaskFrontier(edge_id, f.points, f.durations, f.powers)
     return out
 
 
@@ -172,7 +189,6 @@ def build_problem_instance(
         trace=trace,
         events=events,
         convex=_as_frontiers(trace.frontiers),
-        pareto=_as_frontiers(trace.pareto),
         init_id=graph.find_vertex(VertexKind.INIT).id,
         fin_id=graph.find_vertex(VertexKind.FINALIZE).id,
     )

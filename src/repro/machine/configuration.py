@@ -189,22 +189,25 @@ class TaskSpace:
     """A task's measured configuration scatter in array form.
 
     ``durations[k]`` and ``powers[k]`` are the measurements at
-    ``configs[k]``; :meth:`points` materializes the :class:`ConfigPoint`
-    list the frontier consumers read.
+    ``configs[k]``; :meth:`points` materializes them, or the rows at given
+    positions, as :class:`ConfigPoint` objects.
     """
 
     configs: tuple[Configuration, ...]
     durations: np.ndarray
     powers: np.ndarray
 
-    def points(self) -> list[ConfigPoint]:
-        """The scatter as validated :class:`ConfigPoint` objects, in order."""
-        rows = zip(self.configs, self.durations.tolist(), self.powers.tolist())
-        if not ((self.durations > 0).all() and (self.powers > 0).all()):
+    def points(self, index: np.ndarray | None = None) -> list[ConfigPoint]:
+        """The scatter, or its rows at ``index``, as validated points."""
+        idx = range(len(self.configs)) if index is None else index.tolist()
+        configs = [self.configs[k] for k in idx]
+        durations, powers = self.durations[idx], self.powers[idx]
+        rows = zip(configs, durations.tolist(), powers.tolist())
+        if not ((durations > 0).all() and (powers > 0).all()):
             # The scalar constructor names the first offending value.
             return [ConfigPoint(c, d, p) for c, d, p in rows]
-        # Checked above for the whole array, so skip the per-point
-        # __init__/__post_init__: profiling builds ~10^5 points per sweep.
+        # Checked above for every row, so skip the per-point
+        # __init__/__post_init__: profiling builds ~10^4 points per sweep.
         # Attribute-wise assignment, as the dataclass __init__ does, keeps
         # the compact instance layout that a __dict__ write would expand.
         new, put, points = object.__new__, object.__setattr__, []

@@ -29,6 +29,7 @@ __all__ = [
     "pareto_indices",
     "convex_frontier",
     "lower_hull",
+    "lower_hull_indices",
     "interpolate_duration",
     "nearest_point",
     "bracket_for_power",
@@ -85,33 +86,31 @@ def pareto_frontier(points: list[ConfigPoint]) -> list[ConfigPoint]:
     return [points[i] for i in pareto_indices(powers, durations, configs)]
 
 
-def lower_hull(frontier: list[ConfigPoint]) -> list[ConfigPoint]:
-    """Lower convex hull of a Pareto frontier already sorted by power.
+def lower_hull_indices(
+    powers: Sequence[float], durations: Sequence[float]
+) -> list[int]:
+    """Positions of the lower convex hull of a frontier sorted by power.
 
-    Uses the monotone-chain construction on (power, duration) with a
-    cross-product turn test.
+    Monotone chain on (power, duration), popping a point while it lies on
+    or above the chord from the point before it to the next one.  Pass
+    Python floats: the turn test is then the scalar arithmetic exactly.
     """
-    if len(frontier) <= 2:
-        return list(frontier)
-    hull: list[ConfigPoint] = []
-    for p in frontier:
-        while len(hull) >= 2 and _turns_up(hull[-2], hull[-1], p):
+    p, d = powers, durations
+    hull: list[int] = []
+    for c in range(len(p)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (p[b] - p[a]) * (d[c] - d[a]) - (d[b] - d[a]) * (p[c] - p[a]) > 0.0:
+                break
             hull.pop()
-        hull.append(p)
+        hull.append(c)
     return hull
 
 
-def _turns_up(a: ConfigPoint, b: ConfigPoint, c: ConfigPoint) -> bool:
-    """True if b lies on or above segment a-c (b is not a lower-hull vertex).
-
-    Cross product of (a->b, a->c) in the (power, duration) plane: negative
-    when b sits above the chord, zero when collinear — both cases mean b
-    contributes nothing to the lower hull.
-    """
-    cross = (b.power_w - a.power_w) * (c.duration_s - a.duration_s) - (
-        b.duration_s - a.duration_s
-    ) * (c.power_w - a.power_w)
-    return cross <= 0.0
+def lower_hull(frontier: list[ConfigPoint]) -> list[ConfigPoint]:
+    """Lower convex hull of a Pareto frontier already sorted by power."""
+    powers, durations = [p.power_w for p in frontier], [p.duration_s for p in frontier]
+    return [frontier[i] for i in lower_hull_indices(powers, durations)]
 
 
 def convex_frontier(points: list[ConfigPoint]) -> list[ConfigPoint]:

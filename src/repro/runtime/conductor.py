@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..machine.configuration import ConfigPoint, Configuration
+from ..machine.configuration import Configuration
 from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.frontiers import FrontierStore, NodeFrontierStore
 from ..machine.performance import TaskKernel, TaskTimeModel
@@ -152,25 +152,19 @@ class ConductorPolicy:
         self.alloc_history: list[np.ndarray] = []
 
     # ------------------------------------------------------------------
-    def _profiles(self, rank: int, kernel: TaskKernel) -> tuple[
-        list[ConfigPoint], list[ConfigPoint]
-    ]:
-        prof = self.frontiers.profile(rank, kernel)
-        return prof.points, prof.convex
-
     def _exploration_config(
         self, ref: TaskRef, kernel: TaskKernel, iteration: int
     ) -> Configuration:
         """Heterogeneous profiling configurations, kept under the uniform cap."""
-        points, _ = self._profiles(ref.rank, kernel)
+        space = self.frontiers.profile(ref.rank, kernel).space
         budget = self.alloc_w[ref.rank]
-        admissible = [p for p in points if p.power_w <= budget]
-        if not admissible:
+        admissible = np.flatnonzero(space.powers <= budget)
+        if not len(admissible):
             return self.rapl[ref.rank].decide(
                 kernel, self.power_models[ref.rank].spec.cores, budget
             ).config
         idx = (ref.rank + iteration * self.n_ranks + ref.seq) % len(admissible)
-        return admissible[idx].config
+        return space.configs[admissible[idx]]
 
     def configure(
         self,
@@ -184,7 +178,7 @@ class ConductorPolicy:
         if 0 <= iteration < self.cfg.exploration_iterations:
             return self._exploration_config(ref, kernel, iteration)
 
-        _, frontier = self._profiles(ref.rank, kernel)
+        frontier = self.frontiers.convex(ref.rank, kernel)
         budget = self.alloc_w[ref.rank]
         admissible = [p for p in frontier if p.power_w <= budget]
         if not admissible:
@@ -266,7 +260,7 @@ class ConductorPolicy:
             busy[r] += rec.duration_s
             last_end[r] = max(last_end[r], rec.end_s)
             rank_tasks[r].append(rec)
-            _, frontier = self._profiles(r, rec.kernel)
+            frontier = self.frontiers.convex(r, rec.kernel)
             max_useful[r] = max(max_useful[r], frontier[-1].power_w)
         barrier = float(last_end.max())
         span = max(barrier - iter_start, 1e-12)
@@ -292,7 +286,7 @@ class ConductorPolicy:
                 stretch = 1.0 + self.cfg.adagio_safety * earliness[r] / busy[r]
             req = 0.0
             for rec in rank_tasks[r]:
-                _, frontier = self._profiles(r, rec.kernel)
+                frontier = self.frontiers.convex(r, rec.kernel)
                 point = slowest_fitting_point(frontier, rec.duration_s * stretch)
                 req = max(req, point.power_w)
             needed[r] = req + self.cfg.donor_margin_w

@@ -16,14 +16,11 @@ kernel and the machine — so the policy also offers the vectorized
 
 from __future__ import annotations
 
-from ..machine.configuration import (
-    ConfigPoint,
-    Configuration,
-    enumerate_configurations,
-    measure_task,
-)
+import numpy as np
+
+from ..machine.configuration import ConfigPoint, Configuration, task_space
 from ..machine.cpu import CpuSpec, XEON_E5_2670
-from ..machine.performance import TaskKernel, TaskTimeModel
+from ..machine.performance import TaskKernel
 from ..machine.power import SocketPowerModel
 from ..simulator.engine import (
     Engine,
@@ -68,6 +65,34 @@ def energy_optimal_point(
     return min(candidates, key=lambda p: (p.duration_s * p.power_w, p.duration_s))
 
 
+def _energy_optimal_index(
+    durations: np.ndarray,
+    powers: np.ndarray,
+    power_budget_w: float | None = None,
+    max_slowdown: float = 0.1,
+) -> int:
+    """Position of :func:`energy_optimal_point`'s pick in a measured scatter.
+
+    The same rules over ``(durations, powers)`` arrays as one masked
+    argmin: budget filter, least-power fallback, slowdown window, then the
+    least ``(energy, duration)``.  Stable sorts keep the scalar ties: the
+    first point in array order wins.
+    """
+    if not len(powers):
+        raise ValueError("empty configuration space")
+    admissible = (
+        np.ones(len(powers), dtype=bool)
+        if power_budget_w is None
+        else powers <= power_budget_w
+    )
+    if not admissible.any():
+        return int(np.lexsort((durations, powers))[0])
+    budget_s = (1.0 + max_slowdown) * durations[admissible].min()
+    candidates = np.flatnonzero(admissible & (durations <= budget_s))
+    d, p = durations[candidates], powers[candidates]
+    return int(candidates[np.lexsort((d, d * p))[0]])
+
+
 class ConfigSearchPolicy:
     """Exhaustive per-kernel (freq, threads) search for minimal energy.
 
@@ -101,22 +126,18 @@ class ConfigSearchPolicy:
         self.cap_per_socket_w = (
             None if job_cap_w is None else job_cap_w / len(power_models)
         )
-        self._time_models = [TaskTimeModel(pm.spec) for pm in power_models]
-        self._configs = [enumerate_configurations(pm.spec) for pm in power_models]
         self._memo: dict[tuple[int, TaskKernel], Configuration] = {}
 
     def _search(self, rank: int, kernel: TaskKernel) -> Configuration:
         key = (rank, kernel)
         chosen = self._memo.get(key)
         if chosen is None:
-            pm = self.power_models[rank]
-            tm = self._time_models[rank]
-            points = [
-                measure_task(kernel, cfg, pm, tm) for cfg in self._configs[rank]
-            ]
-            chosen = energy_optimal_point(
-                points, self.cap_per_socket_w, self.max_slowdown
-            ).config
+            space = task_space(kernel, self.power_models[rank])
+            best = _energy_optimal_index(
+                space.durations, space.powers, self.cap_per_socket_w,
+                self.max_slowdown,
+            )
+            chosen = space.configs[best]
             self._memo[key] = chosen
         return chosen
 

@@ -18,6 +18,7 @@ original program.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,7 @@ from ..dag.graph import TaskGraph, VertexKind
 from ..obs.metrics import timed
 from ..machine.configuration import ConfigPoint
 from ..machine.cpu import CpuSpec, XEON_E5_2670
-from ..machine.frontiers import FrontierStore, NodeFrontierStore
+from ..machine.frontiers import FrontierProfile, FrontierStore, NodeFrontierStore
 from ..machine.power import SocketPowerModel
 from .network import IB_QDR, NetworkModel
 from .program import (
@@ -46,6 +47,22 @@ from .program import (
 __all__ = ["Trace", "trace_application", "build_dag"]
 
 
+class _LazyPareto(Mapping):
+    """Edge id -> Pareto list, built by the edge's profile on first access."""
+
+    def __init__(self, profiles: dict[int, FrontierProfile]) -> None:
+        self._profiles = profiles
+
+    def __getitem__(self, edge_id: int) -> list[ConfigPoint]:
+        return self._profiles[edge_id].pareto
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._profiles)
+
+    def __len__(self) -> int:
+        return len(self._profiles)
+
+
 @dataclass
 class Trace:
     """A traced application: DAG plus per-task measurement data."""
@@ -54,7 +71,7 @@ class Trace:
     graph: TaskGraph
     task_edges: dict[TaskRef, int]
     edge_refs: dict[int, TaskRef]
-    pareto: dict[int, list[ConfigPoint]] = field(default_factory=dict)
+    pareto: Mapping[int, list[ConfigPoint]] = field(default_factory=dict)
     frontiers: dict[int, list[ConfigPoint]] = field(default_factory=dict)
 
     def frontier_for(self, ref: TaskRef) -> list[ConfigPoint]:
@@ -67,10 +84,12 @@ class Trace:
         Traces from heterogeneous nodes carry per-device configurations;
         consumers that assume the homogeneous CPU time model (the default
         initial schedule, the batch evaluators) check this and switch to
-        frontier-driven paths.
+        frontier-driven paths.  The convex frontiers are read: a node never
+        mixes the legacy untagged device with tagged ones, so they answer
+        as the Pareto sets would, without building those.
         """
         return any(
-            p.config.device for points in self.pareto.values() for p in points
+            p.config.device for points in self.frontiers.values() for p in points
         )
 
     def describe(self) -> str:
@@ -262,19 +281,16 @@ def _trace_application(
     )
     graph, task_edges = build_dag(app, network)
 
-    pareto: dict[int, list[ConfigPoint]] = {}
-    frontiers: dict[int, list[ConfigPoint]] = {}
-    for ref, edge_id in task_edges.items():
-        kernel = graph.edges[edge_id].kernel
-        prof = store.profile(ref.rank, kernel)
-        pareto[edge_id], frontiers[edge_id] = prof.pareto, prof.convex
-
+    profiles = {
+        edge_id: store.profile(ref.rank, graph.edges[edge_id].kernel)
+        for ref, edge_id in task_edges.items()
+    }
     edge_refs = {eid: ref for ref, eid in task_edges.items()}
     return Trace(
         app=app,
         graph=graph,
         task_edges=task_edges,
         edge_refs=edge_refs,
-        pareto=pareto,
-        frontiers=frontiers,
+        pareto=_LazyPareto(profiles),
+        frontiers={edge_id: prof.convex for edge_id, prof in profiles.items()},
     )

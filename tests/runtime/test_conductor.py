@@ -71,7 +71,7 @@ class TestConductorPolicy:
     def test_steady_state_fastest_under_budget(self, models, app, kernel):
         policy = ConductorPolicy(models, 120.0, app, config=FAST_CONDUCTOR)
         cfg = policy.configure(TaskRef(0, 0), kernel, 5, None)
-        _, frontier = policy._profiles(0, kernel)
+        frontier = policy.frontiers.convex(0, kernel)
         budget = policy.alloc_w[0]
         fits = [p for p in frontier if p.power_w <= budget]
         assert cfg == fits[-1].config  # no slack info yet -> fastest
