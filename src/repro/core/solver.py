@@ -401,8 +401,8 @@ class FrozenProgram:
     the same data (the tests assert this) while skipping its per-call
     model rebuild.  On builds where the bindings are unavailable the
     code falls back to ``linprog``/``milp`` transparently.
-    A batch of overrides can be solved on several threads at once
-    (:meth:`_solving_ahead`); cold solves do not depend on each other,
+    A batch of solves can run on helper threads ahead of the caller
+    (:func:`solving_ahead`); cold solves do not depend on each other,
     so the results are the same bits as one :meth:`solve` after another.
     """
 
@@ -499,7 +499,7 @@ class FrozenProgram:
         for equalities — leaving the assembled matrix untouched.
 
         ``ahead`` is this very solve (same ``rhs`` and ``time_limit_s``)
-        already handed to helper threads by :meth:`_solving_ahead`: if no
+        already handed to helper threads by :func:`solving_ahead`: if no
         helper has started it, it is cancelled and solved here; otherwise
         this call waits for the helper's outcome.  Either way it is
         recorded here, on the calling thread.
@@ -562,48 +562,6 @@ class FrozenProgram:
         if recorder is not None:
             recorder.emit(SolveEvent(record))
         return solution
-
-    @contextmanager
-    def _solving_ahead(
-        self,
-        rhs_list: list[dict[str, float] | None],
-        time_limit_s: float | None = None,
-    ) -> Iterator[list[Future | None]]:
-        """One future per override of ``rhs_list``, for :meth:`solve`'s
-        ``ahead``; every override is checked before any thread starts.
-
-        ``_width(len(rhs_list)) - 1`` helper threads, started for this
-        block and joined when it ends, solve the overrides from the last
-        one backwards on their own HiGHS handles, while the caller passes
-        each future to :meth:`solve` in list order and so solves, from
-        the front, the ones no helper has started.  Every solve is cold,
-        so the bits are those of one :meth:`solve` after another.  At
-        width 1 there are no helpers and every future is None.
-        """
-        for rhs in rhs_list:
-            self._check_rhs(rhs)
-        n_helpers = _width(len(rhs_list)) - 1
-        if not n_helpers:
-            yield [None] * len(rhs_list)
-            return
-
-        def solve_at(rhs):
-            return self._compute(*self._bounds_with(rhs), time_limit_s)
-
-        pool = ThreadPoolExecutor(n_helpers, thread_name_prefix="repro-lp")
-        try:
-            ahead: list[Future | None] = [None] * len(rhs_list)
-            for i in reversed(range(len(rhs_list))):
-                ahead[i] = pool.submit(solve_at, rhs_list[i])
-            yield ahead
-        finally:
-            # The helpers' threads end here, and with them their handles.
-            pool.shutdown(cancel_futures=True)
-            if _malloc_trim is not None:
-                # The heap pages a helper's handle used stay mapped after
-                # it is freed; without handing them back, peak RSS creeps
-                # up by a few MB over repeated sweeps.
-                _malloc_trim(0)
 
     def _compute(
         self, lo, hi, time_limit_s
@@ -735,6 +693,55 @@ class FrozenProgram:
         )
 
 
+@contextmanager
+def solving_ahead(
+    jobs: list[tuple[FrozenProgram, dict[str, float] | None, float | None]],
+    *,
+    busy_caller: bool = False,
+) -> Iterator[list[Future | None]]:
+    """One future per ``(program, rhs, time_limit_s)`` job, for
+    :meth:`FrozenProgram.solve`'s ``ahead``; every override is checked
+    before any thread starts.
+
+    :func:`helper_threads` threads, started for this block and joined
+    when it ends, solve the jobs on their own HiGHS handles while the
+    caller passes each future to :meth:`FrozenProgram.solve` in list
+    order, solving there the ones no helper has started.  By default the
+    caller does nothing else, so the helpers take the jobs from the last
+    one backwards and the caller takes them from the front.  A
+    ``busy_caller`` does other work between its solves (a sweep's
+    runtime simulations), so its helpers take the jobs from the front,
+    in the order it will ask for them.  Every solve is cold, so the bits
+    are those of one solve after another.  At width 1 there are no
+    helpers and every future is None.
+    """
+    for program, rhs, _ in jobs:
+        program._check_rhs(rhs)
+    n_helpers = helper_threads(len(jobs), busy_caller=busy_caller)
+    if not n_helpers:
+        yield [None] * len(jobs)
+        return
+
+    def solve_at(program, rhs, time_limit_s):
+        return program._compute(*program._bounds_with(rhs), time_limit_s)
+
+    pool = ThreadPoolExecutor(n_helpers, thread_name_prefix="repro-lp")
+    try:
+        ahead: list[Future | None] = [None] * len(jobs)
+        order = range(len(jobs))
+        for i in order if busy_caller else reversed(order):
+            ahead[i] = pool.submit(solve_at, *jobs[i])
+        yield ahead
+    finally:
+        # The helpers' threads end here, and with them their handles.
+        pool.shutdown(cancel_futures=True)
+        if _malloc_trim is not None:
+            # The heap pages a helper's handle used stay mapped after it
+            # is freed; without handing them back, peak RSS creeps up by
+            # a few MB over repeated sweeps.
+            _malloc_trim(0)
+
+
 #: A fresh token per FrozenProgram, so a _Slot can tell which program its
 #: handle holds (an ``id`` may be reused once a program is freed).
 _PROGRAM_TOKENS = itertools.count()
@@ -789,6 +796,14 @@ def _width(n_jobs: int) -> int:
     except AttributeError:  # pragma: no cover - platforms without affinity
         cpus = os.cpu_count() or 1
     return max(1, min(cpus, _MAX_WIDTH, n_jobs))
+
+
+def helper_threads(n_jobs: int, busy_caller: bool = False) -> int:
+    """Helper threads :func:`solving_ahead` starts for ``n_jobs`` solves:
+    all but the caller's own thread of their width.  A ``busy_caller``'s
+    other work counts as one more job, so a single solve gets a helper
+    when another CPU is free."""
+    return _width(n_jobs + busy_caller) - 1
 
 
 def _wrap_result(res) -> LpSolution:

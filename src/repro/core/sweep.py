@@ -10,13 +10,18 @@ results match the rebuild path exactly (see
 ``benchmarks/test_bench_sweep_parametric.py`` for the speedup and the
 byte-identity assertion).  Every solve starts cold, so a sweep's caps are
 solved on two threads at once with the same bits
-(:meth:`ParametricCapSolver.solve_many`).
+(:meth:`ParametricCapSolver.solve_many`), and a caller with other work
+between its solves can have them solved ahead on a helper thread
+(:func:`solving_caps_ahead`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable, Iterator
+from concurrent.futures import Future
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..simulator.trace import Trace
@@ -27,13 +32,14 @@ from .fixed_order_lp import (
     solve_fixed_order_lp,
 )
 from .model import CAP_ROW_TAG, ProblemInstance, build_problem_instance, extract_schedule
-from .solver import LpStatus
+from .solver import LpStatus, helper_threads, solving_ahead
 
 __all__ = [
     "CapSweepResult",
     "ParametricCapSolver",
     "solve_cap_sweep",
     "minimum_feasible_cap",
+    "solving_caps_ahead",
 ]
 
 
@@ -96,6 +102,9 @@ class ParametricCapSolver:
             instance, cap_w=1.0, power_tiebreak=power_tiebreak
         )
         self._frozen = self._compiled.freeze()
+        # (cap_w, time_limit_s) -> the solve solving_caps_ahead started
+        # for it, taken (and dropped) by the first solve of that cap.
+        self._ahead: dict[tuple[float, float | None], Future] = {}
 
     @property
     def events(self) -> EventStructure:
@@ -126,21 +135,24 @@ class ParametricCapSolver:
         """Solve the frozen model at every cap: ``{cap: result}`` in the
         order of ``caps_w``, a repeated cap solved once.
 
-        Cache hits are served first.  The remaining caps are solved on up
-        to two threads, one per CPU this process may run on (the
-        caller's included): a helper thread solves them from the last cap
-        backwards while the caller takes them in cap order, solving each
-        one the helper has not started and waiting for the others.  Each
-        cap passes through :meth:`FrozenProgram.solve` on the calling
-        thread, which records it, and is then decoded and cached there.
-        Every solve starts cold, so the results are bit-identical to one
-        :meth:`solve` per cap.  The helper is joined before this returns.
-        Raises ``ValueError`` for an empty list or a cap that is not a
-        finite positive number, before anything is solved.
+        Cache hits are served first.  A cap that
+        :func:`solving_caps_ahead` already handed to a helper thread takes
+        that solve; the remaining caps are solved on up to two threads,
+        one per CPU this process may run on (the caller's included): a
+        helper thread solves them from the last cap backwards while the
+        caller takes them in cap order, solving each one the helper has
+        not started and waiting for the others.  Each cap passes through
+        :meth:`FrozenProgram.solve` on the calling thread, which records
+        it, and is then decoded and cached there.  Every solve starts
+        cold, so the results are bit-identical to one :meth:`solve` per
+        cap.  The helper is joined before this returns.  Raises
+        ``ValueError`` for an empty list or a cap that is not a finite
+        positive number, before anything is solved.
         """
         results: dict[float, FixedOrderLpResult | None] = dict.fromkeys(
             _checked_caps(caps_w)
         )
+        ahead = {cap: self._ahead.pop((cap, time_limit_s), None) for cap in results}
         keys = {}
         if cache is not None:
             # Imported here: repro.exec sits above repro.core in the
@@ -160,11 +172,17 @@ class ParametricCapSolver:
                     results[cap] = lp_result_from_payload(
                         payload, self.instance.events
                     )
+                    if ahead[cap] is not None:
+                        ahead[cap].cancel()  # a helper's solve goes unused
         misses = [cap for cap, result in results.items() if result is None]
-        rhs_list = [{CAP_ROW_TAG: cap} for cap in misses]
-        with self._frozen._solving_ahead(rhs_list, time_limit_s) as ahead:
-            for cap, rhs, pending in zip(misses, rhs_list, ahead):
-                solution = self._frozen.solve(time_limit_s, rhs, ahead=pending)
+        own = [cap for cap in misses if ahead[cap] is None]
+        jobs = [(self._frozen, {CAP_ROW_TAG: cap}, time_limit_s) for cap in own]
+        with solving_ahead(jobs) as futures:
+            ahead.update(zip(own, futures))
+            for cap in misses:
+                solution = self._frozen.solve(
+                    time_limit_s, {CAP_ROW_TAG: cap}, ahead=ahead[cap]
+                )
                 if solution.status is LpStatus.OPTIMAL:
                     schedule = extract_schedule(
                         self._compiled, solution, cap_w=cap
@@ -180,6 +198,46 @@ class ParametricCapSolver:
                     cache.put(keys[cap], lp_result_payload(result))
                 results[cap] = result
         return results
+
+
+@contextmanager
+def solving_caps_ahead(
+    plan: Callable[[], list[tuple[ParametricCapSolver, float, float | None]]],
+) -> Iterator[None]:
+    """Solve a caller's coming ``(solver, cap_w, time_limit_s)`` solves
+    ahead, on a helper thread, while the caller does other work.
+
+    For a caller with other work between its solves (a serial scenario
+    sweep runs the runtimes of each cell before its LP bound).  When
+    another CPU is free, ``plan()`` lists the solves in the order the
+    caller will make them, and one helper thread solves them in that
+    order.  Each :meth:`ParametricCapSolver.solve` of a listed cap then
+    takes its solve: it cancels it and solves on the calling thread if
+    the helper has not started it, or waits for the helper's result.
+    Either way the solve is recorded, decoded and cached on the calling
+    thread, and every solve starts cold, so the results are the same
+    bits.  A solve is taken once; a later solve of the same cap solves
+    for itself.  The helper is joined when the block ends, and unused
+    solves are dropped.  At width 1 ``plan`` is never called, so nothing
+    it would build is built.
+    """
+    if not helper_threads(1, busy_caller=True):
+        yield
+        return
+    requests = plan()
+    jobs = [
+        (solver._frozen, {CAP_ROW_TAG: float(cap)}, time_limit_s)
+        for solver, cap, time_limit_s in requests
+    ]
+    with solving_ahead(jobs, busy_caller=True) as futures:
+        for (solver, cap, time_limit_s), future in zip(requests, futures):
+            if future is not None:
+                solver._ahead[float(cap), time_limit_s] = future
+        try:
+            yield
+        finally:
+            for solver, _, _ in requests:
+                solver._ahead.clear()
 
 
 def _checked_caps(caps_w) -> list[float]:

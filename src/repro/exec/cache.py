@@ -162,6 +162,10 @@ class SolverCache:
         metric_inc("cache.store")
 
     # ------------------------------------------------------------------
+    def __contains__(self, key: str) -> bool:
+        """Whether an entry is stored under ``key`` (not read, not counted)."""
+        return self._path(key).is_file()
+
     def __len__(self) -> int:
         base = self.root / f"v{CACHE_SCHEMA_VERSION}"
         if not base.is_dir():

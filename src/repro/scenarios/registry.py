@@ -116,6 +116,10 @@ class PolicyEntry:
     policy_class: type | None = None
     build: Callable[[PolicyContext, dict], Any] | None = None
     solve: Callable[[PolicyContext, dict, Callable[[], Any]], BoundResult] | None = None
+    #: Bound entries: the ``(power_tiebreak, time_limit_s)`` of each
+    #: fixed-order LP that ``solve`` asks ``ctx.cap_solvers`` for at a
+    #: schedulable cell's cap, so a serial sweep can solve them ahead.
+    cap_lps: Callable[[dict], list[tuple[float, float | None]]] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("runtime", "bound"):
@@ -238,6 +242,40 @@ def _build_selection_only(ctx: PolicyContext, cfg: dict) -> SelectionOnlyPolicy:
     )
 
 
+#: The power tie-break of ``energy-lp``'s capped-deadline anchor.
+_ANCHOR_TIEBREAK = 1e-9
+
+
+# The fixed-order LPs each bound entry solves at a cell's cap, as
+# ``(power_tiebreak, time_limit_s)``: its ``solve`` reads them from here,
+# and so does a serial sweep that solves them ahead (``cap_lps``).
+def _lp_cap_lps(cfg: dict) -> list[tuple[float, float | None]]:
+    return [(cfg["power_tiebreak"], cfg["time_limit_s"])]
+
+
+def _energy_lp_cap_lps(cfg: dict) -> list[tuple[float, float | None]]:
+    """The capped-deadline anchor, when ``energy-lp`` is capped."""
+    return [(_ANCHOR_TIEBREAK, cfg["time_limit_s"])] if cfg["capped"] else []
+
+
+def cap_solver(
+    cap_solvers: dict[float, ParametricCapSolver],
+    trace: Trace,
+    instance: ProblemInstance | None,
+    power_tiebreak: float,
+) -> ParametricCapSolver:
+    """The pool's fixed-order LP solver at ``power_tiebreak``, built and
+    pooled on first use."""
+    tiebreak = float(power_tiebreak)
+    solver = cap_solvers.get(tiebreak)
+    if solver is None:
+        solver = ParametricCapSolver(
+            trace, power_tiebreak=tiebreak, instance=instance
+        )
+        cap_solvers[tiebreak] = solver
+    return solver
+
+
 def _fixed_order_at_cap(
     ctx: PolicyContext, power_tiebreak: float, time_limit_s: float | None
 ) -> FixedOrderLpResult:
@@ -250,13 +288,9 @@ def _fixed_order_at_cap(
     capped-deadline anchor.
     """
     if ctx.cap_solvers is not None:
-        tiebreak = float(power_tiebreak)
-        solver = ctx.cap_solvers.get(tiebreak)
-        if solver is None:
-            solver = ParametricCapSolver(
-                ctx.trace, power_tiebreak=tiebreak, instance=ctx.instance
-            )
-            ctx.cap_solvers[tiebreak] = solver
+        solver = cap_solver(
+            ctx.cap_solvers, ctx.trace, ctx.instance, power_tiebreak
+        )
         return solver.solve(
             ctx.job_cap_w, cache=ctx.cache, time_limit_s=time_limit_s
         )
@@ -272,7 +306,7 @@ def _fixed_order_at_cap(
 
 def _solve_lp(ctx: PolicyContext, cfg: dict, scope: Callable[[], Any]) -> BoundResult:
     with scope():
-        lp = _fixed_order_at_cap(ctx, cfg["power_tiebreak"], cfg["time_limit_s"])
+        lp = _fixed_order_at_cap(ctx, *_lp_cap_lps(cfg)[0])
     if not lp.feasible:
         return BoundResult(time_s=None, extra={"feasible": False})
     extra: dict = {"feasible": True}
@@ -293,13 +327,13 @@ def _solve_energy_lp(
 ) -> BoundResult:
     with scope():
         deadline_s = None
-        if cfg["capped"]:
+        for anchor_lp in _energy_lp_cap_lps(cfg):
             # Under a cap no schedule can reach the unconstrained
             # makespan, so the deadline anchors to the *capped*
             # fixed-order optimum: min-energy among schedules matching
             # the cap's own best achievable time (plus the slowdown
             # allowance).  Warm when the cell also evaluates ``lp``.
-            anchor = _fixed_order_at_cap(ctx, 1e-9, cfg["time_limit_s"])
+            anchor = _fixed_order_at_cap(ctx, *anchor_lp)
             if not anchor.feasible:
                 return BoundResult(time_s=None, extra={"feasible": False})
             deadline_s = anchor.makespan_s
@@ -462,6 +496,7 @@ def _build_default_registry() -> PolicyRegistry:
             "time_limit_s": None,
         },
         solve=_solve_lp,
+        cap_lps=_lp_cap_lps,
     ))
     reg.register(PolicyEntry(
         name="energy-lp",
@@ -473,6 +508,7 @@ def _build_default_registry() -> PolicyRegistry:
             "time_limit_s": None,
         },
         solve=_solve_energy_lp,
+        cap_lps=_energy_lp_cap_lps,
     ))
     reg.register(PolicyEntry(
         name="lp-split",

@@ -36,9 +36,10 @@ from pathlib import Path
 
 from ..exec.checkpoint import SweepJournal
 from ..core.model import ProblemInstance, build_problem_instance
+from ..core.sweep import ParametricCapSolver, solving_caps_ahead
 from ..exec.cache import SolverCache
 from ..exec.faults import FaultInjector
-from ..exec.keys import scenario_cell_key
+from ..exec.keys import fixed_order_lp_key, scenario_cell_key
 from ..exec.options import get_execution_options
 from ..exec.parallel import (
     CellOutcome,
@@ -60,7 +61,7 @@ from ..simulator.engine import Engine, SimulationResult
 from ..simulator.telemetry import job_power_timeline
 from ..simulator.trace import Trace, trace_application
 from ..workloads import WorkloadSpec
-from .registry import PolicyContext, PolicyRegistry, default_registry
+from .registry import PolicyContext, PolicyRegistry, cap_solver, default_registry
 from .spec import SCENARIO_BENCHMARKS, SCENARIO_LAYER_VERSION, ScenarioSpec
 
 __all__ = [
@@ -301,7 +302,9 @@ def _steady_per_iteration(
     result: SimulationResult, first_iteration: int, n_iterations: int
 ) -> float:
     start = min(r.start_s for r in result.records if r.iteration >= first_iteration)
-    return (result.makespan_s - start) / n_iterations
+    # A plain float, as a cell read back from the cache or the journal
+    # carries (the engine's times may be NumPy scalars).
+    return float((result.makespan_s - start) / n_iterations)
 
 
 def _measured_time(result: SimulationResult, spec: ScenarioSpec, measure: str) -> float:
@@ -325,7 +328,7 @@ def _measured_energy(
     else:
         first = spec.discard_iterations
         n = spec.run_iterations - spec.discard_iterations
-    return (
+    return float(
         sum(r.energy_j for r in result.records if r.iteration >= first) / n
     )
 
@@ -596,6 +599,64 @@ def _failed_cell(
     )
 
 
+def _lps_ahead(
+    spec: ScenarioSpec,
+    caps: list[float],
+    registry: PolicyRegistry,
+    cache: SolverCache | None,
+) -> list[tuple[ParametricCapSolver, float, float | None]]:
+    """The fixed-order LP solves the cells at ``caps`` will make, in the
+    order they make them, for :func:`~repro.core.sweep.solving_caps_ahead`.
+
+    Builds the spec's shared state and each solver the bound entries ask
+    for (see :attr:`~repro.scenarios.registry.PolicyEntry.cap_lps`) before
+    the first cell.  A cap below the application's minimum schedulable
+    cap solves nothing, and a solve ``cache`` already holds is served
+    from it, so both are left out.  Nothing is solved ahead when
+    building fails: the first cell then meets the same error, where
+    retries and ``keep_going`` handle it as they always have.
+    """
+    try:
+        lps: dict[tuple[float, float | None], None] = {}
+        for pspec in spec.policies:
+            entry = registry.get(pspec.policy)
+            if entry.cap_lps is not None:
+                cfg = entry.resolve_config(pspec.config)
+                lps.update(dict.fromkeys(entry.cap_lps(cfg)))
+        if not lps or not caps:
+            return []
+        shared = _shared_for(spec)
+        min_cap = shared.app_run.metadata.get("min_cap_per_socket_w")
+        caps = [cap for cap in caps if min_cap is None or cap >= min_cap]
+        if not caps:
+            return []
+        solvers = {
+            tiebreak: cap_solver(
+                shared.cap_solvers, shared.trace, shared.instance, tiebreak
+            )
+            for tiebreak, _ in lps
+        }
+    except Exception:
+        return []
+    requests = [
+        (solvers[tiebreak], cap * spec.n_ranks, time_limit_s)
+        for cap in caps
+        for tiebreak, time_limit_s in lps
+    ]
+    if cache is None:
+        return requests
+    return [
+        (solver, job_cap, time_limit_s)
+        for solver, job_cap, time_limit_s in requests
+        if fixed_order_lp_key(
+            solver.instance.trace,
+            job_cap,
+            power_tiebreak=solver.power_tiebreak,
+            time_limit_s=time_limit_s,
+        ) not in cache
+    ]
+
+
 def run_scenarios(
     spec: ScenarioSpec,
     workers: int | None = None,
@@ -615,6 +676,15 @@ def run_scenarios(
     the ambient :class:`~repro.exec.options.ExecutionOptions` (serial,
     uncached).  A non-default ``registry`` runs serially: worker
     processes rebuild policies from the default registry only.
+
+    Cells run in this process solve their fixed-order LP bounds ahead:
+    when another CPU is free, one helper thread solves the LP of each
+    cell the cache and the journal do not serve, in cap order, while the
+    cells before it run their runtimes; each cell takes its solve where
+    it solved before, so the results, audit records and trace events are
+    those of a sweep without it (see
+    :func:`~repro.core.sweep.solving_caps_ahead`).  The helper is joined
+    before this returns or raises.
 
     Resilience (see ``docs/execution.md``):
 
@@ -705,86 +775,96 @@ def run_scenarios(
         )
         fn = faults.wrap(fn)
 
-    if (
-        keep_going
-        or journal is not None
-        or faults is not None
-        or progress is not None
-    ):
-        def on_outcome(outcome: CellOutcome) -> None:
-            # Fires in submission (cap) order as each cell settles, so
-            # an interrupted sweep has journaled its whole settled
-            # prefix.  Worker cache hit/miss accounting arrives via the
-            # sink snapshots ParallelRunner merges.
-            cap = pending[outcome.index]
-            if progress is not None:
-                for _ in range(multiplicity[cap]):
-                    progress.update(ok=outcome.ok)
-            if outcome.ok:
-                if journal is not None:
-                    # wall_s is a diagnostic extra (slowest-cell tables
-                    # in `repro-exp report`); journal *payloads* stay
-                    # byte-deterministic and resume ignores it.
-                    journal.record_ok(
-                        keys[cap], cap, cell_payload(spec, outcome.value),
-                        spec_hash=spec.spec_hash(),
-                        wall_s=round(outcome.elapsed_s, 6),
-                    )
-                return
-            metric_inc("cell.failed")
-            emit(CellFailureEvent(
-                benchmark=spec.benchmark,
-                cap_per_socket_w=cap,
-                error_type=outcome.error_type,
-                error_message=outcome.error_message,
-                attempts=outcome.attempts,
-            ))
-            if journal is not None:
-                journal.record_failed(
-                    keys[cap], cap, outcome.failure_doc(),
-                    spec_hash=spec.spec_hash(),
-                )
-
-        runner = ParallelRunner(
-            max_workers=workers if use_pool else 1,
-            timeout_s=opts.task_timeout_s,
-            retries=opts.task_retries,
-            backoff_s=opts.task_backoff_s,
-            backoff_seed=spec.seed,
-            batch_size=opts.task_batch_size,
-        )
-        first_failed: CellOutcome | None = None
-        for cap, outcome in zip(
-            pending, runner.map_outcomes(fn, items, on_outcome=on_outcome)
-        ):
-            if outcome.ok:
-                cells[cap] = outcome.value
-            else:
-                cells[cap] = _failed_cell(
-                    spec, cap, reg, CellFailure.from_outcome(outcome)
-                )
-                if first_failed is None:
-                    first_failed = outcome
-        if first_failed is not None and not keep_going:
-            raise ParallelExecutionError(
-                f"cell cap={pending[first_failed.index]:g} "
-                f"{first_failed.error_type} on all {first_failed.attempts} "
-                f"attempt(s): {first_failed.error_message}"
-            ) from first_failed.error
-    elif use_pool:
-        runner = ParallelRunner(
-            max_workers=workers,
-            timeout_s=opts.task_timeout_s,
-            retries=opts.task_retries,
-            backoff_s=opts.task_backoff_s,
-            backoff_seed=spec.seed,
-            batch_size=opts.task_batch_size,
-        )
-        for cap, cell in zip(pending, runner.map(fn, items)):
-            cells[cap] = cell
+    if use_pool:
+        ahead = nullcontext()  # pool workers solve their own cells
     else:
-        for cap in pending:
-            cells[cap] = fn(cap)
+        unserved = [
+            cap for cap in pending if cache is None or keys[cap] not in cache
+        ]
+        ahead = solving_caps_ahead(
+            partial(_lps_ahead, spec, unserved, reg, cache)
+        )
+    with ahead:
+        if (
+            keep_going
+            or journal is not None
+            or faults is not None
+            or progress is not None
+        ):
+            def on_outcome(outcome: CellOutcome) -> None:
+                # Fires in submission (cap) order as each cell settles, so
+                # an interrupted sweep has journaled its whole settled
+                # prefix.  Worker cache hit/miss accounting arrives via the
+                # sink snapshots ParallelRunner merges.
+                cap = pending[outcome.index]
+                if progress is not None:
+                    for _ in range(multiplicity[cap]):
+                        progress.update(ok=outcome.ok)
+                if outcome.ok:
+                    if journal is not None:
+                        # wall_s is a diagnostic extra (slowest-cell tables
+                        # in `repro-exp report`); journal *payloads* stay
+                        # byte-deterministic and resume ignores it.
+                        journal.record_ok(
+                            keys[cap], cap, cell_payload(spec, outcome.value),
+                            spec_hash=spec.spec_hash(),
+                            wall_s=round(outcome.elapsed_s, 6),
+                        )
+                    return
+                metric_inc("cell.failed")
+                emit(CellFailureEvent(
+                    benchmark=spec.benchmark,
+                    cap_per_socket_w=cap,
+                    error_type=outcome.error_type,
+                    error_message=outcome.error_message,
+                    attempts=outcome.attempts,
+                ))
+                if journal is not None:
+                    journal.record_failed(
+                        keys[cap], cap, outcome.failure_doc(),
+                        spec_hash=spec.spec_hash(),
+                    )
+
+            runner = ParallelRunner(
+                max_workers=workers if use_pool else 1,
+                timeout_s=opts.task_timeout_s,
+                retries=opts.task_retries,
+                backoff_s=opts.task_backoff_s,
+                backoff_seed=spec.seed,
+                batch_size=opts.task_batch_size,
+            )
+            first_failed: CellOutcome | None = None
+            for cap, outcome in zip(
+                pending, runner.map_outcomes(fn, items, on_outcome=on_outcome)
+            ):
+                if outcome.ok:
+                    cells[cap] = outcome.value
+                else:
+                    cells[cap] = _failed_cell(
+                        spec, cap, reg, CellFailure.from_outcome(outcome)
+                    )
+                    if first_failed is None:
+                        first_failed = outcome
+            if first_failed is not None and not keep_going:
+                raise ParallelExecutionError(
+                    f"cell cap={pending[first_failed.index]:g} "
+                    f"{first_failed.error_type} on all {first_failed.attempts} "
+                    f"attempt(s): {first_failed.error_message}"
+                ) from first_failed.error
+        elif use_pool:
+            runner = ParallelRunner(
+                max_workers=workers,
+                timeout_s=opts.task_timeout_s,
+                retries=opts.task_retries,
+                backoff_s=opts.task_backoff_s,
+                backoff_seed=spec.seed,
+                batch_size=opts.task_batch_size,
+            )
+            for cap, cell in zip(pending, runner.map(fn, items)):
+                cells[cap] = cell
+        else:
+            for cap in pending:
+                cells[cap] = fn(cap)
 
     metrics = current_metrics()
     if metrics is not None:

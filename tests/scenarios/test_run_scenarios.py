@@ -4,6 +4,8 @@ import pytest
 
 from repro.exec.cache import SolverCache
 from repro.exec.keys import scenario_cell_key
+from repro.experiments.figures import benchmark_config
+from repro.experiments.runner import comparison_spec
 from repro.machine.variability import make_power_models
 from repro.obs.recorder import TraceRecorder, use_recorder
 from repro.scenarios.run import (
@@ -212,6 +214,21 @@ class TestCellCaching:
             for name in spec.policy_labels():
                 assert a.outcomes[name].time_s == b.outcomes[name].time_s
                 assert a.outcomes[name].extra == b.outcomes[name].extra
+
+    def test_computed_and_cached_cells_carry_plain_floats(self, tmp_path):
+        # Conductor's comd times come out of the engine as NumPy scalars;
+        # a cell read back from the cache holds plain floats, and so must
+        # the cell that was computed.
+        cache = SolverCache(tmp_path)
+        spec = comparison_spec(benchmark_config("comd", 4), (40.0, 60.0))
+        cold = run_scenarios(spec, cache=cache)
+        warm = run_scenarios(spec, cache=cache)
+        assert cache.hits == 2
+        for result in (cold, warm):
+            for cell in result.cells:
+                for outcome in cell.outcomes.values():
+                    assert type(outcome.time_s) is float, outcome
+                    assert type(outcome.energy_j) is float, outcome
 
     def test_sweep_and_single_cap_share_cells(self, tmp_path):
         cache = SolverCache(tmp_path)
