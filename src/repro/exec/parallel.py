@@ -505,7 +505,15 @@ class ParallelRunner:
             # The deadline starts at (re-)submission: every attempt of
             # every cell gets the same wall-clock budget, regardless of
             # when the parent reaches index i in its wait loop.
-            futures[i] = pool.submit(run_task, fn, items[i], observe)
+            try:
+                futures[i] = pool.submit(run_task, fn, items[i], observe)
+            except BrokenExecutor as exc:
+                # A worker died since the last wait, so the pool refuses
+                # new work.  The wait loop meets the breakage at the
+                # task it awaits and rebuilds the pool there; this task
+                # reruns with the lost ones.
+                futures[i] = Future()
+                futures[i].set_exception(exc)
             now = time.monotonic()
             if not started[i]:
                 started[i] = now

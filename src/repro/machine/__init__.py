@@ -53,7 +53,7 @@ from .pareto import (
 )
 from .performance import TaskKernel, TaskTimeModel
 from .power import DEFAULT_POWER_PARAMS, PowerModelParams, SocketPowerModel
-from .rapl import RaplController, RaplDecision
+from .rapl import RaplController, RaplDecision, RaplSettlement
 from .variability import make_power_models, sample_socket_efficiencies
 
 __all__ = [
@@ -76,6 +76,7 @@ __all__ = [
     "PowerModelParams",
     "RaplController",
     "RaplDecision",
+    "RaplSettlement",
     "SocketPowerModel",
     "TaskKernel",
     "TaskSpace",

@@ -19,13 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..obs.events import CapExceededEvent
 from ..obs.recorder import emit
 from .configuration import Configuration, ConfigPoint, measure_task
 from .performance import TaskKernel, TaskTimeModel
 from .power import SocketPowerModel
 
-__all__ = ["RaplController", "RaplDecision"]
+__all__ = ["RaplController", "RaplDecision", "RaplSettlement"]
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,24 @@ class RaplDecision:
     def headroom_w(self) -> float:
         """Unused power under the cap (negative when the cap is violated)."""
         return self.cap_w - self.power_w
+
+
+@dataclass(frozen=True)
+class RaplSettlement:
+    """Outcome of the firmware control loop for many kernels under many caps.
+
+    ``candidates`` are the operating points the loop tries, in its order:
+    the P-states from fastest down, then the duty cycles at ``fmin``
+    from widest down, then the floor it bottoms out at.  Entry ``[k, c]``
+    of each array is kernel ``k`` under ``caps_w[c]``: ``choice`` indexes
+    the candidate it settles on, and ``power_w`` and ``cap_met`` are the
+    :class:`RaplDecision` fields :meth:`RaplController.decide` returns.
+    """
+
+    candidates: list
+    choice: np.ndarray  # [n_kernels, n_caps] int
+    power_w: np.ndarray  # [n_kernels, n_caps]
+    cap_met: np.ndarray  # [n_kernels, n_caps] bool
 
 
 class RaplController:
@@ -115,6 +135,58 @@ class RaplController:
             # for when a run underperforms its bound.
             emit(CapExceededEvent(cap_w=cap_w, power_w=power))
         return RaplDecision(config=chosen, power_w=power, cap_w=cap_w, cap_met=cap_met)
+
+    def settle(
+        self,
+        activity: np.ndarray,
+        mem_intensity: np.ndarray,
+        threads: int,
+        caps_w,
+    ) -> RaplSettlement:
+        """:meth:`decide` for every kernel under every cap, in one pass.
+
+        ``activity`` and ``mem_intensity`` describe one kernel per entry.
+        Each candidate's power is evaluated once per kernel, as a
+        ``[kernels x candidates]`` table, and each cap picks the first
+        candidate that fits.  The table repeats
+        :meth:`SocketPowerModel.power` term for term (the frequency law
+        on Python floats, once per candidate), so every choice, power and
+        ``cap_met`` is bit-identical to a :meth:`decide` call, and an
+        overshoot emits the same :class:`CapExceededEvent`, kernel by
+        kernel and cap by cap.
+        """
+        caps = np.asarray(caps_w, dtype=float)
+        if np.any(caps <= 0):
+            raise ValueError(f"caps must be positive, got {caps_w}")
+        spec = self.spec
+        if not (1 <= threads <= spec.cores):
+            raise ValueError(f"threads must be in [1, {spec.cores}], got {threads}")
+        duties = spec.duty_cycles
+        floor = duties[-1] if duties else 1.0
+        candidates = [Configuration(f, threads) for f in spec.pstates]
+        candidates += [Configuration(spec.fmin_ghz, threads, d) for d in duties]
+        candidates.append(Configuration(spec.fmin_ghz, threads, floor))
+        p = self.power_model.params
+        rel_pow = np.array([
+            (c.freq_ghz / spec.fmax_ghz) ** p.freq_exponent for c in candidates
+        ])
+        duty = np.array([c.duty for c in candidates])
+        activity = np.asarray(activity, dtype=float)[:, None]
+        mem = np.asarray(mem_intensity, dtype=float)[:, None]
+        dyn = activity * p.p_core_dyn_max * rel_pow
+        uncore = p.p_uncore_idle + p.p_uncore_mem * mem * duty
+        per_core = p.p_core_leak + dyn * duty
+        table = self.power_model.efficiency * (uncore + threads * per_core)
+        # [kernels, candidates tried, caps]: the floor is never "tried".
+        fits = (table[:, :-1, None] * (1.0 + self.control_noise)) <= caps
+        cap_met = fits.any(axis=1)
+        choice = np.where(cap_met, fits.argmax(axis=1), len(candidates) - 1)
+        power = np.take_along_axis(table, choice, axis=1)
+        for k, c in np.argwhere(~cap_met):
+            emit(CapExceededEvent(cap_w=float(caps[c]), power_w=float(power[k, c])))
+        return RaplSettlement(
+            candidates=candidates, choice=choice, power_w=power, cap_met=cap_met
+        )
 
     def measure(
         self,

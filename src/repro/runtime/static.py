@@ -9,6 +9,8 @@ nominal frequency — comes from the RAPL controller model.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..machine.configuration import Configuration
 from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.performance import TaskKernel
@@ -17,9 +19,11 @@ from ..machine.rapl import RaplController
 from ..simulator.engine import (
     Engine,
     RunPlan,
+    SweepRunPlan,
     TaskRecord,
-    plan_from_configs,
+    kernel_arrays_as_columns,
     rank_kernel_arrays,
+    sweep_rank_plan,
 )
 from ..simulator.program import Application, TaskRef
 
@@ -55,6 +59,7 @@ class StaticPolicy:
         self.threads = threads
         if threads is not None and not (1 <= threads <= spec.cores):
             raise ValueError(f"threads must be in [1, {spec.cores}]")
+        self.job_cap_w = job_cap_w
         self.cap_per_socket_w = job_cap_w / len(power_models)
         self.controllers = [RaplController(pm) for pm in power_models]
 
@@ -77,29 +82,52 @@ class StaticPolicy:
         return decision.config
 
     def plan_run(self, app: Application, engine: Engine) -> RunPlan:
-        """Whole-run plan: RAPL decisions are history-free, so each
-        rank's decision per distinct kernel is computed once and the
-        machine models are batch evaluated.  Bit-identical to the
-        scalar per-task path."""
-        per_rank = []
+        """Whole-run plan: :meth:`plan_sweep` at this policy's own cap.
+        Bit-identical to the scalar per-task path."""
+        return self.plan_sweep(app, engine, [self.job_cap_w]).column(0)
+
+    def plan_sweep(
+        self, app: Application, engine: Engine, job_caps_w
+    ) -> SweepRunPlan:
+        """Plans of a whole run at every job cap, for :meth:`Engine.run_sweep`.
+
+        Column ``c`` is the plan of ``StaticPolicy`` built at
+        ``job_caps_w[c]``.  RAPL decisions are history-free, so each rank
+        settles its distinct kernels once under every cap
+        (:meth:`RaplController.settle`) and the machine models are batch
+        evaluated for all caps at once.
+        """
+        caps = [job_cap / len(self.controllers) for job_cap in job_caps_w]
+        ranks = []
         for rank, ka in enumerate(rank_kernel_arrays(app)):
+            controller = self.controllers[rank]
             threads = (
-                self.threads
-                if self.threads is not None
-                else self.controllers[rank].spec.cores
+                self.threads if self.threads is not None else controller.spec.cores
             )
-            memo: dict[TaskKernel, Configuration] = {}
-            configs = []
-            for kernel in ka.kernels:
-                cfg = memo.get(kernel)
-                if cfg is None:
-                    cfg = self.controllers[rank].decide(
-                        kernel, threads, self.cap_per_socket_w
-                    ).config
-                    memo[kernel] = cfg
-                configs.append(cfg)
-            per_rank.append(configs)
-        return plan_from_configs(app, engine, per_rank)
+            index: dict[TaskKernel, int] = {}
+            rows = [index.setdefault(k, len(index)) for k in ka.kernels]
+            kernels = list(index)
+            settled = controller.settle(
+                np.array([k.activity for k in kernels]),
+                np.array([k.mem_intensity for k in kernels]),
+                threads,
+                caps,
+            )
+            choice = settled.choice[rows]  # [n_tasks, n_caps]
+            candidates = settled.candidates
+            freq = np.array([c.freq_ghz for c in candidates])[choice]
+            duty = np.array([c.duty for c in candidates])[choice]
+            thr = np.full(choice.shape, threads, dtype=np.int64)
+            # The floor repeats the last duty cycle's configuration, so a
+            # switch is a change of operating point, not of candidate.
+            switches = np.zeros(choice.shape, dtype=bool)
+            switches[1:] = (freq[1:] != freq[:-1]) | (duty[1:] != duty[:-1])
+            configs = [[candidates[j] for j in row] for row in choice.tolist()]
+            ranks.append(sweep_rank_plan(
+                engine, rank, kernel_arrays_as_columns(ka), configs,
+                freq, thr, duty, switches, self.switch_cost_s(),
+            ))
+        return SweepRunPlan(ranks=ranks, n_points=len(caps))
 
     def on_pcontrol(self, iteration: int, records: list[TaskRecord]) -> float:
         return 0.0  # no software agency: RAPL is firmware

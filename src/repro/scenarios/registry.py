@@ -51,6 +51,7 @@ from ..runtime.config_search import ConfigSearchPolicy
 from ..runtime.dvfs_energy import DvfsEnergyPolicy
 from ..runtime.selection_only import SelectionOnlyPolicy
 from ..runtime.static import StaticPolicy
+from ..simulator.engine import Engine, SweepRunOutcome
 from ..simulator.program import Application
 from ..simulator.trace import Trace
 
@@ -120,6 +121,14 @@ class PolicyEntry:
     #: fixed-order LP that ``solve`` asks ``ctx.cap_solvers`` for at a
     #: schedulable cell's cap, so a serial sweep can solve them ahead.
     cap_lps: Callable[[dict], list[tuple[float, float | None]]] | None = None
+    #: Runtime entries whose policy plans its whole run from the cap alone
+    #: and reports no extras: ``sweep(ctx, cfg, engine, job_caps_w)`` runs
+    #: it at every job cap in one :meth:`Engine.run_sweep` walk, point
+    #: ``c`` being the run of ``build`` at ``job_caps_w[c]``, so a serial
+    #: sweep can run its cells' caps ahead.
+    sweep: Callable[
+        [PolicyContext, dict, Engine, list[float]], SweepRunOutcome
+    ] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("runtime", "bound"):
@@ -189,6 +198,14 @@ class PolicyRegistry:
 
 def _build_static(ctx: PolicyContext, cfg: dict) -> StaticPolicy:
     return StaticPolicy(ctx.power_models, ctx.job_cap_w, threads=cfg["threads"])
+
+
+def _sweep_static(
+    ctx: PolicyContext, cfg: dict, engine: Engine, job_caps_w: list[float]
+) -> SweepRunOutcome:
+    policy = _build_static(ctx, cfg)
+    plan = policy.plan_sweep(ctx.app, engine, job_caps_w)
+    return engine.run_sweep(ctx.app, policy, plan)
 
 
 def _build_conductor(ctx: PolicyContext, cfg: dict) -> ConductorPolicy:
@@ -428,6 +445,7 @@ def _build_default_registry() -> PolicyRegistry:
         measure="discard",
         policy_class=StaticPolicy,
         build=_build_static,
+        sweep=_sweep_static,
     ))
     reg.register(PolicyEntry(
         name="conductor",

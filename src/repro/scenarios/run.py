@@ -29,7 +29,7 @@ exactly.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -237,6 +237,10 @@ class _Shared:
     # every cell of it) on the thread's persistent HiGHS handle.  Lazily
     # populated by the lp bound entry (registry._solve_lp).
     cap_solvers: dict = field(default_factory=dict)
+    # (policy label, per-socket cap) -> the run_scenarios sweep's point for
+    # it, which the cell takes in place of its engine run (see
+    # _running_ahead); empty outside a run_scenarios call.
+    swept: dict = field(default_factory=dict)
 
 
 _shared_cache: dict[tuple, _Shared] = {}
@@ -298,39 +302,20 @@ def _shared_for(spec: ScenarioSpec) -> _Shared:
     return _shared_cache[key]
 
 
-def _steady_per_iteration(
-    result: SimulationResult, first_iteration: int, n_iterations: int
-) -> float:
-    start = min(r.start_s for r in result.records if r.iteration >= first_iteration)
-    # A plain float, as a cell read back from the cache or the journal
-    # carries (the engine's times may be NumPy scalars).
-    return float((result.makespan_s - start) / n_iterations)
-
-
-def _measured_time(result: SimulationResult, spec: ScenarioSpec, measure: str) -> float:
-    """Per-iteration time over the entry's measurement window."""
-    if measure == "steady":
-        first = spec.run_iterations - spec.steady_window
-        return _steady_per_iteration(result, first, spec.steady_window)
-    first = spec.discard_iterations
-    return _steady_per_iteration(
-        result, first, spec.run_iterations - spec.discard_iterations
-    )
-
-
-def _measured_energy(
+def _measured(
     result: SimulationResult, spec: ScenarioSpec, measure: str
-) -> float:
-    """Per-iteration task energy over the same window as the time."""
+) -> tuple[float, float]:
+    """Per-iteration time and task energy over the entry's measurement
+    window, as plain floats, as a cell read back from the cache or the
+    journal carries (the engine's times may be NumPy scalars)."""
     if measure == "steady":
         first = spec.run_iterations - spec.steady_window
         n = spec.steady_window
     else:
         first = spec.discard_iterations
         n = spec.run_iterations - spec.discard_iterations
-    return float(
-        sum(r.energy_j for r in result.records if r.iteration >= first) / n
-    )
+    start, energy = result.window(first)
+    return float((result.makespan_s - start) / n), float(energy / n)
 
 
 def _scope(rec: TraceRecorder | None, label: str):
@@ -476,6 +461,30 @@ def run_scenario_cell(
     return cell
 
 
+def _schedulable(shared: _Shared, caps: list[float]) -> list[float]:
+    """The per-socket ``caps`` at or above the application's minimum
+    schedulable cap (a cell below it runs and solves nothing)."""
+    min_cap = shared.app_run.metadata.get("min_cap_per_socket_w")
+    return [cap for cap in caps if min_cap is None or cap >= min_cap]
+
+
+def _policy_context(
+    spec: ScenarioSpec, shared: _Shared, job_cap_w: float, cache: SolverCache | None
+) -> PolicyContext:
+    return PolicyContext(
+        power_models=shared.power_models,
+        job_cap_w=job_cap_w,
+        app=shared.app_run,
+        frontier_store=shared.frontiers,
+        trace=shared.trace,
+        instance=shared.instance,
+        cache=cache,
+        lp_iterations=spec.lp_iterations,
+        cap_solvers=shared.cap_solvers,
+        nodes=shared.nodes,
+    )
+
+
 def _run_scenario_cell(
     spec: ScenarioSpec,
     cap_per_socket_w: float,
@@ -487,8 +496,7 @@ def _run_scenario_cell(
     rec = current_recorder()
     tag = f"{spec.benchmark} cap={cap_per_socket_w:g}W"
 
-    min_cap = shared.app_run.metadata.get("min_cap_per_socket_w")
-    if min_cap is not None and cap_per_socket_w < min_cap:
+    if not _schedulable(shared, [cap_per_socket_w]):
         outcomes = {
             p.label: PolicyOutcome(
                 name=p.label, policy=p.policy,
@@ -504,18 +512,7 @@ def _run_scenario_cell(
             outcomes=outcomes,
         )
 
-    ctx = PolicyContext(
-        power_models=shared.power_models,
-        job_cap_w=job_cap,
-        app=shared.app_run,
-        frontier_store=shared.frontiers,
-        trace=shared.trace,
-        instance=shared.instance,
-        cache=cache,
-        lp_iterations=spec.lp_iterations,
-        cap_solvers=shared.cap_solvers,
-        nodes=shared.nodes,
-    )
+    ctx = _policy_context(spec, shared, job_cap, cache)
     outcomes: dict[str, PolicyOutcome] = {}
     for pspec in spec.policies:
         entry = registry.get(pspec.policy)
@@ -523,19 +520,25 @@ def _run_scenario_cell(
         label = pspec.label
         scope = partial(_scope, rec, f"{label} {tag}")
         if entry.kind == "runtime":
-            policy = entry.build(ctx, cfg)
-            with scope():
-                result = shared.engine.run(shared.app_run, policy)
-                if rec is not None:
-                    _emit_power_counters(rec, result, shared.power_models, job_cap)
             extra: dict = {}
-            reallocs = getattr(policy, "realloc_count", None)
-            if reallocs is not None:
-                extra["reallocs"] = reallocs
+            point = shared.swept.get((label, cap_per_socket_w))
+            if point is not None:
+                result = point()
+            else:
+                policy = entry.build(ctx, cfg)
+                with scope():
+                    result = shared.engine.run(shared.app_run, policy)
+                    if rec is not None:
+                        _emit_power_counters(
+                            rec, result, shared.power_models, job_cap
+                        )
+                reallocs = getattr(policy, "realloc_count", None)
+                if reallocs is not None:
+                    extra["reallocs"] = reallocs
+            time_s, energy_j = _measured(result, spec, entry.measure)
             outcomes[label] = PolicyOutcome(
                 name=label, policy=pspec.policy, kind="runtime",
-                time_s=_measured_time(result, spec, entry.measure), extra=extra,
-                energy_j=_measured_energy(result, spec, entry.measure),
+                time_s=time_s, extra=extra, energy_j=energy_j,
             )
         else:
             bound = entry.solve(ctx, cfg, scope)
@@ -626,8 +629,7 @@ def _lps_ahead(
         if not lps or not caps:
             return []
         shared = _shared_for(spec)
-        min_cap = shared.app_run.metadata.get("min_cap_per_socket_w")
-        caps = [cap for cap in caps if min_cap is None or cap >= min_cap]
+        caps = _schedulable(shared, caps)
         if not caps:
             return []
         solvers = {
@@ -657,6 +659,52 @@ def _lps_ahead(
     ]
 
 
+@contextmanager
+def _running_ahead(
+    spec: ScenarioSpec, caps: list[float], registry: PolicyRegistry
+):
+    """Run the swept runtimes of the cells at ``caps`` before the first
+    cell, each entry's caps in one DAG walk.
+
+    Every runtime entry of the spec that the registry can sweep (see
+    :attr:`~repro.scenarios.registry.PolicyEntry.sweep`) runs once over
+    the caps at or above the application's minimum schedulable cap, and
+    each cell takes its point where it ran its engine before.  Nothing
+    runs ahead under an active trace recorder (per-event emission needs
+    the scalar loop), and nothing is kept when building or sweeping
+    fails: each cell then meets the error itself, as with
+    :func:`_lps_ahead`.  The points are dropped on exit.
+    """
+    points: dict = {}
+    shared = None
+    try:
+        sweeps = []
+        for pspec in spec.policies:
+            entry = registry.get(pspec.policy)
+            if entry.sweep is not None:
+                cfg = entry.resolve_config(pspec.config)
+                sweeps.append((pspec.label, entry.sweep, cfg))
+        if sweeps and caps and current_recorder() is None:
+            shared = _shared_for(spec)
+            caps = _schedulable(shared, caps)
+        if shared is not None and caps:
+            job_caps = [cap * spec.n_ranks for cap in caps]
+            ctx = _policy_context(spec, shared, job_caps[0], cache=None)
+            for label, sweep, cfg in sweeps:
+                outcome = sweep(ctx, cfg, shared.engine, job_caps)
+                for c, cap in enumerate(caps):
+                    points[(label, cap)] = partial(outcome.result, c)
+    except Exception:
+        points = {}
+    if shared is not None:
+        shared.swept.update(points)
+    try:
+        yield
+    finally:
+        if shared is not None:
+            shared.swept.clear()
+
+
 def run_scenarios(
     spec: ScenarioSpec,
     workers: int | None = None,
@@ -684,7 +732,9 @@ def run_scenarios(
     it solved before, so the results, audit records and trace events are
     those of a sweep without it (see
     :func:`~repro.core.sweep.solving_caps_ahead`).  The helper is joined
-    before this returns or raises.
+    before this returns or raises.  The same cells' sweepable runtimes
+    (Static) run ahead too, every cap in one DAG walk on this thread, and
+    each cell takes its cap's run (see :func:`_running_ahead`).
 
     Resilience (see ``docs/execution.md``):
 
@@ -776,7 +826,7 @@ def run_scenarios(
         fn = faults.wrap(fn)
 
     if use_pool:
-        ahead = nullcontext()  # pool workers solve their own cells
+        ahead = runs = nullcontext()  # pool workers run their own cells
     else:
         unserved = [
             cap for cap in pending if cache is None or keys[cap] not in cache
@@ -784,7 +834,8 @@ def run_scenarios(
         ahead = solving_caps_ahead(
             partial(_lps_ahead, spec, unserved, reg, cache)
         )
-    with ahead:
+        runs = _running_ahead(spec, unserved, reg)
+    with ahead, runs:
         if (
             keep_going
             or journal is not None

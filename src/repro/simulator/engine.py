@@ -59,6 +59,7 @@ __all__ = [
     "rank_kernel_arrays",
     "batch_task_durations",
     "batch_task_powers",
+    "sweep_rank_plan",
 ]
 
 
@@ -165,6 +166,18 @@ class SweepRunPlan:
 
     ranks: list
     n_points: int
+
+    def column(self, c: int) -> RunPlan:
+        """The c-th sweep point as the :class:`RunPlan` a scalar
+        :meth:`Engine.run` replays (same configurations, same floats)."""
+        return RunPlan(ranks=[
+            RankPlan(
+                configs=[row[c] for row in rp.configs],
+                durations=rp.durations[:, c].tolist(),
+                powers=rp.powers[:, c].tolist(),
+            )
+            for rp in self.ranks
+        ])
 
 
 @dataclass(frozen=True)
@@ -318,6 +331,40 @@ def plan_from_configs(app: Application, engine: "Engine", per_rank_configs: list
     return RunPlan(ranks=plans)
 
 
+def sweep_rank_plan(
+    engine: "Engine",
+    rank: int,
+    ka_cols: _KernelArrays,
+    configs: list,
+    freq_ghz: np.ndarray,
+    threads: np.ndarray,
+    duty: np.ndarray,
+    switches: np.ndarray,
+    switch_cost_s: float,
+) -> SweepRankPlan:
+    """One rank's :class:`SweepRankPlan` from its chosen configurations.
+
+    ``configs`` is the ``[n_tasks][n_points]`` table and ``freq_ghz``,
+    ``threads`` and ``duty`` are the same table as arrays;
+    ``switches[i, c]`` is True where the i-th task changes the rank's
+    configuration at point c.  Durations and powers are batch evaluated
+    with the engine's machine models for every point at once (the shared
+    tail of every sweep-planning policy; ``ka_cols`` comes from
+    :func:`kernel_arrays_as_columns`).
+    """
+    return SweepRankPlan(
+        configs=configs,
+        durations=batch_task_durations(
+            engine.time_models[rank], ka_cols, freq_ghz, threads, duty
+        ),
+        powers=batch_task_powers(
+            engine.power_models[rank], ka_cols, freq_ghz, threads, duty
+        ),
+        switch_add=np.where(switches, switch_cost_s, 0.0),
+        n_switches=np.count_nonzero(switches, axis=0),
+    )
+
+
 def kernel_arrays_as_columns(ka: _KernelArrays) -> _KernelArrays:
     """The same kernel parameters shaped ``[n_tasks, 1]`` so the batch
     evaluators broadcast against ``[n_tasks, n_points]`` configuration
@@ -414,6 +461,13 @@ class SimulationResult:
         start = min(r.start_s for r in kept)
         return self.makespan_s - start
 
+    def window(self, first_iteration: int) -> tuple[float, float]:
+        """(earliest start, summed task energy) of the records from
+        ``first_iteration`` on, the energy summed in record order: the
+        two figures a measurement window reads from a run."""
+        kept = [r for r in self.records if r.iteration >= first_iteration]
+        return min(r.start_s for r in kept), sum(r.energy_j for r in kept)
+
 
 class _SweepPointResult(SimulationResult):
     """A :class:`SimulationResult` whose record list materializes lazily.
@@ -449,7 +503,10 @@ class SweepRunOutcome:
     scalar outcomes; MPI call/wait/collective counts are shared (the walk
     order is identical at every point).  :meth:`results` views the sweep
     as per-point :class:`SimulationResult` objects with lazily
-    materialized records.
+    materialized records.  A point counts toward the ``sim.*`` metrics
+    each time :meth:`result` hands it out, as one :meth:`Engine.run`
+    would, so a sweep whose points are taken one by one counts exactly
+    what the runs it replaces would have counted.
     """
 
     app_name: str
@@ -460,6 +517,7 @@ class SweepRunOutcome:
     plan: SweepRunPlan
     emissions: list  # (rank, seq, op) in scheduler emission order
     mpi_call_count: int
+    mpi_wait_count: int
     collective_count: int
     pcontrol_overhead_s: float
 
@@ -484,6 +542,9 @@ class SweepRunOutcome:
         """The c-th sweep point as a :class:`SimulationResult`."""
         if not (0 <= c < self.n_points):
             raise IndexError(f"sweep point {c} out of range [0, {self.n_points})")
+        metric_inc("sim.tasks", len(self.emissions))
+        metric_inc("sim.mpi_waits", self.mpi_wait_count)
+        metric_inc("sim.collectives", self.collective_count)
         return _SweepPointResult(
             loader=lambda: self._materialize_records(c),
             app_name=self.app_name,
@@ -500,6 +561,26 @@ class SweepRunOutcome:
     def results(self) -> list[SimulationResult]:
         """All sweep points (records stay lazy until accessed)."""
         return [self.result(c) for c in range(self.n_points)]
+
+
+def _check_sweep_plan(app: Application, plan: SweepRunPlan) -> None:
+    """Reject a sweep plan the vector clocks would silently broadcast."""
+    if plan.n_points < 1:
+        raise ValueError(f"a sweep plan needs n_points >= 1, got {plan.n_points}")
+    if len(plan.ranks) != app.n_ranks:
+        raise ValueError(
+            f"sweep plan has {len(plan.ranks)} ranks but the application "
+            f"has {app.n_ranks}"
+        )
+    for rank, (rp, ka) in enumerate(zip(plan.ranks, rank_kernel_arrays(app))):
+        shape = (len(ka.kernels), plan.n_points)
+        for name in ("durations", "powers", "switch_add"):
+            got = np.shape(getattr(rp, name))
+            if got != shape:
+                raise ValueError(
+                    f"rank {rank}: sweep plan {name} has shape {got}, "
+                    f"expected (n_tasks, n_points) = {shape}"
+                )
 
 
 @dataclass
@@ -617,6 +698,9 @@ class Engine:
         back to per-point :meth:`run` calls.  ``policy.on_pcontrol`` is
         consulted with an empty record list, so only record-oblivious
         policies (replay and other plan-based policies) are supported.
+        A plan with no points, with a rank count other than the
+        application's, or with a rank whose arrays are not shaped
+        ``(n_tasks, n_points)`` raises ``ValueError``.
         """
         from ..obs.recorder import current_recorder as _cr
 
@@ -630,6 +714,7 @@ class Engine:
                 f"application has {app.n_ranks} ranks but engine has "
                 f"{len(self.power_models)} power models"
             )
+        _check_sweep_plan(app, plan)
         with timed("phase.replay.sweep"):
             return self._run_sweep(app, policy, plan)
 
@@ -810,10 +895,6 @@ class Engine:
         for r in range(1, n):
             makespans = np.maximum(makespans, clocks[r])
 
-        metric_inc("sim.tasks", len(emissions) * n_points)
-        metric_inc("sim.mpi_waits", mpi_waits * n_points)
-        metric_inc("sim.collectives", collectives * n_points)
-
         return SweepRunOutcome(
             app_name=app.name,
             n_ranks=n,
@@ -823,6 +904,7 @@ class Engine:
             plan=plan,
             emissions=emissions,
             mpi_call_count=mpi_calls,
+            mpi_wait_count=mpi_waits,
             collective_count=collectives,
             pcontrol_overhead_s=pcontrol_overhead,
         )

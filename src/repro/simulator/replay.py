@@ -26,14 +26,13 @@ from .engine import (
     Engine,
     RunPlan,
     SimulationResult,
-    SweepRankPlan,
     SweepRunPlan,
     TaskRecord,
     batch_task_durations,
-    batch_task_powers,
     kernel_arrays_as_columns,
     plan_from_configs,
     rank_kernel_arrays,
+    sweep_rank_plan,
 )
 from .network import IB_QDR, NetworkModel
 from .program import Application, TaskRef
@@ -254,7 +253,7 @@ def build_replay_sweep_plan(
         # the float work above and below is batched).
         configs: list[list[Configuration]] = []
         current: list[Configuration | None] = [None] * n_points
-        switch_add = np.zeros((n_tasks, n_points))
+        switches = np.zeros((n_tasks, n_points), dtype=bool)
         for i in range(n_tasks):
             row_t = targets[i]
             row: list[Configuration] = []
@@ -275,7 +274,7 @@ def build_replay_sweep_plan(
                 ):
                     target = cur  # too short to amortize the transition
                 if cur is not None and target != cur:
-                    switch_add[i, c] = switch_overhead_s
+                    switches[i, c] = True
                 row.append(target)
                 current[c] = target
             configs.append(row)
@@ -286,18 +285,9 @@ def build_replay_sweep_plan(
                 freq[i, c] = cfg.freq_ghz
                 thr[i, c] = cfg.threads
                 duty[i, c] = cfg.duty
-        durations = batch_task_durations(
-            engine.time_models[rank], ka_cols, freq, thr, duty
-        )
-        powers = batch_task_powers(
-            engine.power_models[rank], ka_cols, freq, thr, duty
-        )
-        rank_plans.append(SweepRankPlan(
-            configs=configs,
-            durations=durations,
-            powers=powers,
-            switch_add=switch_add,
-            n_switches=np.count_nonzero(switch_add, axis=0),
+        rank_plans.append(sweep_rank_plan(
+            engine, rank, ka_cols, configs, freq, thr, duty,
+            switches, switch_overhead_s,
         ))
     return SweepRunPlan(ranks=rank_plans, n_points=n_points)
 

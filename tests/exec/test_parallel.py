@@ -10,6 +10,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import wait as futures_wait
 from pathlib import Path
 
 import pytest
@@ -368,6 +370,16 @@ class TestAbandonedTasks:
     def _children(self) -> set[int]:
         return {p.pid for p in multiprocessing.active_children()}
 
+    def _left_over(self, before: set[int], deadline_s: float = 5.0) -> set[int]:
+        """Children started since ``before`` that are still alive once the
+        killed workers have been reaped, or at the deadline."""
+        deadline = time.monotonic() + deadline_s
+        while True:
+            left = self._children() - before
+            if not left or time.monotonic() >= deadline:
+                return left
+            time.sleep(0.02)
+
     def test_map_raises_without_waiting_for_the_hung_worker(self):
         before = self._children()
         runner = ParallelRunner(max_workers=2, timeout_s=0.3, retries=0)
@@ -375,7 +387,7 @@ class TestAbandonedTasks:
         with pytest.raises(ParallelExecutionError, match="timed out"):
             runner.map(_sleepy, [30.0, 0.0])
         assert time.monotonic() - t0 < 5.0
-        assert self._children() - before == set()
+        assert self._left_over(before) == set()
 
     def test_map_outcomes_returns_without_waiting(self):
         before = self._children()
@@ -386,7 +398,7 @@ class TestAbandonedTasks:
         assert [o.ok for o in outcomes] == [False, True]
         assert outcomes[0].error_type == "TimeoutError"
         assert outcomes[1].value == 0.0
-        assert self._children() - before == set()
+        assert self._left_over(before) == set()
 
 
 class TestBrokenPool:
@@ -411,6 +423,31 @@ class TestBrokenPool:
         outcomes = runner.map_outcomes(_kill_self_always, [1, 2])
         assert all(not o.ok for o in outcomes)
         assert all(o.error_type == "BrokenProcessPool" for o in outcomes)
+
+    @pytest.fixture
+    def dies_before_the_next_submit(self, monkeypatch):
+        """Each submit returns once its task has settled, so a worker
+        that kills itself has broken the pool before the next submit."""
+        submit = ProcessPoolExecutor.submit
+
+        def submit_and_settle(self, *args, **kwargs):
+            future = submit(self, *args, **kwargs)
+            futures_wait([future], timeout=30.0)
+            return future
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_and_settle)
+
+    def test_a_pool_broken_between_submits(self, dies_before_the_next_submit):
+        runner = ParallelRunner(max_workers=2, retries=0)
+        outcomes = runner.map_outcomes(_kill_self_always, [1, 2])
+        assert [o.error_type for o in outcomes] == ["BrokenProcessPool"] * 2
+
+    def test_a_pool_broken_between_submits_is_rebuilt(
+        self, dies_before_the_next_submit, tmp_path
+    ):
+        runner = ParallelRunner(max_workers=2, retries=3, backoff_s=0.0)
+        markers = [str(tmp_path / "k0"), str(tmp_path / "k1")]
+        assert runner.map(_kill_self_once, markers) == ["survived"] * 2
 
     def test_pool_broken_is_a_parallel_execution_error(self):
         assert issubclass(PoolBrokenError, ParallelExecutionError)

@@ -1,0 +1,280 @@
+"""Serial sweeps run Static at every pending cap ahead: same bytes.
+
+An in-process ``run_scenarios`` runs each sweepable runtime entry (see
+``PolicyEntry.sweep``; Static is one) at every cap its cells will
+compute, in one vector-clock DAG walk before the first cell, and each
+cell takes its cap's run where it ran its engine before.  Nothing
+observable may change: cell payloads, the deterministic metrics
+snapshot and the trace export all match a sweep without it (the
+``_running_ahead`` block replaced by a no-op).  The sweep needs no
+second CPU, so CI also runs this file under ``taskset -c 0``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from contextlib import nullcontext
+
+import pytest
+
+from repro.exec.cache import SolverCache
+from repro.exec.checkpoint import SweepJournal
+from repro.exec.faults import FaultInjector, FaultSpec
+from repro.exec.options import execution_options
+from repro.experiments.figures import benchmark_config
+from repro.experiments.runner import comparison_spec
+from repro.obs import Metrics, TraceRecorder, use_metrics
+from repro.obs.export import chrome_trace
+from repro.obs.recorder import use_recorder
+from repro.scenarios import run as run_mod
+from repro.scenarios.run import cell_payload, run_scenarios
+from repro.scenarios.spec import PolicySpec
+from repro.simulator.engine import Engine
+
+RANKS = 4
+#: sp's and lulesh's 30 W caps are below their minimum cap (40 W).
+CAPS = {
+    "comd": (40.0, 55.0, 70.0),
+    "bt": (30.0, 45.0, 60.0),
+    "sp": (30.0, 50.0, 70.0),
+    "lulesh": (30.0, 50.0, 70.0),
+}
+
+
+def spec_for(bench: str, caps: tuple[float, ...] | None = None, **overrides):
+    spec = comparison_spec(benchmark_config(bench, RANKS), caps or CAPS[bench])
+    return dataclasses.replace(spec, **overrides)
+
+
+def payloads(result) -> list[str]:
+    return [
+        json.dumps(cell_payload(result.spec, cell), sort_keys=True)
+        for cell in result.cells
+    ]
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The width (sweep points) of every ``Engine.run_sweep`` call."""
+    widths = []
+    run_sweep = Engine.run_sweep
+
+    def counted(self, app, policy, plan):
+        widths.append(plan.n_points)
+        return run_sweep(self, app, policy, plan)
+
+    monkeypatch.setattr(Engine, "run_sweep", counted)
+    return widths
+
+
+@pytest.fixture
+def unswept(monkeypatch):
+    """``unswept(spec, **kwargs)``: the sweep with nothing run ahead."""
+
+    def run(spec, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(run_mod, "_running_ahead", lambda *args: nullcontext())
+            return run_scenarios(spec, workers=1, **kwargs)
+
+    return run
+
+
+def swept(spec, **kwargs):
+    return run_scenarios(spec, workers=1, **kwargs)
+
+
+def points_left(spec) -> dict:
+    return run_mod._shared_for(spec).swept
+
+
+# ----------------------------------------------------------------------
+class TestIdenticalCells:
+    @pytest.mark.parametrize("bench", ["comd", "bt", "sp", "lulesh"])
+    def test_payloads(self, bench, sweeps, unswept):
+        spec = spec_for(bench)
+        alone = payloads(unswept(spec))
+        assert sweeps == []
+        assert payloads(swept(spec)) == alone
+        schedulable = 2 if bench in ("sp", "lulesh") else 3
+        assert sweeps == [schedulable]
+        assert points_left(spec) == {}
+
+    def test_a_threads_override(self, sweeps, unswept):
+        spec = spec_for("comd", policies=(
+            PolicySpec("static"),
+            PolicySpec("static", name="static-4", config={"threads": 4}),
+            PolicySpec("lp"),
+        ))
+        alone = payloads(unswept(spec))
+        assert payloads(swept(spec)) == alone
+        assert sweeps == [3, 3]  # one walk per static instance
+
+    def test_a_heterogeneous_node(self, sweeps, unswept):
+        spec = spec_for("comd", node="cpu-gpu")
+        alone = payloads(unswept(spec))
+        assert payloads(swept(spec)) == alone
+        assert sweeps == [3]
+
+    def test_caps_below_the_minimum_are_not_swept(self, sweeps, unswept):
+        spec = spec_for("sp", (20.0, 30.0, 45.0))
+        alone = unswept(spec)
+        result = swept(spec)
+        assert payloads(result) == payloads(alone)
+        assert [c.schedulable for c in result.cells] == [False, False, True]
+        assert sweeps == [1]
+
+    def test_no_schedulable_cap_sweeps_nothing(self, sweeps):
+        result = swept(spec_for("sp", (20.0, 30.0)))
+        assert [c.schedulable for c in result.cells] == [False, False]
+        assert sweeps == []
+
+    def test_deterministic_metrics(self, unswept):
+        spec = spec_for("bt")
+
+        def snapshot(run) -> str:
+            metrics = Metrics()
+            with use_metrics(metrics):
+                run(spec)
+            return json.dumps(
+                metrics.to_dict(deterministic_only=True), sort_keys=True
+            )
+
+        assert snapshot(swept) == snapshot(unswept)
+
+
+class TestTracing:
+    def test_a_recorder_runs_every_cell_on_its_own(self, sweeps, unswept):
+        spec = spec_for("comd")
+
+        def export(run) -> str:
+            recorder = TraceRecorder()
+            with use_recorder(recorder):
+                result = run(spec)
+            doc = chrome_trace(recorder.snapshot())
+            return payloads(result), json.dumps(doc, sort_keys=True)
+
+        assert export(swept) == export(unswept)
+        assert sweeps == []
+
+
+# ----------------------------------------------------------------------
+class TestServedCells:
+    def test_a_partly_warm_cache(self, sweeps, unswept, tmp_path):
+        spec = spec_for("comd")
+        warm = SolverCache(tmp_path)
+        swept(spec_for("comd", (55.0,)), cache=warm)
+        assert sweeps == [1]
+        sweeps.clear()
+        result = swept(spec, cache=warm)
+        assert sweeps == [2]  # 55 W is served
+        assert payloads(result) == payloads(unswept(spec))
+        sweeps.clear()
+        swept(spec, cache=warm)
+        assert sweeps == []  # every cell is served
+
+    def test_a_journal_resume(self, sweeps, unswept, tmp_path):
+        spec = spec_for("bt")
+        path = tmp_path / "j.jsonl"
+        swept(spec, journal=path)
+        lines = path.read_text().splitlines()
+        path.write_text(lines[0] + "\n")  # died after the first cell
+        sweeps.clear()
+        resumed = swept(spec, journal=SweepJournal(path))
+        assert sweeps == [2]
+        assert payloads(resumed) == payloads(unswept(spec))
+
+
+class TestFailures:
+    def test_a_fault_retried_once(self, unswept, tmp_path):
+        spec = spec_for("comd")
+        alone = payloads(unswept(spec))
+
+        def faulted(run, state: str) -> tuple:
+            fault = FaultInjector(FaultSpec(
+                mode="raise", rate=1.0, match="cap=55", times=1,
+                state_dir=str(tmp_path / state),
+            ))
+            metrics = Metrics()
+            retry_once = execution_options(task_retries=1, task_backoff_s=0.0)
+            with retry_once, use_metrics(metrics):
+                result = run(spec, faults=fault)
+            deterministic = metrics.to_dict(deterministic_only=True)
+            return payloads(result), json.dumps(deterministic, sort_keys=True)
+
+        retried = faulted(swept, "a")
+        assert retried[0] == alone
+        assert retried == faulted(unswept, "b")
+
+    def test_a_cell_that_never_settles(self, unswept):
+        # The cell fails on every attempt: its swept point is never
+        # taken, so it counts no simulated tasks, as before.
+        spec = spec_for("comd")
+        fault = FaultInjector(FaultSpec(mode="raise", rate=1.0, match="cap=55"))
+
+        def observe(run) -> tuple:
+            metrics = Metrics()
+            with use_metrics(metrics):
+                result = run(spec, faults=fault, keep_going=True)
+            deterministic = metrics.to_dict(deterministic_only=True)
+            return (
+                payloads(result),
+                result.failure_docs(),
+                json.dumps(deterministic, sort_keys=True),
+            )
+
+        assert observe(swept) == observe(unswept)
+        assert points_left(spec) == {}
+
+    def test_a_failed_build_fails_the_cells_as_before(
+        self, sweeps, unswept, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no trace")
+
+        monkeypatch.setattr(run_mod, "trace_application", broken)
+        # A seed no other test uses, so no process-wide shared state
+        # for this spec exists yet.
+        cfg = dataclasses.replace(benchmark_config("bt", RANKS), seed=4343)
+        spec = comparison_spec(cfg, (45.0, 60.0))
+        docs = [
+            run(spec, keep_going=True).failure_docs() for run in (unswept, swept)
+        ]
+        assert docs[1] == docs[0]
+        assert [d["error_message"] for d in docs[1]] == ["no trace"] * 2
+        assert sweeps == []
+
+    def test_a_failed_sweep_runs_each_cell(self, unswept, monkeypatch):
+        spec = spec_for("comd")
+        alone = payloads(unswept(spec))
+        runs = []
+        run = Engine.run
+
+        def counted(self, app, policy, *args, **kwargs):
+            runs.append(type(policy).__name__)
+            return run(self, app, policy, *args, **kwargs)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("no sweep")
+
+        monkeypatch.setattr(Engine, "run_sweep", broken)
+        monkeypatch.setattr(Engine, "run", counted)
+        assert payloads(swept(spec)) == alone
+        assert runs.count("StaticPolicy") == 3
+
+    def test_points_are_dropped_when_a_cell_raises(self, monkeypatch):
+        spec = spec_for("comd")
+        cell = run_mod._run_scenario_cell
+        left = []
+
+        def failing(spec, cap, *args):
+            left.append(len(points_left(spec)))
+            if cap == 55.0:
+                raise RuntimeError("cell failed")
+            return cell(spec, cap, *args)
+
+        monkeypatch.setattr(run_mod, "_run_scenario_cell", failing)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            swept(spec)
+        assert left == [3, 3]
+        assert points_left(spec) == {}

@@ -1,8 +1,12 @@
 """Edge-case tests for the engine and tracer: tags, ordering, blocking."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.machine import Configuration, TaskKernel
+from repro.runtime import StaticPolicy
 from repro.simulator import (
     Application,
     CollectiveOp,
@@ -194,3 +198,59 @@ class TestPolicyConfigPersistence:
         res = engine.run(app, Modulated())
         expected = time_model.duration(kernel, 1.2, 8, duty=0.5)
         assert res.makespan_s == pytest.approx(expected)
+
+
+class TestBadSweepPlans:
+    """A malformed sweep plan fails loudly instead of broadcasting."""
+
+    @pytest.fixture
+    def sweep_inputs(self, kernel, two_rank_models):
+        app = Application(
+            "t",
+            [
+                [ComputeOp(kernel), SendOp(dst=1, size_bytes=8), ComputeOp(kernel)],
+                [RecvOp(src=0), ComputeOp(kernel)],
+            ],
+        )
+        engine = Engine(two_rank_models)
+        policy = StaticPolicy(two_rank_models, 100.0)
+        return app, engine, policy, policy.plan_sweep(app, engine, [80.0, 100.0])
+
+    def test_a_well_formed_plan_runs(self, sweep_inputs):
+        app, engine, policy, plan = sweep_inputs
+        outcome = engine.run_sweep(app, policy, plan)
+        assert outcome.n_points == 2
+
+    def test_zero_points(self, sweep_inputs):
+        app, engine, policy, plan = sweep_inputs
+        empty = policy.plan_sweep(app, engine, [])
+        assert empty.n_points == 0
+        with pytest.raises(ValueError, match="n_points >= 1"):
+            engine.run_sweep(app, policy, empty)
+
+    def test_rank_count_mismatch(self, sweep_inputs):
+        app, engine, policy, plan = sweep_inputs
+        short = dataclasses.replace(plan, ranks=plan.ranks[:1])
+        with pytest.raises(ValueError, match="1 ranks but the application has 2"):
+            engine.run_sweep(app, policy, short)
+
+    @pytest.mark.parametrize("field", ["durations", "powers", "switch_add"])
+    def test_one_column_does_not_broadcast(self, sweep_inputs, field):
+        app, engine, policy, plan = sweep_inputs
+        rank = plan.ranks[0]
+        narrow = dataclasses.replace(
+            rank, **{field: np.ascontiguousarray(getattr(rank, field)[:, :1])}
+        )
+        bad = dataclasses.replace(plan, ranks=[narrow, plan.ranks[1]])
+        with pytest.raises(ValueError, match=rf"rank 0: sweep plan {field}"):
+            engine.run_sweep(app, policy, bad)
+
+    def test_task_count_mismatch(self, sweep_inputs):
+        app, engine, policy, plan = sweep_inputs
+        rank = plan.ranks[1]
+        extra = dataclasses.replace(
+            rank, durations=np.vstack([rank.durations, rank.durations])
+        )
+        bad = dataclasses.replace(plan, ranks=[plan.ranks[0], extra])
+        with pytest.raises(ValueError, match=r"expected \(n_tasks, n_points\)"):
+            engine.run_sweep(app, policy, bad)

@@ -17,6 +17,7 @@ import pytest
 from repro.core import ParametricCapSolver, round_schedule
 from repro.experiments.runner import make_power_models
 from repro.obs.recorder import TraceRecorder, use_recorder
+from repro.runtime import StaticPolicy
 from repro.simulator import (
     Engine,
     ReplayPolicy,
@@ -85,6 +86,57 @@ class TestEngineVectorizedDefault:
         ref = engine.run(app_run, policy, vectorized=False)
         vec = engine.run(app_run, policy)
         assert_results_identical(ref, vec)
+
+
+class TestStaticSweepIdentity:
+    """Static at many caps in one walk == one scalar run per cap."""
+
+    #: Per-socket caps from below the RAPL floor (overshoot), through the
+    #: duty-cycle regime, to above P0.
+    CAPS_W = (10.0, 17.0, 30.0, 45.0, 60.0, 90.0)
+
+    @pytest.mark.parametrize("make", [make_bt, make_lulesh, make_comd],
+                             ids=["bt", "lulesh", "comd"])
+    def test_sweep_matches_per_cap_scalar_runs(self, make):
+        app = make(WorkloadSpec(n_ranks=4, iterations=4, seed=1))
+        pms = make_power_models(4)
+        engine = Engine(pms)
+        job_caps = [cap * 4 for cap in self.CAPS_W]
+        policy = StaticPolicy(pms, job_caps[0])
+        sweep = engine.run_sweep(
+            app, policy, policy.plan_sweep(app, engine, job_caps)
+        )
+        for c, job_cap in enumerate(job_caps):
+            ref = engine.run(app, StaticPolicy(pms, job_cap), vectorized=False)
+            point = sweep.result(c)
+            for first in (0, 1, 3):
+                assert point.window(first) == ref.window(first)
+            assert_results_identical(ref, point)
+            planned = engine.run(app, StaticPolicy(pms, job_cap))
+            assert_results_identical(ref, planned)
+
+    def test_overshoot_events_follow_the_distinct_kernels(self):
+        # The plan decides once per rank and distinct kernel, in order of
+        # first use, and so emits one overshoot per such decision.
+        app = make_bt(WorkloadSpec(n_ranks=4, iterations=2, seed=1))
+        pms = make_power_models(4)
+        policy = StaticPolicy(pms, 10.0 * 4)
+
+        def overshoots(run) -> list:
+            rec = TraceRecorder()
+            with use_recorder(rec):
+                run()
+            return [e for e in rec.snapshot() if e["kind"] == "cap_exceeded"]
+
+        def decide_each_kernel():
+            for rank, controller in enumerate(policy.controllers):
+                kernels = dict.fromkeys(op.kernel for op in app.compute_ops(rank))
+                for kernel in kernels:
+                    controller.decide(kernel, 8, policy.cap_per_socket_w)
+
+        expected = overshoots(decide_each_kernel)
+        assert expected
+        assert overshoots(lambda: Engine(pms).run(app, policy)) == expected
 
 
 class TestSweepReplayIdentity:
