@@ -27,14 +27,11 @@ from repro.core import (
     solve_fixed_order_lp,
 )
 from repro.experiments.runner import make_power_models
-from repro.simulator import (
-    job_power_timeline,
-    replay_schedule_sweep,
-    trace_application,
-)
+from repro.simulator import replay_schedule_sweep, trace_application
 from repro.simulator.engine import Engine
 from repro.simulator.replay import ReplayPolicy
 from repro.workloads import WorkloadSpec, make_bt
+from tests.simulator.oracles import job_power_timeline_reference, run_scalar
 
 #: Dense grid, as in a production figure sweep.
 N_CAPS = 50
@@ -102,9 +99,8 @@ def _ref_pipeline(trace, app_run, pms, caps):
             out.append(None)
             continue
         asg = _assignment(trace, lp)
-        engine = Engine(pms, vectorized=False)
-        result = engine.run(app_run, ReplayPolicy(asg))
-        tl = job_power_timeline(result, pms, reference=True)
+        result = run_scalar(Engine(pms), app_run, ReplayPolicy(asg))
+        tl = job_power_timeline_reference(result, pms)
         out.append((lp.makespan_s, result.makespan_s, tl.max_power()))
     return out
 

@@ -18,7 +18,8 @@ per Conductor reallocation), charged to every rank at the barrier.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from typing import Protocol
 
 import numpy as np
@@ -117,10 +118,10 @@ class ConfigPolicy(Protocol):
 class RankPlan:
     """One rank's precomputed task decisions, in task-sequence order.
 
-    ``configs[i]``/``durations[i]``/``powers[i]`` are exactly what the
-    scalar event loop would obtain for the rank's i-th compute task from
-    ``policy.configure`` + the machine models; the engine consumes them
-    in place of those calls on the vectorized path.
+    ``configs[i]``/``durations[i]``/``powers[i]`` are exactly what
+    ``policy.configure`` + the machine models would give for the rank's
+    i-th compute task; :meth:`Engine.run` consumes them in place of those
+    calls.
     """
 
     configs: list
@@ -145,7 +146,7 @@ class SweepRankPlan:
     and ``switch_add[i, c]`` is the DVFS switch cost the event loop would
     charge before the task (0.0 when the configuration carries over —
     adding 0.0 leaves the clock bits untouched, so one fused add per task
-    replays the scalar loop's conditional add exactly).
+    replays :meth:`Engine.run`'s conditional add exactly).
     """
 
     configs: list  # [n_tasks][n_points] Configuration
@@ -476,8 +477,8 @@ class _SweepPointResult(SimulationResult):
     ``n_tasks`` :class:`TaskRecord` objects per point dominates the
     vectorized sweep's cost when most consumers only read the makespan
     and the (array-computed) timelines.  The ``records`` property builds
-    the list on first access — bit-identical to the eager list, in the
-    scalar scheduler's emission order.
+    the list on first access — bit-identical to the eager list, in
+    :meth:`Engine.run`'s emission order.
     """
 
     def __init__(self, loader, **kwargs) -> None:
@@ -583,17 +584,6 @@ def _check_sweep_plan(app: Application, plan: SweepRunPlan) -> None:
                 )
 
 
-@dataclass
-class _RankState:
-    clock: float = 0.0
-    ptr: int = 0
-    config: Configuration | None = None
-    collective_idx: int = 0
-    waiting_collective: bool = False
-    collective_enter_s: float = 0.0
-    requests: dict[int, tuple] = field(default_factory=dict)
-
-
 class Engine:
     """Executes an :class:`Application` under a :class:`ConfigPolicy`.
 
@@ -610,14 +600,6 @@ class Engine:
     tracing_overhead_s:
         Extra per-call cost when the profiler is attached (34 µs median in
         the paper).
-    vectorized:
-        When True (default), policies exposing ``plan_run`` have their
-        per-task decisions batch-evaluated up front (numpy over each
-        rank's task list) and the event loop replays the plan; results
-        are bit-identical to the scalar path (the tests assert this).
-        False forces the scalar per-task ``configure`` path — the
-        reference oracle.  Policies without ``plan_run`` (the reactive
-        runtimes) always take the scalar path.
     """
 
     def __init__(
@@ -627,7 +609,6 @@ class Engine:
         spec: CpuSpec = XEON_E5_2670,
         mpi_call_overhead_s: float = 2e-6,
         tracing_overhead_s: float = 0.0,
-        vectorized: bool = True,
         nodes: list[NodeSpec] | None = None,
     ) -> None:
         if not power_models:
@@ -649,318 +630,46 @@ class Engine:
         # whether or not nodes are attached.
         self.nodes = list(nodes) if nodes is not None else None
         self.call_cost = mpi_call_overhead_s + tracing_overhead_s
-        self.vectorized = vectorized
+
+    def _check_app(self, app: Application) -> None:
+        if app.n_ranks != len(self.power_models):
+            raise ValueError(
+                f"application has {app.n_ranks} ranks but engine has "
+                f"{len(self.power_models)} power models"
+            )
+        app.validate()
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        app: Application,
-        policy: ConfigPolicy,
-        vectorized: bool | None = None,
-    ) -> SimulationResult:
+    def run(self, app: Application, policy: ConfigPolicy) -> SimulationResult:
         """Execute the application to completion under the policy.
 
-        ``vectorized`` overrides the engine default for this run only.
+        A policy exposing ``plan_run`` has its per-task decisions
+        batch-evaluated up front (numpy over each rank's task list) and
+        the walk replays the plan; any other policy (the reactive
+        runtimes) is asked ``configure`` task by task.
         """
         with timed("phase.replay"):
-            use_vec = self.vectorized if vectorized is None else vectorized
-            plan = None
-            if use_vec:
-                plan_fn = getattr(policy, "plan_run", None)
-                if plan_fn is not None:
-                    plan = plan_fn(app, self)
-            return self._run(app, policy, plan)
+            self._check_app(app)
+            plan_fn = getattr(policy, "plan_run", None)
+            plan = plan_fn(app, self) if plan_fn is not None else None
+            rec = current_recorder()
+            switch_cost = policy.switch_cost_s()
+            current: list[Configuration | None] = [None] * app.n_ranks
+            records: list[TaskRecord] = []
+            iteration_records: list[TaskRecord] = []
+            dvfs_switches = 0
 
-    # ------------------------------------------------------------------
-    def run_sweep(
-        self,
-        app: Application,
-        policy: ConfigPolicy,
-        plan: SweepRunPlan,
-    ) -> SweepRunOutcome:
-        """Execute the application once per sweep point, in one DAG walk.
-
-        The event loop's control flow never inspects a clock value:
-        blocking (an empty channel, a collective barrier) depends only on
-        which ops have executed, message matching is FIFO per channel in
-        program order, and the one value-dependent branch — the DVFS
-        switch charge — only adds to the clock.  The walk order is
-        therefore identical at every sweep point, so this method runs the
-        scheduler *once* with each rank's clock held as a vector over the
-        sweep axis; every scalar add/max on a clock becomes the same
-        elementwise operation, making each point's materialized
-        :class:`SimulationResult` bit-identical — records, order, and
-        makespan — to a scalar :meth:`run` at that point's plan (the
-        tests assert this).
-
-        Requires no active trace recorder (per-event emission would need
-        scalar timestamps); callers with a recorder attached should fall
-        back to per-point :meth:`run` calls.  ``policy.on_pcontrol`` is
-        consulted with an empty record list, so only record-oblivious
-        policies (replay and other plan-based policies) are supported.
-        A plan with no points, with a rank count other than the
-        application's, or with a rank whose arrays are not shaped
-        ``(n_tasks, n_points)`` raises ``ValueError``.
-        """
-        from ..obs.recorder import current_recorder as _cr
-
-        if _cr() is not None:
-            raise RuntimeError(
-                "run_sweep cannot emit per-event traces; run each sweep "
-                "point through Engine.run when a recorder is active"
-            )
-        if app.n_ranks != len(self.power_models):
-            raise ValueError(
-                f"application has {app.n_ranks} ranks but engine has "
-                f"{len(self.power_models)} power models"
-            )
-        _check_sweep_plan(app, plan)
-        with timed("phase.replay.sweep"):
-            return self._run_sweep(app, policy, plan)
-
-    def _run_sweep(
-        self,
-        app: Application,
-        policy: ConfigPolicy,
-        plan: SweepRunPlan,
-    ) -> SweepRunOutcome:
-        app.validate()
-        n = app.n_ranks
-        n_points = plan.n_points
-        states = [_RankState() for _ in range(n)]
-        clocks = [np.zeros(n_points) for _ in range(n)]
-        enter = [None] * n  # collective-entry clock vectors
-        channels: dict[tuple[int, int, int], deque[np.ndarray]] = {}
-        #: compute emissions in scheduler order: (rank, seq, op)
-        emissions: list[tuple[int, int, ComputeOp]] = []
-        starts = [
-            np.zeros((len(rp.durations), n_points)) for rp in plan.ranks
-        ]
-        task_seq = [0] * n
-        mpi_calls = 0
-        mpi_waits = 0
-        collectives = 0
-        pcontrol_overhead = 0.0
-        call_cost = self.call_cost
-        switch_cost = policy.switch_cost_s()
-
-        def try_advance(rank: int) -> bool:
-            nonlocal mpi_calls, mpi_waits
-            st = states[rank]
-            clock = clocks[rank]
-            if st.waiting_collective or st.ptr >= len(app.programs[rank]):
-                return False
-            op = app.programs[rank][st.ptr]
-
-            if isinstance(op, ComputeOp):
-                seq = task_seq[rank]
-                rank_plan = plan.ranks[rank]
-                clock += rank_plan.switch_add[seq]
-                starts[rank][seq] = clock
-                emissions.append((rank, seq, op))
-                clock += rank_plan.durations[seq]
-                task_seq[rank] += 1
-                st.ptr += 1
-                return True
-
-            if isinstance(op, SendOp):
-                clock += call_cost
-                mpi_calls += 1
-                channels.setdefault((rank, op.dst, op.tag), deque()).append(
-                    clock + self.network.message_time(op.size_bytes)
-                )
-                st.ptr += 1
-                return True
-
-            if isinstance(op, IsendOp):
-                clock += call_cost
-                mpi_calls += 1
-                channels.setdefault((rank, op.dst, op.tag), deque()).append(
-                    clock + self.network.message_time(op.size_bytes)
-                )
-                st.requests[op.request] = ("send",)
-                st.ptr += 1
-                return True
-
-            if isinstance(op, IrecvOp):
-                clock += call_cost
-                mpi_calls += 1
-                st.requests[op.request] = ("recv", op.src, op.tag)
-                st.ptr += 1
-                return True
-
-            if isinstance(op, RecvOp):
-                q = channels.get((op.src, rank, op.tag))
-                if not q:
-                    return False  # blocked: matching send not yet executed
-                t_arrive = q.popleft()
-                np.maximum(clock, t_arrive, out=clock)
-                clock += call_cost
-                mpi_calls += 1
-                mpi_waits += 1
-                st.ptr += 1
-                return True
-
-            if isinstance(op, WaitOp):
-                req = st.requests.get(op.request)
-                if req is None:
-                    raise RuntimeError(
-                        f"rank {rank}: wait on unposted request {op.request}"
-                    )
-                if req[0] == "send":
-                    clock += call_cost  # eager send: wait is immediate
-                else:
-                    _, src, tag = req
-                    q = channels.get((src, rank, tag))
-                    if not q:
-                        return False
-                    t_arrive = q.popleft()
-                    np.maximum(clock, t_arrive, out=clock)
-                    clock += call_cost
-                mpi_calls += 1
-                mpi_waits += 1
-                del st.requests[op.request]
-                st.ptr += 1
-                return True
-
-            if isinstance(op, (CollectiveOp, PcontrolOp)):
-                if isinstance(op, CollectiveOp) and op.participants is not None:
-                    if tuple(sorted(op.participants)) != tuple(range(n)):
-                        raise NotImplementedError(
-                            "engine supports all-rank collectives only"
-                        )
-                clock += call_cost
-                mpi_calls += 1
-                st.waiting_collective = True
-                enter[rank] = clock
-                return False  # resolved collectively below
-
-            raise TypeError(f"unknown op {op!r}")
-
-        def resolve_collective() -> bool:
-            nonlocal collectives, pcontrol_overhead
-            if not all(st.waiting_collective for st in states):
-                return False
-            ops = [app.programs[r][states[r].ptr] for r in range(n)]
-            first = ops[0]
-            if not all(type(op) is type(first) for op in ops):
-                raise RuntimeError(
-                    f"collective mismatch across ranks: "
-                    f"{[type(o).__name__ for o in ops]}"
-                )
-            done = enter[0]
-            for r in range(1, n):
-                done = np.maximum(done, enter[r])
-            if isinstance(first, PcontrolOp):
-                overhead = policy.on_pcontrol(first.iteration, [])
-                if overhead < 0:
-                    raise ValueError("pcontrol overhead must be >= 0")
-                done = done + overhead
-                pcontrol_overhead += overhead
-            else:
-                size = max(
-                    op.size_bytes for op in ops if isinstance(op, CollectiveOp)
-                )
-                done = done + self.network.collective_time(
-                    first.kind, n, size
-                )
-            collectives += 1
-            for r, st in enumerate(states):
-                clocks[r] = done.copy()
-                st.waiting_collective = False
-                st.ptr += 1
-            return True
-
-        # Main scheduler loop — the same fixpoint as the scalar engine;
-        # only the clock arithmetic is vectorized.
-        progress = True
-        while progress:
-            progress = False
-            for rank in range(n):
-                while try_advance(rank):
-                    progress = True
-            if resolve_collective():
-                progress = True
-
-        unfinished = [
-            r for r in range(n) if states[r].ptr < len(app.programs[r])
-        ]
-        if unfinished:
-            details = {
-                r: repr(app.programs[r][states[r].ptr]) for r in unfinished
-            }
-            raise RuntimeError(f"deadlock: ranks blocked at {details}")
-
-        makespans = clocks[0]
-        for r in range(1, n):
-            makespans = np.maximum(makespans, clocks[r])
-
-        return SweepRunOutcome(
-            app_name=app.name,
-            n_ranks=n,
-            n_points=n_points,
-            makespans=makespans,
-            starts=starts,
-            plan=plan,
-            emissions=emissions,
-            mpi_call_count=mpi_calls,
-            mpi_wait_count=mpi_waits,
-            collective_count=collectives,
-            pcontrol_overhead_s=pcontrol_overhead,
-        )
-
-    def _run(
-        self,
-        app: Application,
-        policy: ConfigPolicy,
-        plan: RunPlan | None = None,
-    ) -> SimulationResult:
-        if app.n_ranks != len(self.power_models):
-            raise ValueError(
-                f"application has {app.n_ranks} ranks but engine has "
-                f"{len(self.power_models)} power models"
-            )
-        app.validate()
-        n = app.n_ranks
-        states = [_RankState() for _ in range(n)]
-        channels: dict[tuple[int, int, int], deque[float]] = {}
-        records: list[TaskRecord] = []
-        task_seq = [0] * n
-        iteration_records: list[TaskRecord] = []
-        mpi_calls = 0
-        mpi_waits = 0
-        collectives = 0
-        pcontrol_overhead = 0.0
-        dvfs_switches = 0
-        # Tracing: one contextvar read per run; with tracing off the only
-        # per-event cost is a local `is not None` branch.
-        rec = current_recorder()
-
-        def arrival(src: int, dst: int, tag: int, send_time: float, size: int) -> None:
-            channels.setdefault((src, dst, tag), deque()).append(
-                send_time + self.network.message_time(size)
-            )
-
-        def try_advance(rank: int) -> bool:
-            nonlocal mpi_calls, mpi_waits, dvfs_switches
-            st = states[rank]
-            if st.waiting_collective or st.ptr >= len(app.programs[rank]):
-                return False
-            op = app.programs[rank][st.ptr]
-
-            if isinstance(op, ComputeOp):
-                seq = task_seq[rank]
+            def compute(rank: int, seq: int, op: ComputeOp, clock: float) -> float:
+                nonlocal dvfs_switches
                 ref = TaskRef(rank, seq)
                 if plan is not None:
-                    # Vectorized path: the policy's whole-run plan holds
-                    # the exact configure/duration/power outcomes.
                     rank_plan = plan.ranks[rank]
                     cfg = rank_plan.configs[seq]
                     duration = rank_plan.durations[seq]
                     power = rank_plan.powers[seq]
                 else:
                     cfg = policy.configure(
-                        ref, op.kernel, op.iteration, st.config
+                        ref, op.kernel, op.iteration, current[rank]
                     )
                     if cfg.device and self.nodes is not None:
                         dev = self.nodes[rank].device(cfg.device)
@@ -977,146 +686,256 @@ class Engine:
                             mem_intensity=op.kernel.mem_intensity,
                             duty=cfg.duty,
                         )
-                if st.config is not None and cfg != st.config:
-                    st.clock += policy.switch_cost_s()
+                prev = current[rank]
+                if prev is not None and cfg != prev:
+                    clock += switch_cost
                     dvfs_switches += 1
-                st.config = cfg
-                rec_task = TaskRecord(
+                current[rank] = cfg
+                task = TaskRecord(
                     ref=ref, iteration=op.iteration, label=op.label, config=cfg,
-                    start_s=st.clock, duration_s=duration, power_w=power,
+                    start_s=clock, duration_s=duration, power_w=power,
                     kernel=op.kernel,
                 )
-                records.append(rec_task)
-                iteration_records.append(rec_task)
+                records.append(task)
+                iteration_records.append(task)
                 if rec is not None:
                     rec.emit(TaskEvent(
                         label=op.label, rank=rank, iteration=op.iteration,
-                        ts_s=st.clock, dur_s=duration,
+                        ts_s=clock, dur_s=duration,
                         freq_ghz=cfg.freq_ghz, threads=cfg.threads,
                         duty=cfg.duty, power_w=power,
                     ))
-                st.clock += duration
-                task_seq[rank] += 1
-                st.ptr += 1
+                return clock + duration
+
+            makespan, mpi_calls, mpi_waits, collectives, overhead = self._walk(
+                app, policy, None, compute, iteration_records, rec
+            )
+            metric_inc("sim.tasks", len(records))
+            metric_inc("sim.mpi_waits", mpi_waits)
+            metric_inc("sim.collectives", collectives)
+            return SimulationResult(
+                app_name=app.name,
+                makespan_s=makespan,
+                records=records,
+                n_ranks=app.n_ranks,
+                mpi_call_count=mpi_calls,
+                collective_count=collectives,
+                pcontrol_overhead_s=overhead,
+                dvfs_switch_count=dvfs_switches,
+            )
+
+    # ------------------------------------------------------------------
+    def run_sweep(
+        self,
+        app: Application,
+        policy: ConfigPolicy,
+        plan: SweepRunPlan,
+    ) -> SweepRunOutcome:
+        """Execute the application once per sweep point, in one DAG walk.
+
+        Each rank's clock is held as a vector over the sweep axis (see
+        :meth:`_walk`), making each point's materialized
+        :class:`SimulationResult` bit-identical — records, order, and
+        makespan — to a :meth:`run` at that point's plan (the tests
+        assert this).
+
+        Requires no active trace recorder (per-event emission needs
+        scalar timestamps); callers with a recorder attached should fall
+        back to per-point :meth:`run` calls.  ``policy.on_pcontrol`` is
+        consulted with an empty record list, so only record-oblivious
+        policies (replay and other plan-based policies) are supported.
+        A plan with no points, with a rank count other than the
+        application's, or with a rank whose arrays are not shaped
+        ``(n_tasks, n_points)`` raises ``ValueError``.
+        """
+        if current_recorder() is not None:
+            raise RuntimeError(
+                "run_sweep cannot emit per-event traces; run each sweep "
+                "point through Engine.run when a recorder is active"
+            )
+        self._check_app(app)
+        _check_sweep_plan(app, plan)
+        starts = [
+            np.zeros((len(rp.durations), plan.n_points)) for rp in plan.ranks
+        ]
+        #: compute emissions in scheduler order: (rank, seq, op)
+        emissions: list[tuple[int, int, ComputeOp]] = []
+
+        def compute(
+            rank: int, seq: int, op: ComputeOp, clock: np.ndarray
+        ) -> np.ndarray:
+            rank_plan = plan.ranks[rank]
+            clock = clock + rank_plan.switch_add[seq]
+            starts[rank][seq] = clock
+            emissions.append((rank, seq, op))
+            return clock + rank_plan.durations[seq]
+
+        with timed("phase.replay.sweep"):
+            makespans, mpi_calls, mpi_waits, collectives, overhead = self._walk(
+                app, policy, plan.n_points, compute, [], None
+            )
+        return SweepRunOutcome(
+            app_name=app.name,
+            n_ranks=app.n_ranks,
+            n_points=plan.n_points,
+            makespans=makespans,
+            starts=starts,
+            plan=plan,
+            emissions=emissions,
+            mpi_call_count=mpi_calls,
+            mpi_wait_count=mpi_waits,
+            collective_count=collectives,
+            pcontrol_overhead_s=overhead,
+        )
+
+    # ------------------------------------------------------------------
+    def _walk(
+        self,
+        app: Application,
+        policy: ConfigPolicy,
+        width: int | None,
+        compute,
+        pcontrol_records: list,
+        rec,
+    ) -> tuple:
+        """Walk the application's event DAG to completion: the scheduler.
+
+        Each rank advances one logical clock through its op list: a Python
+        float when ``width`` is None, a vector over ``width`` sweep points
+        otherwise.  The control flow never inspects a clock value:
+        blocking (an empty channel, a collective barrier) depends only on
+        which ops have executed, and message matching is FIFO per channel
+        in program order.  The walk order is therefore the same at every
+        width, and each elementwise ``+``/``max`` on a vector clock
+        reproduces the scalar arithmetic of every point bit for bit.
+
+        ``compute(rank, seq, op, clock)`` runs the rank's ``seq``-th task
+        from ``clock`` and returns the clock after it.  At each Pcontrol
+        barrier ``policy.on_pcontrol`` receives a copy of
+        ``pcontrol_records`` (which ``compute`` may fill), and the list is
+        emptied.  ``rec``, when not None, receives the wait and collective
+        trace events (scalar clocks only).
+
+        Returns ``(makespan, mpi calls, mpi waits, collectives, Pcontrol
+        overhead seconds)``.
+        """
+        n = app.n_ranks
+        programs = app.programs
+        call_cost = self.call_cost
+        message_time = self.network.message_time
+        mx = max if width is None else np.maximum
+        # No clock is ever updated in place, so the ranks may share one.
+        clocks = [0.0 if width is None else np.zeros(width)] * n
+        ptrs = [0] * n
+        seqs = [0] * n
+        enter = [None] * n  # a rank's clock on entering the pending barrier
+        requests: list[dict] = [{} for _ in range(n)]  # request -> channel
+        channels: dict[tuple[int, int, int], deque] = {}
+        n_waiting = mpi_calls = mpi_waits = collectives = 0
+        pcontrol_overhead = 0.0
+
+        def try_advance(rank: int) -> bool:
+            nonlocal n_waiting, mpi_calls, mpi_waits
+            ptr = ptrs[rank]
+            program = programs[rank]
+            if enter[rank] is not None or ptr >= len(program):
+                return False
+            op = program[ptr]
+            clock = clocks[rank]
+
+            if isinstance(op, ComputeOp):
+                seq = seqs[rank]
+                clocks[rank] = compute(rank, seq, op, clock)
+                seqs[rank] = seq + 1
+                ptrs[rank] = ptr + 1
                 return True
 
-            if isinstance(op, SendOp):
-                st.clock += self.call_cost
-                mpi_calls += 1
-                arrival(rank, op.dst, op.tag, st.clock, op.size_bytes)
-                st.ptr += 1
-                return True
-
-            if isinstance(op, IsendOp):
-                st.clock += self.call_cost
-                mpi_calls += 1
-                arrival(rank, op.dst, op.tag, st.clock, op.size_bytes)
-                st.requests[op.request] = ("send",)
-                st.ptr += 1
-                return True
-
-            if isinstance(op, IrecvOp):
-                st.clock += self.call_cost
-                mpi_calls += 1
-                st.requests[op.request] = ("recv", op.src, op.tag)
-                st.ptr += 1
-                return True
-
-            if isinstance(op, RecvOp):
-                q = channels.get((op.src, rank, op.tag))
-                if not q:
-                    return False  # blocked: matching send not yet executed
-                t_arrive = q.popleft()
-                if rec is not None and t_arrive > st.clock:
-                    rec.emit(MpiWaitEvent(
-                        name="recv", rank=rank, ts_s=st.clock,
-                        dur_s=t_arrive - st.clock,
-                    ))
-                st.clock = max(st.clock, t_arrive) + self.call_cost
-                mpi_calls += 1
-                mpi_waits += 1
-                st.ptr += 1
-                return True
-
-            if isinstance(op, WaitOp):
-                req = st.requests.get(op.request)
-                if req is None:
-                    raise RuntimeError(
-                        f"rank {rank}: wait on unposted request {op.request}"
-                    )
-                if req[0] == "send":
-                    st.clock += self.call_cost  # eager send: wait is immediate
+            if isinstance(op, (RecvOp, WaitOp)):
+                if isinstance(op, RecvOp):
+                    channel = (op.src, rank, op.tag)
                 else:
-                    _, src, tag = req
-                    q = channels.get((src, rank, tag))
+                    channel = requests[rank][op.request]
+                if channel is None:
+                    clock = clock + call_cost  # eager send: wait is immediate
+                else:
+                    q = channels.get(channel)
                     if not q:
-                        return False
+                        return False  # blocked: matching send not yet executed
                     t_arrive = q.popleft()
-                    if rec is not None and t_arrive > st.clock:
+                    if rec is not None and t_arrive > clock:
                         rec.emit(MpiWaitEvent(
-                            name="wait", rank=rank, ts_s=st.clock,
-                            dur_s=t_arrive - st.clock,
+                            name="recv" if isinstance(op, RecvOp) else "wait",
+                            rank=rank, ts_s=clock, dur_s=t_arrive - clock,
                         ))
-                    st.clock = max(st.clock, t_arrive) + self.call_cost
-                mpi_calls += 1
+                    clock = mx(clock, t_arrive) + call_cost
+                if isinstance(op, WaitOp):
+                    del requests[rank][op.request]
                 mpi_waits += 1
-                del st.requests[op.request]
-                st.ptr += 1
-                return True
-
-            if isinstance(op, (CollectiveOp, PcontrolOp)):
+            elif isinstance(op, (SendOp, IsendOp)):
+                clock = clock + call_cost
+                channels.setdefault((rank, op.dst, op.tag), deque()).append(
+                    clock + message_time(op.size_bytes)
+                )
+                if isinstance(op, IsendOp):
+                    requests[rank][op.request] = None
+            elif isinstance(op, IrecvOp):
+                clock = clock + call_cost
+                requests[rank][op.request] = (op.src, rank, op.tag)
+            elif isinstance(op, (CollectiveOp, PcontrolOp)):
                 if isinstance(op, CollectiveOp) and op.participants is not None:
                     if tuple(sorted(op.participants)) != tuple(range(n)):
                         raise NotImplementedError(
                             "engine supports all-rank collectives only"
                         )
-                st.clock += self.call_cost
+                clocks[rank] = enter[rank] = clock + call_cost
+                n_waiting += 1
                 mpi_calls += 1
-                st.waiting_collective = True
-                st.collective_enter_s = st.clock
                 return False  # resolved collectively below
-
-            raise TypeError(f"unknown op {op!r}")
+            else:
+                raise TypeError(f"unknown op {op!r}")
+            clocks[rank] = clock
+            mpi_calls += 1
+            ptrs[rank] = ptr + 1
+            return True
 
         def resolve_collective() -> bool:
-            nonlocal collectives, pcontrol_overhead, iteration_records
-            if not all(st.waiting_collective for st in states):
+            nonlocal n_waiting, collectives, pcontrol_overhead
+            if n_waiting < n:
                 return False
-            ops = [app.programs[r][states[r].ptr] for r in range(n)]
+            ops = [programs[r][ptrs[r]] for r in range(n)]
             first = ops[0]
             if not all(type(op) is type(first) for op in ops):
                 raise RuntimeError(
-                    f"collective mismatch across ranks: {[type(o).__name__ for o in ops]}"
+                    f"collective mismatch across ranks: "
+                    f"{[type(o).__name__ for o in ops]}"
                 )
-            done = max(st.collective_enter_s for st in states)
+            done = reduce(mx, enter)
             if isinstance(first, PcontrolOp):
                 name = "pcontrol"
-                overhead = policy.on_pcontrol(first.iteration, list(iteration_records))
-                if overhead < 0:
+                cost = policy.on_pcontrol(first.iteration, list(pcontrol_records))
+                if cost < 0:
                     raise ValueError("pcontrol overhead must be >= 0")
-                done += overhead
-                pcontrol_overhead += overhead
-                iteration_records = []
+                pcontrol_records.clear()
+                pcontrol_overhead += cost
             else:
                 name = first.kind
-                size = max(
-                    op.size_bytes for op in ops if isinstance(op, CollectiveOp)
-                )
-                done += self.network.collective_time(name, n, size)
+                size = max(op.size_bytes for op in ops)
+                cost = self.network.collective_time(name, n, size)
+            done = done + cost
             collectives += 1
             if rec is not None:
-                for r, st in enumerate(states):
+                for r in range(n):
                     rec.emit(CollectiveEvent(
-                        name=name, rank=r, ts_s=st.collective_enter_s,
-                        dur_s=done - st.collective_enter_s,
+                        name=name, rank=r, ts_s=enter[r], dur_s=done - enter[r],
                     ))
-            for st in states:
-                st.clock = done
-                st.waiting_collective = False
-                st.ptr += 1
+            for r in range(n):
+                clocks[r] = done
+                enter[r] = None
+                ptrs[r] += 1
+            n_waiting = 0
             return True
 
-        # Main scheduler loop: keep scanning until no rank can progress.
+        # Keep scanning until no rank can progress.
         progress = True
         while progress:
             progress = False
@@ -1126,25 +945,11 @@ class Engine:
             if resolve_collective():
                 progress = True
 
-        unfinished = [
-            r for r in range(n) if states[r].ptr < len(app.programs[r])
-        ]
+        unfinished = [r for r in range(n) if ptrs[r] < len(programs[r])]
         if unfinished:
-            details = {
-                r: repr(app.programs[r][states[r].ptr]) for r in unfinished
-            }
+            details = {r: repr(programs[r][ptrs[r]]) for r in unfinished}
             raise RuntimeError(f"deadlock: ranks blocked at {details}")
-
-        metric_inc("sim.tasks", len(records))
-        metric_inc("sim.mpi_waits", mpi_waits)
-        metric_inc("sim.collectives", collectives)
-        return SimulationResult(
-            app_name=app.name,
-            makespan_s=max(st.clock for st in states),
-            records=records,
-            n_ranks=n,
-            mpi_call_count=mpi_calls,
-            collective_count=collectives,
-            pcontrol_overhead_s=pcontrol_overhead,
-            dvfs_switch_count=dvfs_switches,
+        return (
+            reduce(mx, clocks), mpi_calls, mpi_waits, collectives,
+            pcontrol_overhead,
         )

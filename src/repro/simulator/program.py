@@ -11,6 +11,7 @@ translated into the LP's task graph.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -175,29 +176,64 @@ class Application:
         )
 
     def validate(self) -> None:
-        """Cheap sanity checks: collectives aligned, requests well-formed."""
-        coll_counts = {
-            r: sum(1 for op in prog if isinstance(op, (CollectiveOp, PcontrolOp)))
-            for r, prog in enumerate(self.programs)
-        }
-        if len(set(coll_counts.values())) > 1:
-            raise ValueError(
-                f"ranks post different numbers of collectives: {coll_counts}"
-            )
+        """Cheap sanity checks: collectives aligned, requests well-formed,
+        point-to-point messages matched.
+
+        Every send and receive names a peer in ``[0, n_ranks)``, and each
+        ``(src, dst, tag)`` channel carries as many sends as receives: an
+        unmatched message is a program MPI would hang on, not one to time.
+        """
+        coll_counts: dict[int, int] = {}
+        sends: list[tuple[int, int, int]] = []  # (src, dst, tag) per message
+        recvs: list[tuple[int, int, int]] = []
         for r, prog in enumerate(self.programs):
             pending: set[int] = set()
+            n_coll = 0
             for op in prog:
+                if isinstance(op, WaitOp):
+                    if op.request not in pending:
+                        raise ValueError(
+                            f"rank {r}: wait on unknown request {op.request}"
+                        )
+                    pending.discard(op.request)
+                    continue
+                if isinstance(op, (SendOp, IsendOp)):
+                    sends.append((r, op.dst, op.tag))
+                elif isinstance(op, (RecvOp, IrecvOp)):
+                    recvs.append((op.src, r, op.tag))
+                else:
+                    n_coll += isinstance(op, (CollectiveOp, PcontrolOp))
+                    continue
                 if isinstance(op, (IsendOp, IrecvOp)):
                     if op.request in pending:
                         raise ValueError(
                             f"rank {r}: request {op.request} reused before wait"
                         )
                     pending.add(op.request)
-                elif isinstance(op, WaitOp):
-                    if op.request not in pending:
-                        raise ValueError(
-                            f"rank {r}: wait on unknown request {op.request}"
-                        )
-                    pending.discard(op.request)
             if pending:
                 raise ValueError(f"rank {r}: unwaited requests {sorted(pending)}")
+            coll_counts[r] = n_coll
+        if len(set(coll_counts.values())) > 1:
+            raise ValueError(
+                f"ranks post different numbers of collectives: {coll_counts}"
+            )
+        sent, received = Counter(sends), Counter(recvs)
+        if sent != received:
+            # A channel naming a rank outside the job can only be unmatched.
+            n = self.n_ranks
+            channels = sorted(sent.keys() | received.keys())
+            for src, dst, tag in channels:
+                if not (0 <= src < n and 0 <= dst < n):
+                    raise ValueError(
+                        f"message channel (src={src}, dst={dst}, tag={tag}) "
+                        f"names a rank outside [0, {n})"
+                    )
+            bad = {
+                ch: sent[ch] - received[ch]
+                for ch in channels
+                if sent[ch] != received[ch]
+            }
+            raise ValueError(
+                "unmatched point-to-point messages, (src, dst, tag) -> "
+                f"sends minus receives: {bad}"
+            )

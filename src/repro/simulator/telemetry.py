@@ -66,7 +66,6 @@ def job_power_timeline(
     result: SimulationResult,
     power_models: list[SocketPowerModel],
     slack_mode: str = "task",
-    reference: bool = False,
 ) -> PowerTimeline:
     """Aggregate instantaneous job power across all sockets.
 
@@ -74,18 +73,15 @@ def job_power_timeline(
     power steps to the new level; summing deltas over a merged event
     list yields the job timeline in O(E log E).
 
-    The default path builds the per-rank step events with array ops;
-    ``reference=True`` runs the original per-event Python accumulation.
-    Both produce bit-identical timelines (the tests assert this): the
-    delta merge buckets by exact event time, and within a bucket the
+    The per-rank step events are built with array ops, bit-identical to
+    a per-event Python accumulation (the tests keep one as an oracle):
+    the delta merge buckets by exact event time, and within a bucket the
     deltas are added in the same insertion order either way.
     """
     if slack_mode not in ("task", "idle"):
         raise ValueError(f"slack_mode must be 'task' or 'idle', got {slack_mode!r}")
     if len(power_models) != result.n_ranks:
         raise ValueError("one power model per rank required")
-    if reference:
-        return _job_power_timeline_reference(result, power_models, slack_mode)
 
     end = result.makespan_s
     time_parts: list[np.ndarray] = []
@@ -210,40 +206,6 @@ def _merge_step_events(times_raw: np.ndarray, deltas: np.ndarray) -> PowerTimeli
     levels = np.cumsum(merged)
     # Drop the trailing level (beyond the last breakpoint it is ~0).
     return PowerTimeline(times=uniq, power=levels[:-1])
-
-
-def _job_power_timeline_reference(
-    result: SimulationResult,
-    power_models: list[SocketPowerModel],
-    slack_mode: str,
-) -> PowerTimeline:
-    """Per-event reference accumulation (the pre-vectorization oracle)."""
-    end = result.makespan_s
-    events: list[tuple[float, float]] = []  # (time, delta watts)
-    for rank, recs in enumerate(result.records_by_rank()):
-        idle = power_models[rank].idle_power()
-        # Socket is at idle power from 0 to makespan as a baseline...
-        events.append((0.0, idle))
-        events.append((end, -idle))
-        recs = sorted(recs, key=lambda r: r.start_s)
-        for i, rec in enumerate(recs):
-            if slack_mode == "task":
-                # Task power holds until the next task starts (or makespan).
-                stop = recs[i + 1].start_s if i + 1 < len(recs) else end
-                stop = max(stop, rec.end_s)  # overlap guard
-            else:
-                stop = min(rec.end_s, end)
-            start = min(rec.start_s, stop)
-            events.append((start, rec.power_w - idle))
-            events.append((stop, -(rec.power_w - idle)))
-
-    if not events:
-        return PowerTimeline(times=np.array([0.0, 0.0]), power=np.array([]))
-
-    events.sort(key=lambda e: e[0])
-    return _merge_step_events(
-        np.array([e[0] for e in events]), np.array([e[1] for e in events])
-    )
 
 
 def rank_power_timeline(

@@ -1,9 +1,10 @@
 """Property tests: vectorized replay == scalar replay, bit for bit.
 
 Random deadlock-free DAGs, random per-task configuration assignments,
-and random cap grids; the vectorized engine path and the sweep-batched
-DAG walk must reproduce the scalar reference oracle exactly — same
-floats, same record order, same schedules.  Deterministic worker-count
+and random cap grids; the plan-based engine run and the sweep-batched
+DAG walk must reproduce the scalar reference oracles
+(``tests/simulator/oracles.py``) exactly — same floats, same record
+order, same schedules.  Deterministic worker-count
 and batch-size identity (which needs real process pools) lives in
 ``tests/exec/test_parallel.py``.
 """
@@ -26,6 +27,7 @@ from repro.simulator import (
     replay_schedule_sweep,
 )
 from repro.workloads import random_application
+from tests.simulator.oracles import job_power_timeline_reference, run_scalar
 
 apps = st.builds(
     random_application,
@@ -85,7 +87,7 @@ class TestVectorizedReplayProperties:
         models = models_for(app)
         policy = ReplayPolicy(random_assignment(app, seed))
         vec = Engine(models).run(app, policy)
-        ref = Engine(models, vectorized=False).run(app, policy)
+        ref = run_scalar(Engine(models), app, policy)
         assert_identical(ref, vec)
 
     @given(
@@ -108,6 +110,8 @@ class TestVectorizedReplayProperties:
             assert a.peak_power_w == b.peak_power_w
             assert a.cap_respected == b.cap_respected
             assert_identical(a.result, b.result)
+            oracle = run_scalar(Engine(models), app, ReplayPolicy(assignment))
+            assert_identical(oracle, b.result)
 
     @given(app=apps, seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -118,8 +122,8 @@ class TestVectorizedReplayProperties:
         result = Engine(models).run(app, ReplayPolicy(random_assignment(app, seed)))
         for slack_mode in ("task", "idle"):
             vec = job_power_timeline(result, models, slack_mode=slack_mode)
-            ref = job_power_timeline(
-                result, models, slack_mode=slack_mode, reference=True
+            ref = job_power_timeline_reference(
+                result, models, slack_mode=slack_mode
             )
             assert np.array_equal(ref.times, vec.times)
             assert np.array_equal(ref.power, vec.power)

@@ -18,6 +18,7 @@ from repro.runtime import ConfigSearchPolicy, energy_optimal_point
 from repro.runtime.config_search import _energy_optimal_index
 from repro.simulator import Engine, MaxPerformancePolicy, TaskRef
 from repro.workloads import imbalanced_collective_app
+from tests.simulator.oracles import run_scalar
 
 
 @pytest.fixture
@@ -159,9 +160,7 @@ class TestConfigSearchPolicy:
 
     def test_plan_run_matches_scalar_path(self, models, app):
         engine = Engine(models)
-        scalar = engine.run(
-            app, ConfigSearchPolicy(models, job_cap_w=None), vectorized=False
-        )
+        scalar = run_scalar(engine, app, ConfigSearchPolicy(models, job_cap_w=None))
         planned = engine.run(app, ConfigSearchPolicy(models, job_cap_w=None))
         assert planned.makespan_s == scalar.makespan_s
         assert planned.total_energy_j() == scalar.total_energy_j()

@@ -150,10 +150,11 @@ class TestVectorizedGoldenResume:
     ):
         """Golden: interrupt a (vectorized-default) sweep after its first
         journaled cell, resume it, and compare against a clean run with
-        every engine replay forced down the scalar reference path.  The
-        vectorized fast path must not be observable in the results, even
+        every engine replay forced down the scalar reference oracle.  The
+        vectorized fast paths must not be observable in the results, even
         across a checkpoint/resume boundary."""
         from repro.simulator.engine import Engine
+        from tests.simulator.oracles import run_scalar
 
         path = tmp_path / "j.jsonl"
         run_scenarios(small_spec(), journal=path)
@@ -162,14 +163,13 @@ class TestVectorizedGoldenResume:
         path.write_text(first_line + "\n")
         resumed = run_scenarios(small_spec(), journal=path)
 
-        real_run = Engine.run
-        monkeypatch.setattr(
-            Engine,
-            "run",
-            lambda self, app, policy, vectorized=None: real_run(
-                self, app, policy, vectorized=False
-            ),
-        )
+        def no_sweep(self, app, policy, plan):
+            raise RuntimeError("sweeps are off for the scalar golden")
+
+        # A failed sweep leaves every cell to run its own engine, and each
+        # such run goes through the oracle, with per-task configure calls.
+        monkeypatch.setattr(Engine, "run_sweep", no_sweep)
+        monkeypatch.setattr(Engine, "run", run_scalar)
         scalar = run_scenarios(small_spec())
         assert times(resumed) == times(scalar)
         assert not resumed.failed_cells()

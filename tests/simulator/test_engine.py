@@ -135,8 +135,8 @@ class TestMessaging:
     def test_deadlock_detected(self, kernel, two_rank_models):
         app = Application(
             "t",
-            [[RecvOp(src=1), ComputeOp(kernel)],
-             [RecvOp(src=0), ComputeOp(kernel)]],
+            [[RecvOp(src=1), SendOp(dst=1, size_bytes=8), ComputeOp(kernel)],
+             [RecvOp(src=0), SendOp(dst=0, size_bytes=8), ComputeOp(kernel)]],
         )
         with pytest.raises(RuntimeError, match="deadlock"):
             Engine(two_rank_models).run(app, FixedPolicy())

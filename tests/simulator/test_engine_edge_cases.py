@@ -1,4 +1,10 @@
-"""Edge-case tests for the engine and tracer: tags, ordering, blocking."""
+"""Edge-case tests for the engine and tracer: tags, ordering, blocking.
+
+Every program here runs both as one :meth:`Engine.run` per cap and as one
+width-3 :meth:`Engine.run_sweep` over the same caps: the two share the
+engine's one DAG walk, so they must agree bit for bit, down to the
+exception a broken program raises.
+"""
 
 import dataclasses
 
@@ -23,6 +29,42 @@ from repro.simulator import (
     trace_application,
 )
 
+#: Job caps of the width-3 sweeps (two ranks): duty-cycled through P0.
+CAPS_W = (60.0, 90.0, 140.0)
+
+
+def both_widths(app, models, policy_cls=StaticPolicy, **engine_kwargs):
+    """Run ``app`` at width 1 (one run per cap) and at width 3 (one sweep);
+    assert the two agree bit for bit and return the width-1 results."""
+    engine = Engine(models, **engine_kwargs)
+    policy = policy_cls(models, CAPS_W[0])
+    sweep = engine.run_sweep(app, policy, policy.plan_sweep(app, engine, CAPS_W))
+    runs = [engine.run(app, policy_cls(models, cap)) for cap in CAPS_W]
+    for c, run in enumerate(runs):
+        point = sweep.result(c)
+        assert point.makespan_s == run.makespan_s
+        assert point.mpi_call_count == run.mpi_call_count
+        assert point.collective_count == run.collective_count
+        assert [(r.ref, r.start_s, r.duration_s) for r in point.records] == [
+            (r.ref, r.start_s, r.duration_s) for r in run.records
+        ]
+    return runs
+
+
+def same_error(app, models, exc):
+    """The exception ``app`` raises at width 1, asserted identical (type
+    and message) to the one a width-3 sweep raises."""
+    engine = Engine(models)
+    policy = StaticPolicy(models, CAPS_W[0])
+    plan = policy.plan_sweep(app, engine, CAPS_W)
+    with pytest.raises(exc) as one:
+        engine.run(app, policy)
+    with pytest.raises(exc) as wide:
+        engine.run_sweep(app, policy, plan)
+    assert type(one.value) is type(wide.value)
+    assert str(one.value) == str(wide.value)
+    return one.value
+
 
 class TestTagIsolation:
     def test_different_tags_do_not_match(self, kernel, two_rank_models,
@@ -38,13 +80,15 @@ class TestTagIsolation:
                     ComputeOp(heavy),
                     SendOp(dst=1, size_bytes=8, tag=1),
                 ],
-                [RecvOp(src=0, tag=1), ComputeOp(kernel)],
+                [RecvOp(src=0, tag=1), ComputeOp(kernel), RecvOp(src=0, tag=0)],
             ],
         )
         engine = Engine(two_rank_models, mpi_call_overhead_s=0.0)
         res = engine.run(app, MaxPerformancePolicy())
         t_heavy = time_model.duration(heavy, 2.6, time_model.best_threads(heavy))
         assert res.makespan_s > t_heavy  # rank 1 waited through the compute
+        for run in both_widths(app, two_rank_models, mpi_call_overhead_s=0.0):
+            assert run.records_by_rank()[1][0].start_s > run.records[0].end_s
 
     def test_same_tag_fifo_order(self, kernel, two_rank_models):
         """Two same-tag messages match in send order (sizes differ, so a
@@ -65,6 +109,7 @@ class TestTagIsolation:
             key=lambda e: e.id,
         )
         assert [m.size_bytes for m in msgs] == [8, 1 << 24]
+        both_widths(app, two_rank_models)
 
 
 class TestBlockingPaths:
@@ -85,6 +130,8 @@ class TestBlockingPaths:
         res = engine.run(app, MaxPerformancePolicy())
         t_heavy = time_model.duration(heavy, 2.6, time_model.best_threads(heavy))
         assert res.makespan_s >= t_heavy
+        for run in both_widths(app, two_rank_models, mpi_call_overhead_s=0.0):
+            assert run.records_by_rank()[1][0].start_s >= run.records[0].end_s
 
     def test_trace_handles_blocked_wait(self, kernel, two_rank_models):
         app = Application(
@@ -99,8 +146,6 @@ class TestBlockingPaths:
         assert len(trace.task_edges) == 2
 
     def test_wait_on_unposted_request_raises(self, kernel, two_rank_models):
-        # Bypass Application.validate by constructing a raw run: the
-        # engine itself must also guard against unposted requests.
         app = Application(
             "t",
             [[ComputeOp(kernel), IsendOp(dst=1, size_bytes=8, request=1),
@@ -109,6 +154,13 @@ class TestBlockingPaths:
         )
         # sanity: this one is fine
         Engine(two_rank_models).run(app, MaxPerformancePolicy())
+        unposted = Application(
+            "t",
+            [[ComputeOp(kernel), SendOp(dst=1, size_bytes=8), WaitOp(4)],
+             [RecvOp(src=0), ComputeOp(kernel)]],
+        )
+        err = same_error(unposted, two_rank_models, ValueError)
+        assert str(err) == "rank 0: wait on unknown request 4"
 
 
 class TestHeterogeneousPrograms:
@@ -127,6 +179,7 @@ class TestHeterogeneousPrograms:
         # them into a single task per rank.
         trace = trace_application(app, two_rank_models)
         assert len(trace.task_edges) == 2
+        both_widths(app, two_rank_models)
 
     def test_many_iterations_pcontrol_ordering(self, kernel, two_rank_models):
         n_iter = 7
@@ -150,6 +203,17 @@ class TestHeterogeneousPrograms:
         Engine(two_rank_models).run(app, Watcher())
         assert seen == list(range(n_iter))
 
+        class StaticWatcher(StaticPolicy):
+            def on_pcontrol(self, iteration, records):
+                seen.append(iteration)
+                return 1e-3 * iteration
+
+        seen.clear()
+        runs = both_widths(app, two_rank_models, StaticWatcher)
+        # one sweep, then one run per cap, each in iteration order
+        assert seen == list(range(n_iter)) * (1 + len(CAPS_W))
+        assert runs[0].pcontrol_overhead_s == sum(1e-3 * i for i in range(n_iter))
+
     def test_records_by_rank_sorted_by_time(self, kernel, two_rank_models):
         app = Application(
             "t",
@@ -162,6 +226,72 @@ class TestHeterogeneousPrograms:
         for recs in res.records_by_rank():
             starts = [r.start_s for r in recs]
             assert starts == sorted(starts)
+        both_widths(app, two_rank_models)
+
+
+class TestBrokenPrograms:
+    """Programs the walk must refuse, the same way at every width."""
+
+    def test_deadlock(self, kernel, two_rank_models):
+        app = Application(
+            "t",
+            [[RecvOp(src=1), SendOp(dst=1, size_bytes=8), ComputeOp(kernel)],
+             [RecvOp(src=0), SendOp(dst=0, size_bytes=8), ComputeOp(kernel)]],
+        )
+        err = same_error(app, two_rank_models, RuntimeError)
+        assert str(err).startswith("deadlock: ranks blocked at")
+
+    def test_collective_type_mismatch(self, kernel, two_rank_models):
+        app = Application(
+            "t",
+            [[ComputeOp(kernel), CollectiveOp()],
+             [ComputeOp(kernel), PcontrolOp(0)]],
+        )
+        err = same_error(app, two_rank_models, RuntimeError)
+        assert "collective mismatch across ranks" in str(err)
+
+    def test_partial_participant_collective(self, kernel, two_rank_models):
+        app = Application(
+            "t",
+            [[ComputeOp(kernel), CollectiveOp(participants=(0,))],
+             [ComputeOp(kernel), CollectiveOp(participants=(0,))]],
+        )
+        err = same_error(app, two_rank_models, NotImplementedError)
+        assert str(err) == "engine supports all-rank collectives only"
+
+
+class TestUnmatchedMessages:
+    """A message no rank can match fails loudly before any walk."""
+
+    @pytest.fixture(params=["peer out of range", "never received"])
+    def unmatched(self, request, kernel):
+        send = SendOp(dst=7 if request.param == "peer out of range" else 1,
+                      size_bytes=8)
+        return Application(
+            "t", [[ComputeOp(kernel), send], [ComputeOp(kernel)]]
+        )
+
+    def test_engine_run_and_sweep_refuse(self, unmatched, two_rank_models):
+        same_error(unmatched, two_rank_models, ValueError)
+
+    def test_trace_application_refuses(self, unmatched, two_rank_models):
+        with pytest.raises(ValueError, match="outside|unmatched"):
+            trace_application(unmatched, two_rank_models)
+
+    def test_messages(self, kernel):
+        out_of_range = Application(
+            "t", [[IrecvOp(src=-1, request=0), WaitOp(0)], [ComputeOp(kernel)]]
+        )
+        with pytest.raises(ValueError, match=r"\(src=-1, dst=0, tag=0\) names "
+                           r"a rank outside \[0, 2\)"):
+            out_of_range.validate()
+        extra_recv = Application(
+            "t",
+            [[SendOp(dst=1, size_bytes=8, tag=3)],
+             [RecvOp(src=0, tag=3), RecvOp(src=0, tag=3)]],
+        )
+        with pytest.raises(ValueError, match=r"\(0, 1, 3\): -1"):
+            extra_recv.validate()
 
 
 class TestPolicyConfigPersistence:

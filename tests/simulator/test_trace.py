@@ -56,8 +56,8 @@ class TestBuildDag:
     def test_deadlock_detected(self, kernel):
         app = Application(
             "t",
-            [[RecvOp(src=1), ComputeOp(kernel)],
-             [RecvOp(src=0), ComputeOp(kernel)]],
+            [[RecvOp(src=1), SendOp(dst=1, size_bytes=8), ComputeOp(kernel)],
+             [RecvOp(src=0), SendOp(dst=0, size_bytes=8), ComputeOp(kernel)]],
         )
         with pytest.raises(RuntimeError, match="deadlock"):
             build_dag(app)

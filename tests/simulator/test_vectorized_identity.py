@@ -1,9 +1,10 @@
-"""Vectorized replay paths against the scalar reference oracle.
+"""Vectorized replay paths against the scalar reference oracles.
 
-The engine's ``vectorized=True`` default, the sweep-batched DAG walk
+The engine's plan-based runs, the sweep-batched DAG walk
 (:meth:`Engine.run_sweep` / :func:`replay_schedule_sweep`), and the
 array-built power timelines all promise *bit* identity with the scalar
-per-event path, not approximate equality.  This file holds the promise
+per-event oracles in ``tests/simulator/oracles.py``, not approximate
+equality.  This file holds the promise
 to exact float comparison on real workloads; the hypothesis suite
 (``tests/properties/test_property_vectorized.py``) does the same over
 random DAGs.
@@ -17,7 +18,7 @@ import pytest
 from repro.core import ParametricCapSolver, round_schedule
 from repro.experiments.runner import make_power_models
 from repro.obs.recorder import TraceRecorder, use_recorder
-from repro.runtime import StaticPolicy
+from repro.runtime import ConductorPolicy, StaticPolicy
 from repro.simulator import (
     Engine,
     ReplayPolicy,
@@ -28,6 +29,7 @@ from repro.simulator import (
 )
 from repro.simulator.replay import build_replay_sweep_plan
 from repro.workloads import WorkloadSpec, make_bt, make_comd, make_lulesh
+from tests.simulator.oracles import job_power_timeline_reference, run_scalar
 
 N_CAPS = 6
 
@@ -75,17 +77,22 @@ class TestEngineVectorizedDefault:
     def test_vectorized_run_matches_scalar_bitwise(self):
         app_run, pms, asgs, _ = sweep_fixture(make_bt, 4)
         policy = ReplayPolicy(asgs[0])
-        vec = Engine(pms).run(app_run, policy)  # vectorized default
-        ref = Engine(pms, vectorized=False).run(app_run, policy)
+        vec = Engine(pms).run(app_run, policy)
+        ref = run_scalar(Engine(pms), app_run, policy)
         assert_results_identical(ref, vec)
 
-    def test_per_run_override_beats_engine_default(self):
-        app_run, pms, asgs, _ = sweep_fixture(make_bt, 4)
-        policy = ReplayPolicy(asgs[0])
-        engine = Engine(pms, vectorized=True)
-        ref = engine.run(app_run, policy, vectorized=False)
-        vec = engine.run(app_run, policy)
-        assert_results_identical(ref, vec)
+    @pytest.mark.parametrize("make", [make_bt, make_comd], ids=["bt", "comd"])
+    def test_reactive_run_matches_scalar_bitwise(self, make):
+        """A policy without ``plan_run`` (Conductor reads records at every
+        Pcontrol and pays DVFS switches) takes the per-task hook; the walk
+        must still equal the oracle, Pcontrol overheads included."""
+        app = make(WorkloadSpec(n_ranks=4, iterations=5, seed=1))
+        pms = make_power_models(4)
+        job_cap = 45.0 * 4
+        ref = run_scalar(Engine(pms), app, ConductorPolicy(pms, job_cap, app))
+        got = Engine(pms).run(app, ConductorPolicy(pms, job_cap, app))
+        assert ref.dvfs_switch_count > 0 and ref.pcontrol_overhead_s > 0
+        assert_results_identical(ref, got)
 
 
 class TestStaticSweepIdentity:
@@ -107,7 +114,7 @@ class TestStaticSweepIdentity:
             app, policy, policy.plan_sweep(app, engine, job_caps)
         )
         for c, job_cap in enumerate(job_caps):
-            ref = engine.run(app, StaticPolicy(pms, job_cap), vectorized=False)
+            ref = run_scalar(engine, app, StaticPolicy(pms, job_cap))
             point = sweep.result(c)
             for first in (0, 1, 3):
                 assert point.window(first) == ref.window(first)
@@ -152,11 +159,13 @@ class TestSweepReplayIdentity:
         ]
         vec = replay_schedule_sweep(app_run, asgs, pms, caps)
         assert len(ref) == len(vec)
-        for a, b in zip(ref, vec):
+        for asg, a, b in zip(asgs, ref, vec):
             assert a.cap_w == b.cap_w
             assert a.peak_power_w == b.peak_power_w
             assert a.cap_respected == b.cap_respected
             assert_results_identical(a.result, b.result)
+            oracle = run_scalar(Engine(pms), app_run, ReplayPolicy(asg))
+            assert_results_identical(oracle, b.result)
 
     def test_sweep_timelines_match_reference_accounting(self):
         """Timelines built from the sweep arrays == the per-event scalar
@@ -167,7 +176,7 @@ class TestSweepReplayIdentity:
         ]
         vec = replay_schedule_sweep(app_run, asgs, pms, caps)
         for a, b in zip(ref, vec):
-            ta = job_power_timeline(a.result, pms, reference=True)
+            ta = job_power_timeline_reference(a.result, pms)
             tb = job_power_timeline(b.result, pms)
             assert np.array_equal(ta.times, tb.times)
             assert np.array_equal(ta.power, tb.power)

@@ -151,3 +151,39 @@ def test_exec_does_not_import_scenarios():
             ):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders, f"repro.exec imports the scenario layer: {offenders}"
+
+
+def _test_imports(path: Path) -> list[str]:
+    """``import tests...`` / ``from tests... import`` lines in ``path``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(n == "tests" or n.startswith("tests.") for n in names):
+            bad.append(f"{path.name}:{node.lineno}")
+    return bad
+
+
+def test_product_does_not_import_tests():
+    """The scalar oracles live under ``tests/``; the product must never
+    reach back for them (``tests`` is not shipped with the package)."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        offenders.extend(_test_imports(path))
+    assert not offenders, f"src/repro imports from tests: {offenders}"
+
+
+def test_test_import_guard_trips(tmp_path):
+    mod = tmp_path / "offender.py"
+    mod.write_text(
+        "import numpy\n"
+        "from tests.simulator.oracles import run_scalar\n"
+        "import tests.simulator.oracles as o\n"
+        "from testsuite import x\n"
+    )
+    assert _test_imports(mod) == ["offender.py:2", "offender.py:3"]
