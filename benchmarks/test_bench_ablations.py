@@ -224,21 +224,3 @@ def test_ablation_profile_noise_robustness(benchmark, comd_trace):
     # The noisy-informed schedule is near the clean bound, not wildly off.
     assert noisy.makespan_s == pytest.approx(clean.makespan_s, rel=0.10)
 
-
-def test_ablation_cluster_repartitioning(benchmark):
-    """Facility-level ablation: dynamically re-spreading finished jobs'
-    power improves mean turnaround (the §1 premise, quantified)."""
-    engage(benchmark)
-    from repro.cluster import ClusterJob, JobPerformanceModel, simulate_cluster
-
-    jobs = [
-        ClusterJob("md", "comd", n_sockets=4, iterations=20, seed=1),
-        ClusterJob("cfd", "bt", n_sockets=4, iterations=10, seed=2,
-                   min_w_per_socket=28),
-    ]
-    pm = {j.name: JobPerformanceModel(j, "lp") for j in jobs}
-    dyn = simulate_cluster(jobs, 330.0, performance_models=pm,
-                           repartition=True)
-    frozen = simulate_cluster(jobs, 330.0, performance_models=pm,
-                              repartition=False)
-    assert dyn.mean_turnaround_s() <= frozen.mean_turnaround_s() + 1e-9

@@ -20,17 +20,13 @@ import time
 
 import numpy as np
 
-from repro.core import (
-    ParametricCapSolver,
-    round_schedule,
-    solve_cap_sweep,
-    solve_fixed_order_lp,
-)
+from repro.core import ParametricCapSolver, round_schedule, solve_cap_sweep
 from repro.experiments.runner import make_power_models
 from repro.simulator import replay_schedule_sweep, trace_application
 from repro.simulator.engine import Engine
 from repro.simulator.replay import ReplayPolicy
 from repro.workloads import WorkloadSpec, make_bt
+from tests.core.lp_oracles import solve_fixed_order_lp_reference
 from tests.simulator.oracles import job_power_timeline_reference, run_scalar
 
 #: Dense grid, as in a production figure sweep.
@@ -89,12 +85,13 @@ def _assignment(trace, lp):
 
 
 def _ref_pipeline(trace, app_run, pms, caps):
-    """PR-5 baseline: per-cap rebuild solve, scalar replay, reference
-    timeline accounting.  One ``(lp makespan, replay makespan, peak W)``
-    tuple per cap, ``None`` where the LP is infeasible."""
+    """Baseline: per-cap rebuild with the row-by-row LP assembly and
+    per-task decode oracles, scalar replay, reference timeline accounting.
+    One ``(lp makespan, replay makespan, peak W)`` tuple per cap, ``None``
+    where the LP is infeasible."""
     out = []
     for cap in caps:
-        lp = solve_fixed_order_lp(trace, cap, assembly="reference")
+        lp = solve_fixed_order_lp_reference(trace, cap)
         if not lp.feasible:
             out.append(None)
             continue
@@ -133,7 +130,7 @@ def _vec_pipeline(trace, app_run, pms, caps):
 def test_end_to_end_sweep_3x_and_byte_identical(benchmark):
     """Full figure-sweep pipeline (LP solve -> rounding -> replay ->
     power verification) at 50 caps: the vectorized composition must be at
-    least 3x faster than the PR-5 per-cap baseline and produce
+    least 3x faster than the per-cap oracle baseline and produce
     byte-identical results at every cap.
 
     The LP is solved on a short trace (the paper's profiling run) while
@@ -189,9 +186,18 @@ def test_parametric_solver_reuse(benchmark):
     trace = _bt_trace()
     solver = ParametricCapSolver(trace)
     solver.solve(400.0)  # warm: first HiGHS call passes the model once
+    calls = 0
 
+    def counted_solve(cap_w):
+        nonlocal calls
+        calls += 1
+        return solver.solve(cap_w)
+
+    # pedantic runs 3 rounds when timing and once under
+    # --benchmark-disable; count the calls it actually made.
     result = benchmark.pedantic(
-        solver.solve, args=(320.0,), rounds=3, iterations=1
+        counted_solve, args=(320.0,), rounds=3, iterations=1
     )
     assert result.feasible
-    assert solver.n_solves == 4
+    assert calls >= 1
+    assert solver.n_solves == 1 + calls

@@ -43,9 +43,7 @@ Subpackages
 from .core import (
     InfeasibleError,
     PowerSchedule,
-    load_schedule,
     round_schedule,
-    save_schedule,
     solve_energy_lp,
     solve_fixed_order_lp,
     solve_flow_ilp,
@@ -68,13 +66,6 @@ from .machine import (
     convex_frontier,
     pareto_frontier,
     sample_socket_efficiencies,
-)
-from .cluster import (
-    ClusterJob,
-    JobAllocation,
-    JobRequest,
-    partition_power,
-    simulate_cluster,
 )
 from .runtime import (
     AdagioPolicy,
@@ -117,7 +108,6 @@ __all__ = [
     "AdagioPolicy",
     "Application",
     "BENCHMARKS",
-    "ClusterJob",
     "ConductorConfig",
     "ConductorPolicy",
     "ConfigPoint",
@@ -126,8 +116,6 @@ __all__ = [
     "Engine",
     "ExperimentConfig",
     "InfeasibleError",
-    "JobAllocation",
-    "JobRequest",
     "MaxPerformancePolicy",
     "NetworkModel",
     "PolicyRegistry",
@@ -155,17 +143,13 @@ __all__ = [
     "make_sp",
     "pareto_frontier",
     "replay_schedule",
-    "load_schedule",
-    "partition_power",
     "round_schedule",
-    "save_schedule",
     "solve_energy_lp",
     "run_comparison",
     "run_scenarios",
     "sample_socket_efficiencies",
     "solve_fixed_order_lp",
     "solve_flow_ilp",
-    "simulate_cluster",
     "sweep_caps",
     "trace_application",
     "two_rank_exchange",

@@ -6,7 +6,6 @@ All formulations compile from the shared :mod:`.model` IR: build a
 :func:`extract_schedule`.
 """
 
-from .bottleneck import BottleneckReport, analyze_bottlenecks
 from .device_split import (
     SPLIT_ROW_TAG,
     DeviceSplitResult,
@@ -40,12 +39,7 @@ from .model import (
 )
 from .rounding import round_schedule
 from .schedule import PowerSchedule, TaskAssignment
-from .serialize import (
-    load_schedule,
-    save_schedule,
-    schedule_from_dict,
-    schedule_to_dict,
-)
+from .serialize import schedule_from_dict, schedule_to_dict
 from .solver import (
     FrozenProgram,
     InfeasibleError,
@@ -62,7 +56,6 @@ from .sweep import (
 from .validate_schedule import ValidationReport, validate_schedule
 
 __all__ = [
-    "BottleneckReport",
     "CAP_ROW_TAG",
     "CapSweepResult",
     "CompiledModel",
@@ -86,7 +79,6 @@ __all__ = [
     "TaskAssignment",
     "TaskFrontier",
     "ValidationReport",
-    "analyze_bottlenecks",
     "base_model",
     "best_static_split",
     "build_event_structure",
@@ -97,9 +89,7 @@ __all__ = [
     "compile_flow_ilp",
     "extract_schedule",
     "solve_device_split_lp",
-    "load_schedule",
     "round_schedule",
-    "save_schedule",
     "schedule_from_dict",
     "schedule_to_dict",
     "solve_energy_lp",

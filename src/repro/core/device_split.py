@@ -55,7 +55,6 @@ def compile_device_split(
     shares: dict[str, float],
     groups: dict[str, tuple[str, ...]],
     power_tiebreak: float = 1e-9,
-    assembly: str = "bulk",
 ) -> CompiledModel:
     """The fixed-order model plus fixed per-device-group cap shares.
 
@@ -68,15 +67,24 @@ def compile_device_split(
         raise ValueError(f"shares must sum to 1, got {shares}")
     if any(s < 0 for s in shares.values()):
         raise ValueError(f"shares must be >= 0, got {shares}")
-    compiled = compile_fixed_order(
-        instance, cap_w, power_tiebreak=power_tiebreak, assembly=assembly
-    )
+    compiled = compile_fixed_order(instance, cap_w, power_tiebreak=power_tiebreak)
+    _add_split_rows(compiled, cap_w, shares, groups)
+    return compiled
+
+
+def _add_split_rows(
+    compiled: CompiledModel,
+    cap_w: float,
+    shares: dict[str, float],
+    groups: dict[str, tuple[str, ...]],
+) -> None:
+    """Append one ``<= share * cap`` row per (activity set, device group)."""
     dev_group = _device_group_map(groups)
     if "" not in dev_group and "cpu" in shares:
         dev_group[""] = "cpu"
 
     # The same deduplicated activity sets the aggregate cap rows use.
-    events = instance.events
+    events = compiled.instance.events
     seen: set[frozenset[int]] = set()
     emit: list[frozenset[int]] = []
     for group in events.groups:
@@ -110,7 +118,6 @@ def compile_device_split(
                     label=f"power-{name}",
                     tag=f"{SPLIT_ROW_TAG}:{name}",
                 )
-    return compiled
 
 
 def solve_device_split_lp(

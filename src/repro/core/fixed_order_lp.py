@@ -78,16 +78,13 @@ def compile_fixed_order(
     cap_w: float,
     power_tiebreak: float = 1e-9,
     discrete: bool = False,
-    assembly: str = "bulk",
 ) -> CompiledModel:
     """Compile the fixed-order LP (eqs. 1-13) from the shared IR.
 
     The cap appears only in the RHS of the event-power rows, which are
     tagged :data:`~.model.CAP_ROW_TAG`: freeze the compiled model once and
     re-solve it at any cap via ``frozen.solve(rhs={CAP_ROW_TAG: cap})``.
-
-    ``assembly`` selects bulk (default) vs row-by-row reference matrix
-    assembly; both compile the identical model (see :func:`base_model`).
+    Rows are appended as CSR blocks; see :func:`base_model`.
     """
     if cap_w <= 0:
         raise ValueError(f"cap must be positive, got {cap_w}")
@@ -97,7 +94,6 @@ def compile_fixed_order(
         name=f"fixed-order-{instance.trace.app.name}",
         frontiers=frontiers,
         integer=discrete,
-        assembly=assembly,
     )
     events = instance.events
 
@@ -116,99 +112,62 @@ def compile_fixed_order(
             continue
         seen_sets.add(act)
         emit.append(act)
-    if assembly == "bulk":
-        c_arr = {
-            e: np.asarray(cols, dtype=np.int64) for e, cols in c_idx.items()
-        }
-        if emit:
-            col_parts = []
-            val_parts = []
-            widths = []
-            for act in emit:
-                width = 0
-                for edge_id in act:
-                    col_parts.append(c_arr[edge_id])
-                    val_parts.append(frontiers[edge_id].powers)
-                    width += len(frontiers[edge_id])
-                widths.append(width)
-            lp.add_block(
-                indptr=np.concatenate(
-                    [[0], np.cumsum(np.asarray(widths, dtype=np.int64))]
-                ),
-                cols=np.concatenate(col_parts),
-                vals=np.concatenate(val_parts),
-                lo=-np.inf,
-                hi=cap_w,
-                label="power",
-                tag=CAP_ROW_TAG,
-            )
-    else:
+    c_arr = {e: np.asarray(cols, dtype=np.int64) for e, cols in c_idx.items()}
+    if emit:
+        col_parts = []
+        val_parts = []
+        widths = []
         for act in emit:
-            terms: dict[int, float] = {}
+            width = 0
             for edge_id in act:
-                for col, power in zip(
-                    c_idx[edge_id], frontiers[edge_id].powers
-                ):
-                    terms[col] = terms.get(col, 0.0) + power
-            lp.add_le(terms, cap_w, label="power", tag=CAP_ROW_TAG)
+                col_parts.append(c_arr[edge_id])
+                val_parts.append(frontiers[edge_id].powers)
+                width += len(frontiers[edge_id])
+            widths.append(width)
+        lp.add_block(
+            indptr=np.concatenate(
+                [[0], np.cumsum(np.asarray(widths, dtype=np.int64))]
+            ),
+            cols=np.concatenate(col_parts),
+            vals=np.concatenate(val_parts),
+            lo=-np.inf,
+            hi=cap_w,
+            label="power",
+            tag=CAP_ROW_TAG,
+        )
 
     # Event order (eqs. 12-13).
-    if assembly == "bulk":
-        tie_cols = []
-        order_cols = []
-        for group in events.groups:
-            rep = group[0]
-            for other in group[1:]:
-                tie_cols.append((v_idx[other], v_idx[rep]))
-        for prev, nxt in zip(events.groups, events.groups[1:]):
-            order_cols.append((v_idx[nxt[0]], v_idx[prev[0]]))
-        for pairs, lo_b, hi_b, lbl in (
-            (tie_cols, 0.0, 0.0, "tie"),
-            (order_cols, 0.0, np.inf, "order"),
-        ):
-            if not pairs:
-                continue
-            flat = np.asarray(pairs, dtype=np.int64).ravel()
-            lp.add_block(
-                indptr=np.arange(0, 2 * len(pairs) + 1, 2, dtype=np.int64),
-                cols=flat,
-                vals=np.tile(np.array([1.0, -1.0]), len(pairs)),
-                lo=lo_b,
-                hi=hi_b,
-                label=lbl,
-            )
-    else:
-        for group in events.groups:
-            rep = group[0]
-            for other in group[1:]:
-                lp.add_eq(
-                    {v_idx[other]: 1.0, v_idx[rep]: -1.0},
-                    0.0,
-                    label=f"tie{other}",
-                )
-        for prev, nxt in zip(events.groups, events.groups[1:]):
-            lp.add_ge(
-                {v_idx[nxt[0]]: 1.0, v_idx[prev[0]]: -1.0}, 0.0,
-                label=f"order{prev[0]}-{nxt[0]}",
-            )
+    tie_cols = []
+    order_cols = []
+    for group in events.groups:
+        rep = group[0]
+        for other in group[1:]:
+            tie_cols.append((v_idx[other], v_idx[rep]))
+    for prev, nxt in zip(events.groups, events.groups[1:]):
+        order_cols.append((v_idx[nxt[0]], v_idx[prev[0]]))
+    for pairs, lo_b, hi_b, lbl in (
+        (tie_cols, 0.0, 0.0, "tie"),
+        (order_cols, 0.0, np.inf, "order"),
+    ):
+        if not pairs:
+            continue
+        flat = np.asarray(pairs, dtype=np.int64).ravel()
+        lp.add_block(
+            indptr=np.arange(0, 2 * len(pairs) + 1, 2, dtype=np.int64),
+            cols=flat,
+            vals=np.tile(np.array([1.0, -1.0]), len(pairs)),
+            lo=lo_b,
+            hi=hi_b,
+            label=lbl,
+        )
 
     # Objective (eq. 1) plus the minimal-power tiebreak.
-    if assembly == "bulk":
-        obj = np.zeros(lp.n_vars)
-        obj[v_idx[instance.fin_id]] = 1.0
-        if power_tiebreak > 0:
-            for edge_id, cols in c_arr.items():
-                obj[cols] += power_tiebreak * frontiers[edge_id].powers
-        lp.set_objective_dense(obj)
-    else:
-        objective: dict[int, float] = {v_idx[instance.fin_id]: 1.0}
-        if power_tiebreak > 0:
-            for edge_id, cols in c_idx.items():
-                for col, power in zip(cols, frontiers[edge_id].powers):
-                    objective[col] = (
-                        objective.get(col, 0.0) + power_tiebreak * power
-                    )
-        lp.set_objective(objective)
+    obj = np.zeros(lp.n_vars)
+    obj[v_idx[instance.fin_id]] = 1.0
+    if power_tiebreak > 0:
+        for edge_id, cols in c_arr.items():
+            obj[cols] += power_tiebreak * frontiers[edge_id].powers
+    lp.set_objective_dense(obj)
 
     return CompiledModel(
         instance=instance,
@@ -230,7 +189,6 @@ def solve_fixed_order_lp(
     time_limit_s: float | None = None,
     discrete: bool = False,
     instance: ProblemInstance | None = None,
-    assembly: str = "bulk",
 ) -> FixedOrderLpResult:
     """Solve the fixed-vertex-order LP for a traced application.
 
@@ -275,7 +233,6 @@ def solve_fixed_order_lp(
             cap_w,
             power_tiebreak=power_tiebreak,
             discrete=discrete,
-            assembly=assembly,
         )
 
     with timed("phase.solve"):
@@ -285,9 +242,7 @@ def solve_fixed_order_lp(
             schedule=None, solution=solution, events=instance.events
         )
 
-    schedule = extract_schedule(
-        compiled, solution, reference=(assembly == "reference")
-    )
+    schedule = extract_schedule(compiled, solution)
     return FixedOrderLpResult(
         schedule=schedule, solution=solution, events=instance.events
     )

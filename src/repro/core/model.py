@@ -299,7 +299,6 @@ def base_model(
     frontiers: dict[int, TaskFrontier] | None = None,
     edge_order: list[int] | None = None,
     integer: bool = False,
-    assembly: str = "bulk",
 ) -> tuple[LinearProgram, list[int], dict[int, list[int]]]:
     """Compile the rows/columns every formulation shares.
 
@@ -311,20 +310,14 @@ def base_model(
     Returns ``(lp, v_idx, c_idx)``; the caller adds its objective and its
     formulation-specific rows on top.
 
-    ``assembly`` selects the matrix build: ``"bulk"`` (default) appends
-    whole constraint blocks as CSR batches; ``"reference"`` keeps the
-    original row-by-row build as an oracle.  Both produce the same model
-    — same variables, same row order, same assembled matrix — so
-    solutions are identical; the tests assert this.
+    Whole constraint blocks are appended as CSR batches.  The tests hold
+    this build to a row-by-row oracle (``tests/core/lp_oracles.py``): same
+    variables, same row order, same assembled matrix.
     """
-    if assembly not in ("bulk", "reference"):
-        raise ValueError(f"assembly must be 'bulk' or 'reference', got {assembly!r}")
     graph = instance.graph
     if frontiers is None:
         frontiers = instance.convex
     order = list(frontiers) if edge_order is None else edge_order
-    if assembly == "reference":
-        return _base_model_reference(instance, name, frontiers, order, integer)
 
     lp = LinearProgram(name=name)
     vert_ub = np.full(len(graph.vertices), np.inf)
@@ -336,8 +329,7 @@ def base_model(
     )
 
     # Configuration-fraction columns for every task edge, then the one-hot
-    # simplex rows as a single block — row order matches the reference
-    # build (one row per edge, in ``order``).
+    # simplex rows as a single block (one row per edge, in ``order``).
     c_idx: dict[int, list[int]] = {}
     for edge_id in order:
         frontier = frontiers[edge_id]
@@ -361,7 +353,7 @@ def base_model(
         )
 
     # Precedence rows in graph.edges order (compute and message edges
-    # interleaved, exactly as the reference build emits them).
+    # interleaved).
     col_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
     widths: list[int] = []
@@ -398,54 +390,12 @@ def base_model(
     return lp, v_idx, c_idx
 
 
-def _base_model_reference(
-    instance: ProblemInstance,
-    name: str,
-    frontiers: dict[int, TaskFrontier],
-    order: list[int],
-    integer: bool,
-) -> tuple[LinearProgram, list[int], dict[int, list[int]]]:
-    """Row-by-row reference build (the pre-vectorization oracle)."""
-    graph = instance.graph
-    lp = LinearProgram(name=name)
-
-    v_idx: list[int] = []
-    for vertex in graph.vertices:
-        ub = 0.0 if vertex.id == instance.init_id else np.inf
-        v_idx.append(lp.add_var(f"v{vertex.id}", lb=0.0, ub=ub))
-
-    c_idx: dict[int, list[int]] = {}
-    for edge_id in order:
-        frontier = frontiers[edge_id]
-        cols = [
-            lp.add_var(f"c{edge_id}_{j}", lb=0.0, ub=1.0, integer=integer)
-            for j in range(len(frontier))
-        ]
-        c_idx[edge_id] = cols
-        lp.add_eq({col: 1.0 for col in cols}, 1.0, label=f"onehot{edge_id}")
-
-    for e in graph.edges:
-        if e.is_compute:
-            terms = {v_idx[e.dst]: 1.0, v_idx[e.src]: -1.0}
-            for col, duration in zip(c_idx[e.id], frontiers[e.id].durations):
-                terms[col] = terms.get(col, 0.0) - duration
-            lp.add_ge(terms, 0.0, label=f"prec-task{e.id}")
-        else:
-            lp.add_ge(
-                {v_idx[e.dst]: 1.0, v_idx[e.src]: -1.0},
-                e.duration_s,
-                label=f"prec-msg{e.id}",
-            )
-    return lp, v_idx, c_idx
-
-
 def extract_schedule(
     compiled: CompiledModel,
     solution: LpSolution,
     cap_w: float | None = None,
     kind: str | None = None,
     frac_tol: float = 1e-7,
-    reference: bool = False,
 ) -> PowerSchedule:
     """Decode a primal vector into a :class:`PowerSchedule`.
 
@@ -453,9 +403,9 @@ def extract_schedule(
     extraction helpers.  ``cap_w`` defaults to the cap the model was
     compiled at; parametric re-solves pass the cap actually solved.
 
-    ``reference=True`` decodes with the original per-task loop; the
-    default vectorized decode produces bit-identical schedules (the
-    tests assert this) via whole-solution gathers.
+    The decode gathers every task's fractions from the whole solution at
+    once; the tests hold it bit for bit to a per-task oracle
+    (``tests/core/lp_oracles.py``).
     """
     if cap_w is None:
         cap_w = compiled.cap_w
@@ -464,10 +414,7 @@ def extract_schedule(
     x = solution.x
     cols = compiled.column_arrays()
     vertex_times = x[cols.vertices]
-    if reference:
-        assignments = _extract_assignments_reference(compiled, x, frac_tol)
-    else:
-        assignments = _extract_assignments(compiled, x, frac_tol)
+    assignments = _extract_assignments(compiled, x, frac_tol)
     return PowerSchedule(
         kind=kind if kind is not None else compiled.kind,
         cap_w=float(cap_w),
@@ -489,10 +436,12 @@ def _extract_assignments(
     """Vectorized decode: gather/clip/normalize all tasks at once.
 
     The per-task weighted duration/power sums stay as sequential
-    accumulation over the (tiny) kept mixtures so the floats match the
-    reference decode bit for bit; the normalizing denominators use
-    ``np.add.reduceat``, which performs the same reduction the
-    reference's per-task ``.sum()`` does.
+    accumulation over the (tiny) kept mixtures so the floats match a
+    per-task decode bit for bit.  The normalizing denominators are each
+    task's ``.sum()`` of its kept fractions: ``np.add.reduceat`` gives the
+    same bits for one or two of them (the usual mix of two adjacent hull
+    points), but associates three or more differently, so those rare
+    tasks are summed one by one.
     """
     lay = compiled.extract_layout()
     assignments: dict[TaskRef, TaskAssignment] = {}
@@ -510,6 +459,8 @@ def _extract_assignments(
     kept_ptr = np.concatenate([[0], np.cumsum(counts)])
     kept_fracs = fracs[kept_idx]
     sums = np.add.reduceat(kept_fracs, kept_ptr[:-1])
+    for t in np.flatnonzero(counts > 2):
+        sums[t] = kept_fracs[kept_ptr[t]:kept_ptr[t + 1]].sum()
     norm = kept_fracs / np.repeat(sums, counts)
     d_terms = (lay.durations[kept_idx] * norm).tolist()
     p_terms = (lay.powers[kept_idx] * norm).tolist()
@@ -532,37 +483,5 @@ def _extract_assignments(
             ),
             duration_s=duration,
             power_w=power,
-        )
-    return assignments
-
-
-def _extract_assignments_reference(
-    compiled: CompiledModel, x: np.ndarray, frac_tol: float
-) -> dict[TaskRef, TaskAssignment]:
-    """Per-task reference decode (the pre-vectorization oracle)."""
-    cols = compiled.column_arrays()
-    assignments: dict[TaskRef, TaskAssignment] = {}
-    for ref, edge_id in compiled.instance.trace.task_edges.items():
-        frontier = compiled.frontiers[edge_id]
-        fracs = x[cols.tasks[edge_id]].clip(0.0, 1.0)
-        keep = fracs > frac_tol
-        if not keep.any():
-            keep[int(np.argmax(fracs))] = True
-        kept = np.flatnonzero(keep)
-        kept_fracs = fracs[kept]
-        kept_fracs = kept_fracs / kept_fracs.sum()
-        duration = power = 0.0
-        for j, f in zip(kept, kept_fracs):
-            duration += frontier.durations[j] * f
-            power += frontier.powers[j] * f
-        assignments[ref] = TaskAssignment(
-            ref=ref,
-            edge_id=edge_id,
-            mixture=tuple(
-                (frontier.points[j], float(f))
-                for j, f in zip(kept, kept_fracs)
-            ),
-            duration_s=float(duration),
-            power_w=float(power),
         )
     return assignments

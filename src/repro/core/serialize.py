@@ -1,17 +1,14 @@
-"""Schedule (de)serialization: persist LP/ILP results as JSON.
+"""Schedule (de)serialization: LP/ILP results as JSON-safe dictionaries.
 
-The paper's workflow is inherently offline — trace on the cluster, solve
-on a workstation, replay on the cluster.  Serialized schedules are the
-artifact that travels: a JSON document with the cap, the objective, and
-per-task configuration mixtures, loadable back into a
+The solver cache (:mod:`repro.exec.cache`) stores each solved schedule
+as the dictionary :func:`schedule_to_dict` returns: the cap, the
+objective, the vertex times and the per-task configuration mixtures.
+:func:`schedule_from_dict` loads it back into a
 :class:`~repro.core.schedule.PowerSchedule` whose ``config_map()`` feeds
 the replay policy directly.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -19,8 +16,7 @@ from ..machine.configuration import ConfigPoint, Configuration
 from ..simulator.program import TaskRef
 from .schedule import PowerSchedule, TaskAssignment
 
-__all__ = ["schedule_to_dict", "schedule_from_dict", "save_schedule",
-           "load_schedule"]
+__all__ = ["schedule_to_dict", "schedule_from_dict"]
 
 _FORMAT_VERSION = 1
 
@@ -107,12 +103,3 @@ def schedule_from_dict(data: dict) -> PowerSchedule:
         solver_info=dict(data.get("solver_info", {})),
     )
 
-
-def save_schedule(schedule: PowerSchedule, path: str | Path) -> None:
-    """Write a schedule to a JSON file."""
-    Path(path).write_text(json.dumps(schedule_to_dict(schedule), indent=1))
-
-
-def load_schedule(path: str | Path) -> PowerSchedule:
-    """Read a schedule from a JSON file."""
-    return schedule_from_dict(json.loads(Path(path).read_text()))

@@ -13,9 +13,7 @@ from .analysis import (
     unconstrained_schedule,
 )
 from .builder import DagBuilder
-from .transform import reduce_slack, stretch_limits
 from .graph import EdgeKind, TaskEdge, TaskGraph, Vertex, VertexKind
-from .validate import deep_validate, to_networkx
 
 __all__ = [
     "DagBuilder",
@@ -26,16 +24,12 @@ __all__ = [
     "Vertex",
     "VertexKind",
     "critical_path_edges",
-    "deep_validate",
     "edge_slack",
     "fastest_configurations",
     "fastest_durations",
     "frontier_fastest_configurations",
     "frontier_fastest_durations",
     "frontier_unconstrained_schedule",
-    "reduce_slack",
-    "stretch_limits",
     "schedule_fixed_durations",
-    "to_networkx",
     "unconstrained_schedule",
 ]

@@ -17,7 +17,6 @@ from .figures import (
     scenario_sweep_figure,
 )
 from .figures_svg import exhibit_to_svg, figure1_svg, figure8_svg, figure12_svg, sweep_svg
-from .gantt import gantt_from_result, gantt_from_schedule, power_profile_ascii
 from .regression import DriftReport, verify_reference_results
 from .report import render_kv, render_series, render_table
 from .sensitivity import SensitivityResult, sensitivity_analysis
@@ -62,9 +61,6 @@ __all__ = [
     "figure14_sp",
     "figure15_lulesh",
     "frontier_table",
-    "gantt_from_result",
-    "gantt_from_schedule",
-    "power_profile_ascii",
     "headline_summary",
     "improvement_pct",
     "make_power_models",

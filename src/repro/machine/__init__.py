@@ -7,12 +7,6 @@ per task configuration, so the substitution of an analytic model for real
 hardware leaves those code paths exactly as they would run on a cluster.
 """
 
-from .calibration import (
-    CalibrationResult,
-    PowerSample,
-    fit_power_model,
-    sample_power_model,
-)
 from .configuration import (
     ConfigPoint,
     Configuration,
@@ -43,11 +37,8 @@ from .device import (
 )
 from .frontiers import FrontierProfile, FrontierStore, NodeFrontierStore
 from .pareto import (
-    bracket_for_power,
     convex_frontier,
-    interpolate_duration,
     lower_hull,
-    nearest_point,
     pareto_frontier,
     pareto_indices,
 )
@@ -58,7 +49,6 @@ from .variability import make_power_models, sample_socket_efficiencies
 
 __all__ = [
     "AcceleratorDevice",
-    "CalibrationResult",
     "ConfigPoint",
     "Configuration",
     "CpuDevice",
@@ -82,20 +72,17 @@ __all__ = [
     "TaskSpace",
     "TaskTimeModel",
     "XEON_E5_2670",
-    "bracket_for_power",
     "convex_frontier",
     "device_power_groups",
     "device_task_space",
     "effective_frequency",
     "enumerate_configurations",
     "get_node",
-    "interpolate_duration",
     "lower_hull",
     "make_power_models",
     "measure_device_task_space",
     "measure_task",
     "measure_task_space",
-    "nearest_point",
     "node_names",
     "node_registry",
     "pareto_frontier",
@@ -104,7 +91,4 @@ __all__ = [
     "sample_socket_efficiencies",
     "single_socket_node",
     "task_space",
-    "PowerSample",
-    "fit_power_model",
-    "sample_power_model",
 ]

@@ -17,7 +17,6 @@ rounding to the nearest hull point realizes the discrete case.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 
 import numpy as np
@@ -30,9 +29,6 @@ __all__ = [
     "convex_frontier",
     "lower_hull",
     "lower_hull_indices",
-    "interpolate_duration",
-    "nearest_point",
-    "bracket_for_power",
 ]
 
 
@@ -120,47 +116,3 @@ def convex_frontier(points: list[ConfigPoint]) -> list[ConfigPoint]:
     increases, so the LP's convex mixtures are always Pareto-efficient.
     """
     return lower_hull(pareto_frontier(points))
-
-
-def bracket_for_power(
-    hull: list[ConfigPoint], power_w: float
-) -> tuple[ConfigPoint, ConfigPoint, float]:
-    """Locate ``power_w`` on the hull: returns (lo, hi, fraction toward hi).
-
-    Powers outside the hull's range clamp to the endpoints.  The convex
-    combination ``(1 - frac) * lo + frac * hi`` reproduces ``power_w``
-    exactly for in-range values.
-    """
-    if not hull:
-        raise ValueError("empty frontier")
-    powers = [p.power_w for p in hull]
-    if power_w <= powers[0]:
-        return hull[0], hull[0], 0.0
-    if power_w >= powers[-1]:
-        return hull[-1], hull[-1], 0.0
-    hi_idx = bisect_left(powers, power_w)
-    lo, hi = hull[hi_idx - 1], hull[hi_idx]
-    span = hi.power_w - lo.power_w
-    frac = 0.0 if span <= 0 else (power_w - lo.power_w) / span
-    return lo, hi, frac
-
-
-def interpolate_duration(hull: list[ConfigPoint], power_w: float) -> float:
-    """Duration of the convex frontier evaluated at an average power budget.
-
-    This is the continuous-configuration duration the LP assigns a task
-    given its power allocation.
-    """
-    lo, hi, frac = bracket_for_power(hull, power_w)
-    return (1.0 - frac) * lo.duration_s + frac * hi.duration_s
-
-
-def nearest_point(hull: list[ConfigPoint], power_w: float) -> ConfigPoint:
-    """Hull point closest in power — the paper's discrete rounding rule.
-
-    Exact ties break on the configuration so the pick is stable across
-    device kinds (mixed-device hulls have no meaningful input order).
-    """
-    if not hull:
-        raise ValueError("empty frontier")
-    return min(hull, key=lambda p: (abs(p.power_w - power_w), p.duration_s, p.config))

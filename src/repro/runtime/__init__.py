@@ -5,7 +5,6 @@ from .adagio_policy import AdagioPolicy
 from .conductor import ConductorConfig, ConductorPolicy
 from .config_search import ConfigSearchPolicy, energy_optimal_point
 from .dvfs_energy import DvfsEnergyPolicy, min_energy_fitting_point
-from .explorer import ExplorationPlan, exploration_rounds_for_full_coverage
 from .selection_only import SelectionOnlyPolicy
 from .static import StaticPolicy
 
@@ -15,12 +14,10 @@ __all__ = [
     "ConductorPolicy",
     "ConfigSearchPolicy",
     "DvfsEnergyPolicy",
-    "ExplorationPlan",
     "SelectionOnlyPolicy",
     "SlackEstimator",
     "StaticPolicy",
     "energy_optimal_point",
-    "exploration_rounds_for_full_coverage",
     "min_energy_fitting_point",
     "slowest_fitting_point",
     "task_key",

@@ -1,11 +1,5 @@
 """MPI discrete-event simulator: programs, engine, network, tracing, replay."""
 
-from .appio import (
-    application_from_dict,
-    application_to_dict,
-    load_application,
-    save_application,
-)
 from .exploration_trace import (
     RotatingExplorationPolicy,
     trace_from_exploration,
@@ -38,12 +32,6 @@ from .replay import (
     replay_schedule,
     replay_schedule_sweep,
 )
-from .stats import (
-    IterationStats,
-    imbalance_factor,
-    iteration_stats,
-    power_utilization,
-)
 from .telemetry import (
     PowerTimeline,
     job_power_timeline,
@@ -54,15 +42,12 @@ from .trace import Trace, build_dag, trace_application
 
 __all__ = [
     "Application",
-    "application_from_dict",
-    "application_to_dict",
     "CollectiveOp",
     "ComputeOp",
     "ConfigPolicy",
     "Engine",
     "IB_QDR",
     "IrecvOp",
-    "IterationStats",
     "IsendOp",
     "MaxPerformancePolicy",
     "NetworkModel",
@@ -88,9 +73,4 @@ __all__ = [
     "trace_application",
     "trace_from_exploration",
     "verify_power_cap",
-    "load_application",
-    "save_application",
-    "imbalance_factor",
-    "iteration_stats",
-    "power_utilization",
 ]

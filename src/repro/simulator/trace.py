@@ -65,7 +65,13 @@ class _LazyPareto(Mapping):
 
 @dataclass
 class Trace:
-    """A traced application: DAG plus per-task measurement data."""
+    """A traced application: DAG plus per-task measurement data.
+
+    Every rank must own at least one compute task: the LP charges each
+    slack interval's power to the task before it, so a rank without one
+    would drop out of the power constraint.  Construction raises
+    ``ValueError`` naming such ranks.
+    """
 
     app: Application
     graph: TaskGraph
@@ -73,6 +79,12 @@ class Trace:
     edge_refs: dict[int, TaskRef]
     pareto: Mapping[int, list[ConfigPoint]] = field(default_factory=dict)
     frontiers: dict[int, list[ConfigPoint]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        working = {ref.rank for ref in self.task_edges}
+        idle = [r for r in range(self.app.n_ranks) if r not in working]
+        if idle:
+            raise ValueError(f"ranks with no compute tasks: {idle}")
 
     def frontier_for(self, ref: TaskRef) -> list[ConfigPoint]:
         return self.frontiers[self.task_edges[ref]]

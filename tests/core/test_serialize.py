@@ -1,4 +1,9 @@
-"""Unit tests for schedule JSON serialization."""
+"""Unit tests for schedule JSON serialization.
+
+The solver cache writes ``schedule_to_dict`` documents as JSON text and
+reads them back through ``schedule_from_dict``; the file round trips
+below do the same.
+"""
 
 import json
 
@@ -6,9 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    load_schedule,
     round_schedule,
-    save_schedule,
     schedule_from_dict,
     schedule_to_dict,
     solve_fixed_order_lp,
@@ -17,6 +20,14 @@ from repro.machine import SocketPowerModel, TaskKernel
 from repro.simulator import replay_schedule, trace_application
 
 from ..conftest import make_p2p_app
+
+
+def save_schedule(schedule, path):
+    path.write_text(json.dumps(schedule_to_dict(schedule), indent=1))
+
+
+def load_schedule(path):
+    return schedule_from_dict(json.loads(path.read_text()))
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.dag import DagBuilder, VertexKind, deep_validate
+from repro.dag import DagBuilder, VertexKind
+from tests.dag.checks import deep_validate
 
 
 class TestBasicShapes:

@@ -1,27 +1,9 @@
-"""Unit tests for deep DAG validation and networkx export."""
+"""Unit tests for the deep task-graph checker in ``tests/dag/checks.py``."""
 
-import networkx as nx
 import pytest
 
-from repro.dag import DagBuilder, TaskGraph, VertexKind, deep_validate, to_networkx
-
-
-class TestToNetworkx:
-    def test_roundtrip_counts(self, p2p_trace):
-        g = p2p_trace.graph
-        nxg = to_networkx(g)
-        assert nxg.number_of_nodes() == g.n_vertices
-        assert nxg.number_of_edges() == g.n_edges
-
-    def test_attributes(self, kernel):
-        b = DagBuilder(1)
-        b.compute(0, kernel)
-        g = b.finalize()
-        nxg = to_networkx(g)
-        assert nxg.nodes[0]["kind"] == "init"
-
-    def test_is_dag(self, p2p_trace):
-        assert nx.is_directed_acyclic_graph(to_networkx(p2p_trace.graph))
+from repro.dag import DagBuilder, TaskGraph, VertexKind
+from tests.dag.checks import deep_validate
 
 
 class TestDeepValidate:

@@ -1,15 +1,10 @@
 """Unit tests for Pareto and convex frontiers."""
 
-import pytest
-
 from repro.machine import (
     Configuration,
     ConfigPoint,
-    bracket_for_power,
     convex_frontier,
-    interpolate_duration,
     measure_task_space,
-    nearest_point,
     pareto_frontier,
 )
 
@@ -93,40 +88,3 @@ class TestConvexFrontier:
         convex = convex_frontier(measure_task_space(kernel, power_model))
         high = [p for p in convex if p.config.freq_ghz >= 1.8]
         assert high and all(p.config.threads == 8 for p in high)
-
-
-class TestInterpolation:
-    def setup_method(self):
-        self.hull = [pt(10, 3.0), pt(20, 1.5), pt(40, 1.0)]
-
-    def test_bracket_interior(self):
-        lo, hi, frac = bracket_for_power(self.hull, 15.0)
-        assert (lo.power_w, hi.power_w) == (10, 20)
-        assert frac == pytest.approx(0.5)
-
-    def test_bracket_clamps(self):
-        lo, hi, frac = bracket_for_power(self.hull, 5.0)
-        assert lo.power_w == hi.power_w == 10
-        lo, hi, frac = bracket_for_power(self.hull, 99.0)
-        assert lo.power_w == hi.power_w == 40
-
-    def test_interpolate_matches_vertices(self):
-        for p in self.hull:
-            assert interpolate_duration(self.hull, p.power_w) == pytest.approx(
-                p.duration_s
-            )
-
-    def test_interpolate_linear_between(self):
-        assert interpolate_duration(self.hull, 15.0) == pytest.approx(2.25)
-        assert interpolate_duration(self.hull, 30.0) == pytest.approx(1.25)
-
-    def test_nearest_point(self):
-        assert nearest_point(self.hull, 12.0).power_w == 10
-        assert nearest_point(self.hull, 18.0).power_w == 20
-        assert nearest_point(self.hull, 500.0).power_w == 40
-
-    def test_empty_hull_raises(self):
-        with pytest.raises(ValueError):
-            bracket_for_power([], 10.0)
-        with pytest.raises(ValueError):
-            nearest_point([], 10.0)

@@ -13,7 +13,6 @@ from repro.machine import (
     TaskTimeModel,
     XEON_E5_2670,
     convex_frontier,
-    interpolate_duration,
     measure_task_space,
     pareto_frontier,
 )
@@ -70,13 +69,6 @@ class TestFrontierProperties:
             for a, b in zip(hull, hull[1:])
         ]
         assert all(b >= a - 1e-9 for a, b in zip(slopes, slopes[1:]))
-
-    @given(points=point_lists, power=st.floats(0.5, 120.0))
-    def test_interpolation_within_hull_bounds(self, points, power):
-        hull = convex_frontier(points)
-        d = interpolate_duration(hull, power)
-        durations = [p.duration_s for p in hull]
-        assert min(durations) - 1e-9 <= d <= max(durations) + 1e-9
 
     @given(kernel=kernels, eff=efficiencies)
     @settings(max_examples=25, deadline=None)

@@ -1,4 +1,4 @@
-"""Property-based roundtrip tests for schedule and application I/O."""
+"""Property-based roundtrip tests for schedule serialization."""
 
 import hypothesis.strategies as st
 import pytest
@@ -11,11 +11,7 @@ from repro.core import (
     solve_fixed_order_lp,
 )
 from repro.machine import SocketPowerModel
-from repro.simulator import (
-    application_from_dict,
-    application_to_dict,
-    trace_application,
-)
+from repro.simulator import trace_application
 from repro.workloads import random_application
 
 apps = st.builds(
@@ -25,27 +21,6 @@ apps = st.builds(
     seed=st.integers(0, 10_000),
     p_p2p=st.floats(0.0, 1.0),
 )
-
-
-class TestApplicationRoundtrip:
-    @given(app=apps)
-    @settings(max_examples=40, deadline=None)
-    def test_ops_identical(self, app):
-        back = application_from_dict(application_to_dict(app))
-        assert back.n_ranks == app.n_ranks
-        assert back.iterations == app.iterations
-        for pa, pb in zip(app.programs, back.programs):
-            assert pa == pb
-
-    @given(app=apps)
-    @settings(max_examples=10, deadline=None)
-    def test_roundtrip_traces_identically(self, app):
-        models = [SocketPowerModel() for _ in range(app.n_ranks)]
-        back = application_from_dict(application_to_dict(app))
-        ta = trace_application(app, models)
-        tb = trace_application(back, models)
-        assert ta.graph.n_edges == tb.graph.n_edges
-        assert set(ta.task_edges) == set(tb.task_edges)
 
 
 class TestScheduleRoundtrip:

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.dag import deep_validate, unconstrained_schedule
+from repro.dag import unconstrained_schedule
 from repro.machine import SocketPowerModel, TaskTimeModel
 from repro.simulator import (
     Engine,
@@ -13,6 +13,7 @@ from repro.simulator import (
     job_power_timeline,
     )
 from repro.workloads import random_application
+from tests.dag.checks import deep_validate
 
 apps = st.builds(
     random_application,

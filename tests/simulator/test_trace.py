@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dag import deep_validate, unconstrained_schedule
+from repro.dag import unconstrained_schedule
 from repro.machine import TaskTimeModel
 from repro.simulator import (
     Application,
@@ -15,6 +15,8 @@ from repro.simulator import (
     build_dag,
     trace_application,
 )
+from repro.workloads import WorkloadSpec, make_bt
+from tests.dag.checks import deep_validate
 
 from .. import conftest
 
@@ -61,6 +63,16 @@ class TestBuildDag:
         )
         with pytest.raises(RuntimeError, match="deadlock"):
             build_dag(app)
+
+    def test_rank_without_compute_rejected(self, two_rank_models):
+        """A rank with no compute task has no task to charge its slack
+        power to, so tracing names it instead of solving a model that
+        leaves its power out."""
+        bt = make_bt(WorkloadSpec(n_ranks=2, iterations=2, seed=1))
+        idle = [op for op in bt.programs[1] if not isinstance(op, ComputeOp)]
+        app = Application("bt-idle-rank-1", [bt.programs[0], idle])
+        with pytest.raises(ValueError, match=r"no compute tasks: \[1\]"):
+            trace_application(app, two_rank_models)
 
 
 class TestDagMatchesEngine:

@@ -11,6 +11,10 @@ module — relative imports or absolute ``repro.*`` ones.  Imports of
 private names from *external* packages (e.g. the guarded use of SciPy's
 bundled HiGHS bindings in ``core/solver.py``) are a dependency-pinning
 concern, not a layering one, and are left to code review.
+
+The module also keeps the consumer guard: every module under
+``src/repro`` must be reached by a static import walk from the
+``repro-experiments`` entry point, perfbench or a benchmark claim.
 """
 
 import ast
@@ -187,3 +191,167 @@ def test_test_import_guard_trips(tmp_path):
         "from testsuite import x\n"
     )
     assert _test_imports(mod) == ["offender.py:2", "offender.py:3"]
+
+
+# ----------------------------------------------------------------------
+# Consumer guard: every module has a consumer in the product.
+
+REPO = SRC.parent.parent
+
+#: Modules allowed to stay without a consumer, each with the reason.
+NO_CONSUMER_YET = {
+    "repro.core.validate_schedule": (
+        "names the constraint a schedule breaks; its consumer is the "
+        "per-cell bound check on the ROADMAP"
+    ),
+}
+
+
+def _modules() -> dict[str, Path]:
+    out = {}
+    for path in SRC.rglob("*.py"):
+        parts = list(path.relative_to(SRC.parent).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+        out[".".join(parts)] = path
+    return out
+
+
+class _ImportGraph:
+    """Static ``import`` / ``from ... import`` graph of ``src/repro``.
+
+    A name imported from a package resolves to the submodule that
+    defines it: through the package ``__init__``'s own ``from .x import
+    name`` re-exports, else to the submodules defining ``name`` at top
+    level (``repro.exec`` exports lazily through ``__getattr__``).  So
+    ``from repro.core import solve_fixed_order_lp`` reaches
+    ``repro.core.fixed_order_lp`` and nothing else the package imports.
+    """
+
+    def __init__(self) -> None:
+        self.paths = _modules()
+        self.trees = {
+            m: ast.parse(p.read_text(), filename=str(p))
+            for m, p in self.paths.items()
+        }
+
+    def is_package(self, module: str) -> bool:
+        return self.paths[module].name == "__init__.py"
+
+    def _absolute(self, module: str | None, node: ast.ImportFrom) -> str | None:
+        if node.level == 0:
+            return node.module
+        base = module if self.is_package(module) else module.rpartition(".")[0]
+        for _ in range(node.level - 1):
+            base = base.rpartition(".")[0]
+        return f"{base}.{node.module}" if node.module else base
+
+    def _defines(self, module: str, name: str) -> bool:
+        for node in self.trees[module].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name == name:
+                    return True
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (
+                    node.targets if isinstance(node, ast.Assign) else [node.target]
+                )
+                for target in targets:
+                    for n in ast.walk(target):
+                        if isinstance(n, ast.Name) and n.id == name:
+                            return True
+        return False
+
+    def resolve(self, package: str, name: str) -> set[str]:
+        """The modules ``from package import name`` reaches."""
+        if f"{package}.{name}" in self.paths:
+            return {f"{package}.{name}"}
+        for node in self.trees[package].body:
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            for alias in node.names:
+                if (alias.asname or alias.name) != name:
+                    continue
+                source = self._absolute(package, node)
+                if source not in self.paths:
+                    return set()
+                if self.is_package(source):
+                    return self.resolve(source, alias.name)
+                return {source}
+        return {
+            m
+            for m in self.paths
+            if m.startswith(package + ".")
+            and not self.is_package(m)
+            and self._defines(m, name)
+        }
+
+    def imports(self, tree: ast.AST, module: str | None = None) -> set[str]:
+        """Modules of ``src/repro`` that ``tree`` imports anywhere in it."""
+        out: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                out.update(a.name for a in node.names if a.name in self.paths)
+            elif isinstance(node, ast.ImportFrom):
+                source = self._absolute(module, node)
+                if source not in self.paths:
+                    continue
+                if self.is_package(source):
+                    for alias in node.names:
+                        out |= self.resolve(source, alias.name)
+                else:
+                    out.add(source)
+        return out
+
+    def reached_from(self, roots: set[str]) -> set[str]:
+        reached: set[str] = set()
+        todo = list(roots)
+        while todo:
+            module = todo.pop()
+            if module in reached:
+                continue
+            reached.add(module)
+            todo.extend(self.imports(self.trees[module], module) - reached)
+        return reached
+
+
+def _consumer_roots(graph: _ImportGraph) -> set[str]:
+    """The CLI entry point plus what perfbench and the benchmark
+    claims import."""
+    roots = {"repro.experiments.cli"}
+    for pattern in ("perfbench/*.py", "benchmarks/test_bench_*.py"):
+        for path in sorted(REPO.glob(pattern)):
+            roots |= graph.imports(ast.parse(path.read_text(), filename=str(path)))
+    return roots
+
+
+def test_every_module_has_a_consumer():
+    """Every module under ``src/repro`` is reached from the
+    ``repro-experiments`` entry point, perfbench or a
+    ``benchmarks/test_bench_*`` claim, not only from its own tests."""
+    graph = _ImportGraph()
+    reached = graph.reached_from(_consumer_roots(graph))
+    orphans = sorted(
+        m
+        for m in graph.paths
+        if not graph.is_package(m) and m not in reached and m not in NO_CONSUMER_YET
+    )
+    assert not orphans, (
+        "modules no entry point, perfbench or benchmark claim imports: "
+        f"{orphans}; give each a consumer or delete it"
+    )
+    stale = sorted(m for m in NO_CONSUMER_YET if m in reached or m not in graph.paths)
+    assert not stale, f"allowlisted modules that have a consumer or are gone: {stale}"
+
+
+def test_consumer_graph_resolves_through_packages():
+    graph = _ImportGraph()
+    tree = ast.parse(
+        "from repro.core import solve_fixed_order_lp\n"
+        "from repro.exec import ParallelRunner\n"
+        "from repro.scenarios import run\n"
+    )
+    assert graph.imports(tree) == {
+        "repro.core.fixed_order_lp",
+        "repro.exec.parallel",
+        "repro.scenarios.run",
+    }

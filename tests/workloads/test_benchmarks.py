@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.dag import deep_validate
 from repro.machine import SocketPowerModel
 from repro.simulator import (
     CollectiveOp,
@@ -21,6 +20,7 @@ from repro.workloads import (
     make_sp,
     neighbors_3d,
 )
+from tests.dag.checks import deep_validate
 
 SMALL = WorkloadSpec(n_ranks=8, iterations=2, seed=3)
 

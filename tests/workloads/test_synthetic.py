@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.dag import deep_validate
 from repro.machine import SocketPowerModel
 from repro.simulator import Engine, MaxPerformancePolicy, build_dag, trace_application
 from repro.workloads import (
@@ -10,6 +9,7 @@ from repro.workloads import (
     random_application,
     two_rank_exchange,
 )
+from tests.dag.checks import deep_validate
 
 
 class TestTwoRankExchange:
