@@ -9,8 +9,8 @@ claims:
 
 * **speed** — the parametric dense sweep is at least 2x faster than the
   per-cap rebuild on the same grid (measured as min over interleaved
-  repetitions, so a scheduler hiccup on either side cannot fake or mask
-  the speedup);
+  repetitions, alternating which path runs first, so a scheduler hiccup
+  on either side cannot fake or mask the speedup);
 * **identity** — the two paths return byte-identical makespans and
   primal vectors (the model handed to HiGHS is the same, and HiGHS is
   deterministic).
@@ -31,8 +31,10 @@ from tests.simulator.oracles import job_power_timeline_reference, run_scalar
 
 #: Dense grid, as in a production figure sweep.
 N_CAPS = 50
-#: Interleaved timing repetitions per path.
-N_REPS = 3
+#: Interleaved timing repetitions per path.  The speedup is a ratio of
+#: minima, so more repetitions only make it steadier: with three, one
+#: read 1.98x on a loaded two-vCPU host.
+N_REPS = 7
 
 
 def _bt_trace(n_ranks=8, iterations=2):
@@ -48,16 +50,17 @@ def test_parametric_sweep_2x_and_byte_identical(benchmark):
     trace = _bt_trace()
     caps = _cap_grid()
 
-    t_rebuild, t_parametric = [], []
-    rebuild = parametric = None
-    for _ in range(N_REPS):
-        t0 = time.perf_counter()
-        rebuild = solve_cap_sweep(trace, caps, parametric=False)
-        t_rebuild.append(time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        parametric = solve_cap_sweep(trace, caps, parametric=True)
-        t_parametric.append(time.perf_counter() - t0)
+    times = {False: [], True: []}
+    results = {}
+    for rep in range(N_REPS):
+        # Alternate which path goes first, so a slow stretch of the host
+        # does not always land on the same side.
+        for mode in (rep % 2 == 1, rep % 2 == 0):
+            t0 = time.perf_counter()
+            results[mode] = solve_cap_sweep(trace, caps, parametric=mode)
+            times[mode].append(time.perf_counter() - t0)
+    rebuild, parametric = results[False], results[True]
+    t_rebuild, t_parametric = times[False], times[True]
 
     # Identity first: same feasibility verdicts, bit-equal makespans and
     # primal vectors at every cap.

@@ -15,6 +15,7 @@ from .configuration import (
     measure_task,
     measure_task_space,
     task_space,
+    task_spaces,
 )
 from .cpu import XEON_E5_2670, CpuSpec, effective_frequency
 from .device import (
@@ -28,6 +29,7 @@ from .device import (
     NodeSpec,
     device_power_groups,
     device_task_space,
+    device_task_spaces,
     get_node,
     measure_device_task_space,
     node_names,
@@ -38,11 +40,11 @@ from .device import (
 from .frontiers import FrontierProfile, FrontierStore, NodeFrontierStore
 from .pareto import (
     convex_frontier,
+    frontier_rows,
     lower_hull,
     pareto_frontier,
-    pareto_indices,
 )
-from .performance import TaskKernel, TaskTimeModel
+from .performance import KernelArrays, TaskKernel, TaskTimeModel, rank_kernel_arrays
 from .power import DEFAULT_POWER_PARAMS, PowerModelParams, SocketPowerModel
 from .rapl import RaplController, RaplDecision, RaplSettlement
 from .variability import make_power_models, sample_socket_efficiencies
@@ -59,6 +61,7 @@ __all__ = [
     "FrontierProfile",
     "FrontierStore",
     "GpuDevice",
+    "KernelArrays",
     "LEGACY_DEVICE_ID",
     "LEGACY_NODE",
     "NodeFrontierStore",
@@ -75,8 +78,10 @@ __all__ = [
     "convex_frontier",
     "device_power_groups",
     "device_task_space",
+    "device_task_spaces",
     "effective_frequency",
     "enumerate_configurations",
+    "frontier_rows",
     "get_node",
     "lower_hull",
     "make_power_models",
@@ -86,9 +91,10 @@ __all__ = [
     "node_names",
     "node_registry",
     "pareto_frontier",
-    "pareto_indices",
+    "rank_kernel_arrays",
     "rank_nodes",
     "sample_socket_efficiencies",
     "single_socket_node",
     "task_space",
+    "task_spaces",
 ]

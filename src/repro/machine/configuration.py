@@ -7,7 +7,7 @@ task's (duration, power) at each point, producing the raw scatter of the
 paper's Figure 1.
 
 The grid of a socket is built once per (spec, modulation, device tag) and
-shared; :func:`task_space` evaluates a task over the whole grid in one
+shared; :func:`task_spaces` evaluates K tasks over the whole grid in one
 numpy pass whose floats are bit-identical to per-point
 :func:`measure_task` calls.
 """
@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cpu import CpuSpec, XEON_E5_2670
-from .performance import TaskKernel, TaskTimeModel
+from .performance import KernelArrays, TaskKernel, TaskTimeModel
 from .power import SocketPowerModel
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "measure_task",
     "measure_task_space",
     "task_space",
+    "task_spaces",
 ]
 
 
@@ -220,6 +221,58 @@ class TaskSpace:
         return points
 
 
+def task_spaces(
+    kernels: KernelArrays,
+    power_model: SocketPowerModel,
+    spec: CpuSpec | None = None,
+    include_modulation: bool = False,
+    device: str = "",
+    time_scale: float = 1.0,
+    efficiency: np.ndarray | None = None,
+) -> tuple[tuple[Configuration, ...], np.ndarray, np.ndarray]:
+    """Measure K kernels over a socket's whole configuration grid at once.
+
+    Returns the grid's configurations and (K, N) duration and power
+    arrays, row ``i`` measuring ``kernels.kernels[i]``.  Durations follow
+    ``TaskTimeModel(spec)`` scaled by ``time_scale``; powers follow
+    ``power_model`` with row ``i`` scaled by ``efficiency[i]`` (default:
+    the model's own), so sockets differing only in efficiency share one
+    pass.  The per-thread Amdahl/memory factors and the per-frequency
+    dynamic power are broadcast over the grid in the scalar models'
+    operation order — the frequency power law with Python ``**``, once
+    per frequency — so every float equals the :func:`measure_task` result.
+    """
+    cpu = spec if spec is not None else power_model.spec
+    if cpu.cores > power_model.spec.cores:
+        raise ValueError(
+            f"threads must be in [1, {power_model.spec.cores}], got {cpu.cores}"
+        )
+    grid = _grid(cpu, include_modulation, device)
+    ka = kernels
+    n = np.array(cpu.thread_counts(), dtype=np.int64)
+    g = (1.0 - ka.pf[:, None]) + ka.pf[:, None] / n
+    cpu_t = ka.cpu[:, None] * g
+    base = (1.0 - ka.pm[:, None]) + ka.pm[:, None] / np.minimum(n, ka.sat[:, None])
+    over = np.maximum(0, n - ka.ct[:, None])
+    mem_t = ka.mem[:, None] * (base * (1.0 + ka.cp[:, None] * over))
+    slowdown = np.array([cpu.fmax_ghz / f for f in grid.freqs])
+    p = power_model.params
+    fmax = power_model.spec.fmax_ghz
+    rel_pow = np.array([(f / fmax) ** p.freq_exponent for f in grid.freqs])
+    dyn = (ka.activity * p.p_core_dyn_max)[:, None] * rel_pow
+    t, fi, duty = grid.thread_idx, grid.freq_idx, grid.duty
+    durations = (cpu_t[:, t] * slowdown[fi] + mem_t[:, t]) / duty * time_scale
+    uncore = p.p_uncore_idle + (p.p_uncore_mem * ka.mem_int)[:, None] * duty
+    per_core = p.p_core_leak + dyn[:, fi] * duty
+    eff = (
+        np.full(len(ka.kernels), power_model.efficiency)
+        if efficiency is None
+        else np.asarray(efficiency, dtype=float)
+    )
+    powers = eff[:, None] * (uncore + grid.threads * per_core)
+    return grid.configs, durations, powers
+
+
 def task_space(
     kernel: TaskKernel,
     power_model: SocketPowerModel,
@@ -228,40 +281,14 @@ def task_space(
     device: str = "",
     time_scale: float = 1.0,
 ) -> TaskSpace:
-    """Measure a task over a socket's whole configuration grid at once.
-
-    Durations come from ``TaskTimeModel(spec)`` scaled by ``time_scale``
-    and powers from ``power_model``; configurations carry the ``device``
-    tag.  The per-thread Amdahl/memory factors and the per-frequency
-    dynamic power are evaluated once by the scalar models themselves and
-    broadcast over the grid with the scalar expressions' operation order,
-    so every float equals the corresponding :func:`measure_task` result.
-    """
-    cpu = spec if spec is not None else power_model.spec
-    if cpu.cores > power_model.spec.cores:
-        raise ValueError(
-            f"threads must be in [1, {power_model.spec.cores}], got {cpu.cores}"
-        )
-    grid = _grid(cpu, include_modulation, device)
-    tm = TaskTimeModel(cpu)
-    counts = cpu.thread_counts()
-    cpu_t = np.array(
-        [kernel.cpu_seconds * tm.compute_speedup_denominator(kernel, n) for n in counts]
+    """Measure one task over a socket's whole configuration grid: the
+    K=1 case of :func:`task_spaces`, with the same floats as per-point
+    :func:`measure_task` calls."""
+    configs, durations, powers = task_spaces(
+        KernelArrays.of([kernel]), power_model, spec, include_modulation,
+        device, time_scale,
     )
-    mem_t = np.array(
-        [kernel.mem_seconds * tm.memory_time_factor(kernel, n) for n in counts]
-    )
-    slowdown = np.array([cpu.fmax_ghz / f for f in grid.freqs])
-    dyn = np.array(
-        [power_model.core_dynamic_power(f, kernel.activity) for f in grid.freqs]
-    )
-    t, fi, duty = grid.thread_idx, grid.freq_idx, grid.duty
-    durations = (cpu_t[t] * slowdown[fi] + mem_t[t]) / duty * time_scale
-    p = power_model.params
-    uncore = p.p_uncore_idle + p.p_uncore_mem * kernel.mem_intensity * duty
-    per_core = p.p_core_leak + dyn[fi] * duty
-    powers = power_model.efficiency * (uncore + grid.threads * per_core)
-    return TaskSpace(grid.configs, durations, powers)
+    return TaskSpace(configs, durations[0], powers[0])
 
 
 def measure_task_space(

@@ -37,10 +37,10 @@ from .configuration import (
     Configuration,
     TaskSpace,
     enumerate_configurations,
-    task_space,
+    task_spaces,
 )
 from .cpu import CpuSpec, XEON_E5_2670
-from .performance import TaskKernel, TaskTimeModel
+from .performance import KernelArrays, TaskKernel, TaskTimeModel
 from .power import DEFAULT_POWER_PARAMS, PowerModelParams, SocketPowerModel
 
 __all__ = [
@@ -61,6 +61,7 @@ __all__ = [
     "device_power_groups",
     "measure_device_task_space",
     "device_task_space",
+    "device_task_spaces",
 ]
 
 #: The reserved device id of the legacy homogeneous socket.  Configurations
@@ -540,26 +541,37 @@ def device_power_groups(node: NodeSpec) -> dict[str, tuple[str, ...]]:
     return {"cpu": cpu, "offload": offload}
 
 
-def device_task_space(kernel: TaskKernel, device: DeviceSpec) -> TaskSpace:
-    """Measure a task across one device's operating-point table, as arrays.
+def device_task_spaces(
+    kernels: KernelArrays, device: DeviceSpec
+) -> tuple[tuple[Configuration, ...], np.ndarray, np.ndarray]:
+    """Measure K tasks across one device's operating-point table.
 
-    CPU devices evaluate their whole grid in one numpy pass
-    (:func:`~repro.machine.configuration.task_space`); other devices are
+    Returns the configurations and (K, N) duration and power arrays.  CPU
+    devices evaluate all rows over their grid in one numpy pass
+    (:func:`~repro.machine.configuration.task_spaces`); other devices are
     measured point by point.
     """
     if isinstance(device, CpuDevice):
-        return task_space(
-            kernel,
+        return task_spaces(
+            kernels,
             device.power_model,
             device=device.device_id,
             time_scale=device.time_scale,
         )
     configs = tuple(device.operating_points())
-    return TaskSpace(
-        configs,
-        np.array([device.duration(kernel, c) for c in configs], dtype=float),
-        np.array([device.power(kernel, c) for c in configs], dtype=float),
-    )
+    rows = [
+        [(device.duration(k, c), device.power(k, c)) for c in configs]
+        for k in kernels.kernels
+    ]
+    table = np.array(rows, dtype=float).reshape(len(rows), len(configs), 2)
+    return configs, table[:, :, 0], table[:, :, 1]
+
+
+def device_task_space(kernel: TaskKernel, device: DeviceSpec) -> TaskSpace:
+    """Measure one task across one device's operating-point table, as
+    arrays: the K=1 case of :func:`device_task_spaces`."""
+    configs, durations, powers = device_task_spaces(KernelArrays.of([kernel]), device)
+    return TaskSpace(configs, durations[0], powers[0])
 
 
 def measure_device_task_space(

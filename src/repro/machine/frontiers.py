@@ -9,6 +9,11 @@ exploration tracer, Conductor, Adagio, selection-only and the
 exploration planner — so a kernel profiled by the tracer is never
 re-measured by a runtime policy running on the same machine.
 
+:meth:`FrontierStore.profile_table` profiles a whole application: every
+kernel not yet in the store is measured and reduced in one batched array
+pass, and the result is indexed by task position, ``table[rank][seq]``.
+:meth:`FrontierStore.profile` is the one-kernel case.
+
 Measurement noise is supported for the tracing path: perturbations are
 drawn per (kernel, socket) on first touch, in call order, from the rng
 the caller provides — matching an exploration pass that profiles each
@@ -22,10 +27,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .configuration import ConfigPoint, TaskSpace, task_space
-from .device import NodeSpec, device_task_space
-from .pareto import lower_hull, lower_hull_indices, pareto_frontier, pareto_indices
-from .performance import TaskKernel
+from .configuration import ConfigPoint, Configuration, TaskSpace, task_spaces
+from .device import NodeSpec, device_task_spaces
+from .pareto import frontier_rows, lower_hull, pareto_frontier
+from .performance import KernelArrays, TaskKernel
 from .power import SocketPowerModel
 
 __all__ = ["FrontierProfile", "FrontierStore", "NodeFrontierStore"]
@@ -35,14 +40,22 @@ __all__ = ["FrontierProfile", "FrontierStore", "NodeFrontierStore"]
 class FrontierProfile:
     """One task shape's measured configuration space and its reductions.
 
-    Only ``convex`` — small, and read by every runtime — is built eagerly;
-    ``points`` and ``pareto`` are built on first access and cached.
+    The hull's powers, durations and configurations are plain lists, read
+    by the runtimes without building points; ``convex``, ``points`` and
+    ``pareto`` are built on first access and cached.
     """
 
     space: TaskSpace  #: the scatter: configs, measured durations and powers
     pareto_idx: np.ndarray  #: positions in ``space`` of the Pareto set, by power
     hull_idx: np.ndarray  #: positions in ``space`` of the lower convex hull
-    convex: list[ConfigPoint]  #: lower convex hull (the LP's C_i)
+    hull_powers: list[float]  #: hull powers, increasing
+    hull_durations: list[float]  #: hull durations, decreasing
+    hull_configs: list[Configuration]  #: hull configurations
+
+    @cached_property
+    def convex(self) -> list[ConfigPoint]:
+        """The lower convex hull (the LP's C_i) as points."""
+        return self.space.points(self.hull_idx)
 
     @cached_property
     def points(self) -> list[ConfigPoint]:
@@ -65,30 +78,43 @@ class FrontierProfile:
         )
 
 
-def _profile(
-    space: TaskSpace, sigma: float, rng: np.random.Generator
-) -> FrontierProfile:
-    """Perturb (when ``sigma > 0``) and reduce one measured scatter.
-
-    Noise is one lognormal (duration, power) draw pair per point, in point
-    order — the sequence a per-point profiling pass would draw.
-    """
-    durations, powers = space.durations, space.powers
-    if sigma > 0:
-        draws = rng.lognormal(0.0, sigma, size=(len(space.configs), 2))
-        durations = durations * draws[:, 0]
-        powers = powers * draws[:, 1]
-        space = TaskSpace(space.configs, durations, powers)
+def _reduce(
+    configs: tuple[Configuration, ...], durations: np.ndarray, powers: np.ndarray
+) -> list[FrontierProfile]:
+    """Reduce K measured rows sharing ``configs`` to their profiles."""
     if not ((durations > 0).all() and (powers > 0).all()):
-        space.points()  # raises, naming the first non-positive measurement
-    pareto = np.array(pareto_indices(powers, durations, space.configs), dtype=np.intp)
-    p, d = powers[pareto].tolist(), durations[pareto].tolist()
-    hull = pareto[lower_hull_indices(p, d)]
-    return FrontierProfile(space, pareto, hull, space.points(hull))
+        bad = int(np.flatnonzero(~((durations > 0) & (powers > 0)).all(axis=-1))[0])
+        # The scalar constructor names the first non-positive measurement.
+        TaskSpace(configs, durations[bad], powers[bad]).points()
+    pareto, n_pareto, hull, n_hull = frontier_rows(powers, durations, configs)
+    # Gather every row's hull in one flat pass: only the valid entries
+    # become Python objects.
+    hull = hull[:, : n_hull.max()]
+    valid = np.arange(hull.shape[1]) < n_hull[:, None]
+    cols = hull[valid].tolist()
+    hull_p = np.take_along_axis(powers, hull, axis=-1)[valid].tolist()
+    hull_d = np.take_along_axis(durations, hull, axis=-1)[valid].tolist()
+    profiles, start = [], 0
+    for row, (np_, nh) in enumerate(zip(n_pareto.tolist(), n_hull.tolist())):
+        end = start + nh
+        profiles.append(FrontierProfile(
+            TaskSpace(configs, durations[row], powers[row]),
+            pareto[row, :np_],
+            hull[row, :nh],
+            hull_p[start:end],
+            hull_d[start:end],
+            [configs[k] for k in cols[start:end]],
+        ))
+        start = end
+    return profiles
 
 
 class _ProfileViews:
-    """The memo set-up and accessors both stores share around ``profile``."""
+    """What both stores share around their batch measurement ``_measure``.
+
+    Each store defines its own ``profile`` (a one-line call of
+    :meth:`_lookup`), so the benchmark's layer tracer, which wraps the
+    method on the class that defines it, sees both."""
 
     def _setup(
         self, machines: list, measurement_noise: float, rng: np.random.Generator | None
@@ -107,6 +133,64 @@ class _ProfileViews:
             if self.measurement_noise > 0
             else [first.setdefault(m, r) for r, m in enumerate(machines)]
         )
+
+    def _lookup(self, rank: int, kernel: TaskKernel) -> FrontierProfile:
+        """The profile of a kernel on a rank's machine, filled on a miss."""
+        key = (kernel, self._canon[rank])
+        prof = self._profiles.get(key)
+        if prof is None:
+            self._fill([key])
+            prof = self._profiles[key]
+        return prof
+
+    def profile_table(
+        self, kernel_arrays: list[KernelArrays]
+    ) -> list[list[FrontierProfile]]:
+        """Profiles of every task of an application, by task position.
+
+        ``kernel_arrays[rank]`` lists the rank's kernels in task-sequence
+        order (:func:`~repro.machine.performance.rank_kernel_arrays`); the
+        result's ``[rank][seq]`` is the store's ``profile(rank, kernel)``.
+        Kernels not yet in the store are measured and reduced in one
+        batch; a noisy store draws their noise in the order listed, rank
+        by rank, which is the order per-task ``profile`` calls would draw
+        it.
+        """
+        table: list[list] = []
+        todo: dict[tuple[TaskKernel, int], list[tuple[int, int]]] = {}
+        for rank, ka in enumerate(kernel_arrays):
+            slot = self._canon[rank]
+            row = [self._profiles.get((k, slot)) for k in ka.kernels]
+            for seq, prof in enumerate(row):
+                if prof is None:
+                    todo.setdefault((ka.kernels[seq], slot), []).append((rank, seq))
+            table.append(row)
+        if todo:
+            self._fill(list(todo))
+            for key, places in todo.items():
+                prof = self._profiles[key]
+                for rank, seq in places:
+                    table[rank][seq] = prof
+        return table
+
+    def _fill(self, keys: list[tuple[TaskKernel, int]]) -> None:
+        """Measure, perturb (in ``keys`` order) and reduce the profiles
+        of ``keys``, all rows sharing a configuration grid in one pass."""
+        groups = self._measure(keys)
+        if self.measurement_noise > 0:
+            rows: list = [None] * len(keys)
+            for configs, idx, d, p in groups:
+                for r, i in enumerate(idx):
+                    rows[i] = (len(configs), d[r], p[r])
+            for n, d, p in rows:
+                # One lognormal (duration, power) draw pair per point, in
+                # point order: a per-point profiling pass's sequence.
+                draws = self._rng.lognormal(0.0, self.measurement_noise, (n, 2))
+                d *= draws[:, 0]
+                p *= draws[:, 1]
+        for configs, idx, d, p in groups:
+            for i, prof in zip(idx, _reduce(configs, d, p)):
+                self._profiles[keys[i]] = prof
 
     def convex(self, rank: int, kernel: TaskKernel) -> list[ConfigPoint]:
         return self.profile(rank, kernel).convex
@@ -159,13 +243,25 @@ class FrontierStore(_ProfileViews):
 
     def profile(self, rank: int, kernel: TaskKernel) -> FrontierProfile:
         """The (points, pareto, convex) profile of a kernel on a rank's socket."""
-        key = (kernel, self._canon[rank])
-        prof = self._profiles.get(key)
-        if prof is None:
-            space = task_space(kernel, self.power_models[key[1]])
-            prof = _profile(space, self.measurement_noise, self._rng)
-            self._profiles[key] = prof
-        return prof
+        return self._lookup(rank, kernel)
+
+    def _measure(self, keys: list[tuple[TaskKernel, int]]) -> list:
+        """(configs, key positions, durations, powers) per socket family:
+        sockets differing only in efficiency share one pass."""
+        families: dict = {}
+        for i, (_, slot) in enumerate(keys):
+            pm = self.power_models[slot]
+            families.setdefault((pm.spec, pm.params), []).append(i)
+        groups = []
+        for idx in families.values():
+            slots = [keys[i][1] for i in idx]
+            configs, d, p = task_spaces(
+                KernelArrays.of([keys[i][0] for i in idx]),
+                self.power_models[slots[0]],
+                efficiency=[self.power_models[s].efficiency for s in slots],
+            )
+            groups.append((configs, idx, d, p))
+        return groups
 
 
 class NodeFrontierStore(_ProfileViews):
@@ -203,27 +299,34 @@ class NodeFrontierStore(_ProfileViews):
 
     def profile(self, rank: int, kernel: TaskKernel) -> FrontierProfile:
         """The merged (points, pareto, convex) profile on a rank's node."""
-        key = (kernel, self._canon[rank])
-        prof = self._profiles.get(key)
-        if prof is None:
-            node = self.nodes[key[1]]
-            spaces = [
-                device_task_space(kernel, dev)
-                for dev in node.devices
-                if dev.supports(kernel)
-            ]
-            configs = sum((sp.configs for sp in spaces), ())
-            if not configs:
+        return self._lookup(rank, kernel)
+
+    def _measure(self, keys: list[tuple[TaskKernel, int]]) -> list:
+        """(configs, key positions, durations, powers) per (node, set of
+        supporting devices): each device's rows measured in one pass and
+        stacked in node order."""
+        families: dict = {}
+        for i, (kernel, slot) in enumerate(keys):
+            node = self.nodes[slot]
+            devices = tuple(
+                d for d, dev in enumerate(node.devices) if dev.supports(kernel)
+            )
+            if not devices:
                 raise ValueError(
                     f"no device on node {node.name!r} supports kernel "
                     f"{kernel.name or kernel!r}"
                 )
-            space = TaskSpace(
-                configs,
-                np.concatenate([sp.durations for sp in spaces]),
-                np.concatenate([sp.powers for sp in spaces]),
-            )
-            prof = _profile(space, self.measurement_noise, self._rng)
-            self._profiles[key] = prof
-        return prof
-
+            families.setdefault((slot, devices), []).append(i)
+        groups = []
+        for (slot, devices), idx in families.items():
+            ka = KernelArrays.of([keys[i][0] for i in idx])
+            spaces = [
+                device_task_spaces(ka, self.nodes[slot].devices[d]) for d in devices
+            ]
+            groups.append((
+                sum((sp[0] for sp in spaces), ()),
+                idx,
+                np.concatenate([sp[1] for sp in spaces], axis=1),
+                np.concatenate([sp[2] for sp in spaces], axis=1),
+            ))
+        return groups

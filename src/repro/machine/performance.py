@@ -27,9 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .cpu import CpuSpec, XEON_E5_2670
 
-__all__ = ["TaskKernel", "TaskTimeModel"]
+__all__ = ["KernelArrays", "TaskKernel", "TaskTimeModel", "rank_kernel_arrays"]
 
 
 @dataclass(frozen=True)
@@ -166,3 +168,74 @@ class TaskTimeModel:
         durations = [self.duration(kernel, self.spec.fmax_ghz, n) for n in counts]
         best = min(range(len(counts)), key=lambda i: (durations[i], counts[i]))
         return counts[best]
+
+
+@dataclass(frozen=True)
+class KernelArrays:
+    """A list of task kernels with each parameter as a dense array.
+
+    Row ``i`` of every array is ``kernels[i]``'s parameter; the frontier
+    table and the plan-building policies evaluate all rows in one numpy
+    pass.
+    """
+
+    kernels: list
+    cpu: np.ndarray
+    mem: np.ndarray
+    pf: np.ndarray
+    pm: np.ndarray
+    sat: np.ndarray
+    ct: np.ndarray
+    cp: np.ndarray
+    activity: np.ndarray
+    mem_int: np.ndarray
+
+    @classmethod
+    def of(cls, kernels: list[TaskKernel]) -> "KernelArrays":
+        """Gather the parameters of ``kernels``, in order."""
+        return cls(
+            kernels=list(kernels),
+            cpu=np.array([k.cpu_seconds for k in kernels], dtype=float),
+            mem=np.array([k.mem_seconds for k in kernels], dtype=float),
+            pf=np.array([k.parallel_fraction for k in kernels], dtype=float),
+            pm=np.array([k.mem_parallel_fraction for k in kernels], dtype=float),
+            sat=np.array([k.bw_saturation_threads for k in kernels], dtype=np.int64),
+            ct=np.array([k.contention_threshold for k in kernels], dtype=np.int64),
+            cp=np.array([k.contention_penalty for k in kernels], dtype=float),
+            activity=np.array([k.activity for k in kernels], dtype=float),
+            mem_int=np.array([k.mem_intensity for k in kernels], dtype=float),
+        )
+
+    def columns(self) -> "KernelArrays":
+        """The same parameters shaped ``[n_tasks, 1]``, so evaluators
+        broadcast them against ``[n_tasks, n_points]`` configuration
+        arrays (views; the elementwise expressions, and so the result
+        bits, are unchanged)."""
+        return KernelArrays(
+            self.kernels, *(getattr(self, name)[:, None] for name in _PARAMS)
+        )
+
+
+_PARAMS = ("cpu", "mem", "pf", "pm", "sat", "ct", "cp", "activity", "mem_int")
+
+
+def rank_kernel_arrays(app) -> list[KernelArrays]:
+    """Each rank's compute kernels, in task-sequence order, as arrays.
+
+    ``app`` is a simulator ``Application`` (anything with ``programs``,
+    ``n_ranks`` and ``compute_ops(rank)``).  The gather is cached on the
+    application with a snapshot of its op lists: sweeps replay the same
+    app at many caps, and the frontier table and the plan-building
+    policies all read it, while a program changed since (an op added,
+    removed or replaced by an unequal one) is gathered again.
+    """
+    snapshot = tuple(map(tuple, app.programs))
+    cached = app.__dict__.get("_plan_kernel_arrays")
+    if cached is not None and cached[0] == snapshot:
+        return cached[1]
+    arrays = [
+        KernelArrays.of([op.kernel for op in app.compute_ops(rank)])
+        for rank in range(app.n_ranks)
+    ]
+    app._plan_kernel_arrays = (snapshot, arrays)
+    return arrays

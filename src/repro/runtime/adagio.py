@@ -8,6 +8,9 @@ as its first step; it is also usable standalone as an energy-saving policy.
 
 Tasks recur across iterations, so the per-iteration position of a task on
 its rank, :func:`task_key`, is the identity slack estimates attach to.
+The runtimes read each task's frontier from a :class:`FrontierTable`, by
+task position, and pick points off its hull lists with
+:func:`first_fitting`.
 """
 
 from __future__ import annotations
@@ -15,9 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..machine.configuration import ConfigPoint
+from ..machine.frontiers import FrontierProfile, FrontierStore, NodeFrontierStore
+from ..machine.performance import TaskKernel, rank_kernel_arrays
 from ..simulator.engine import TaskRecord
+from ..simulator.program import Application, TaskRef
 
-__all__ = ["task_key", "SlackEstimator", "slowest_fitting_point"]
+__all__ = [
+    "task_key",
+    "SlackEstimator",
+    "FrontierTable",
+    "first_fitting",
+    "slowest_fitting_point",
+]
 
 
 def task_key(record: TaskRecord, tasks_per_iteration: int) -> tuple[int, int]:
@@ -104,6 +116,19 @@ class SlackEstimator:
         return self.slack_s.get(key)
 
 
+def first_fitting(durations: list[float], n: int, max_duration_s: float) -> int:
+    """Position of the first of ``durations[:n]`` within a budget.
+
+    ``durations`` is a frontier's, in increasing-power order, so this is
+    the lowest-power point whose duration fits; when none of the first
+    ``n`` fits, the last of them (the fastest) is returned.
+    """
+    for i in range(n):
+        if durations[i] <= max_duration_s:
+            return i
+    return n - 1
+
+
 def slowest_fitting_point(
     frontier: list[ConfigPoint], max_duration_s: float
 ) -> ConfigPoint:
@@ -116,7 +141,34 @@ def slowest_fitting_point(
     """
     if not frontier:
         raise ValueError("empty frontier")
-    for point in frontier:
-        if point.duration_s <= max_duration_s:
-            return point
-    return frontier[-1]
+    durations = [p.duration_s for p in frontier]
+    return frontier[first_fitting(durations, len(frontier), max_duration_s)]
+
+
+class FrontierTable:
+    """An application's task profiles, read by task position.
+
+    Built once per policy from a shared store's
+    :meth:`~repro.machine.frontiers.FrontierStore.profile_table`; the
+    runtimes then pick configurations from each profile's hull lists
+    (``hull_powers``, ``hull_durations``, ``hull_configs``).
+    """
+
+    def __init__(self, store: FrontierStore | NodeFrontierStore, app: Application):
+        arrays = rank_kernel_arrays(app)
+        self._kernels = [ka.kernels for ka in arrays]
+        self._profiles = store.profile_table(arrays)
+
+    def profile(self, ref: TaskRef, kernel: TaskKernel) -> FrontierProfile:
+        """The profile of task ``ref``; raises ``ValueError`` unless the
+        table's application runs ``kernel`` there."""
+        try:
+            mine = self._kernels[ref.rank][ref.seq]
+        except IndexError:
+            mine = None
+        if mine is not kernel and mine != kernel:
+            raise ValueError(
+                f"task {ref} runs kernel {kernel.name or kernel!r}, but the "
+                "policy's frontier table was built for another application"
+            )
+        return self._profiles[ref.rank][ref.seq]

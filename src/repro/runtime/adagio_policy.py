@@ -11,14 +11,14 @@ measured against the energy-LP bound (:func:`repro.core.solve_energy_lp`).
 
 from __future__ import annotations
 
-from ..machine.configuration import ConfigPoint, Configuration
+from ..machine.configuration import Configuration
 from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.frontiers import FrontierStore, NodeFrontierStore
 from ..machine.performance import TaskKernel
 from ..machine.power import SocketPowerModel
 from ..simulator.engine import TaskRecord
 from ..simulator.program import Application, ComputeOp, TaskRef
-from .adagio import SlackEstimator, slowest_fitting_point
+from .adagio import FrontierTable, SlackEstimator, first_fitting
 from .conductor import task_key_for
 
 __all__ = ["AdagioPolicy"]
@@ -62,9 +62,7 @@ class AdagioPolicy:
             if frontier_store is not None
             else FrontierStore(power_models)
         )
-
-    def _frontier(self, rank: int, kernel: TaskKernel) -> list[ConfigPoint]:
-        return self.frontiers.convex(rank, kernel)
+        self.table = FrontierTable(self.frontiers, app)
 
     def configure(
         self,
@@ -74,23 +72,23 @@ class AdagioPolicy:
         current: Configuration | None,
     ) -> Configuration:
         """Fastest configuration, slowed into the task's measured slack."""
-        frontier = self._frontier(ref.rank, kernel)
-        fastest = frontier[-1]
-        chosen = fastest
+        prof = self.table.profile(ref, kernel)
+        durations = prof.hull_durations
+        chosen = len(durations) - 1  # the fastest
         slack_s = self.slack.slack_estimate(
             task_key_for(ref, self.tasks_per_iteration[ref.rank])
         )
         if slack_s is not None:
-            chosen = slowest_fitting_point(
-                frontier, fastest.duration_s + self.safety * slack_s
-            )
+            allowed = durations[chosen] + self.safety * slack_s
+            chosen = first_fitting(durations, len(durations), allowed)
+        config = prof.hull_configs[chosen]
         if (
             current is not None
-            and chosen.config != current
-            and chosen.duration_s < self.min_switch_duration_s
+            and config != current
+            and durations[chosen] < self.min_switch_duration_s
         ):
             return current
-        return chosen.config
+        return config
 
     def on_pcontrol(self, iteration: int, records: list[TaskRecord]) -> float:
         self.slack.update(records)

@@ -24,6 +24,7 @@ that measurement noise, not load, picks the "critical" rank.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ from ..obs.events import ReallocEvent
 from ..obs.recorder import current_recorder
 from ..simulator.engine import TaskRecord
 from ..simulator.program import Application, ComputeOp, TaskRef
-from .adagio import SlackEstimator, slowest_fitting_point
+from .adagio import FrontierTable, SlackEstimator, first_fitting
 
 __all__ = ["ConductorPolicy", "ConductorConfig"]
 
@@ -141,12 +142,14 @@ class ConductorPolicy:
 
         # The shared frontier store: Conductor's profiling pass measures
         # the same (kernel, power model) spaces as every other consumer,
-        # so a store handed in by the harness is a warm cache.
+        # so a store handed in by the harness is a warm cache.  Every
+        # task's profile is read from one table, by (rank, seq).
         self.frontiers = (
             frontier_store
             if frontier_store is not None
             else FrontierStore(power_models)
         )
+        self.table = FrontierTable(self.frontiers, app)
         self._pcontrol_count = 0
         self.realloc_count = 0
         self.alloc_history: list[np.ndarray] = []
@@ -156,7 +159,7 @@ class ConductorPolicy:
         self, ref: TaskRef, kernel: TaskKernel, iteration: int
     ) -> Configuration:
         """Heterogeneous profiling configurations, kept under the uniform cap."""
-        space = self.frontiers.profile(ref.rank, kernel).space
+        space = self.table.profile(ref, kernel).space
         budget = self.alloc_w[ref.rank]
         admissible = np.flatnonzero(space.powers <= budget)
         if not len(admissible):
@@ -178,16 +181,17 @@ class ConductorPolicy:
         if 0 <= iteration < self.cfg.exploration_iterations:
             return self._exploration_config(ref, kernel, iteration)
 
-        frontier = self.frontiers.convex(ref.rank, kernel)
+        prof = self.table.profile(ref, kernel)
         budget = self.alloc_w[ref.rank]
-        admissible = [p for p in frontier if p.power_w <= budget]
-        if not admissible:
+        n_fit = bisect_right(prof.hull_powers, float(budget))
+        if not n_fit:
             # Allocation below the cheapest configuration: fall back to
             # RAPL-style throttling at the frontier's thread count.
-            threads = frontier[0].config.threads
+            threads = prof.hull_configs[0].threads
             return self.rapl[ref.rank].decide(kernel, threads, budget).config
 
-        chosen = admissible[-1]  # fastest under the budget
+        durations = prof.hull_durations
+        chosen = n_fit - 1  # fastest under the budget
         key = task_key_for(ref, self.tasks_per_iteration[ref.rank])
         slack_s = self.slack.slack_estimate(key)
         if slack_s is not None:
@@ -195,16 +199,17 @@ class ConductorPolicy:
             # fastest-achievable duration under the budget, so a task
             # slowed in a previous iteration springs back the moment its
             # slack disappears (no ratchet).
-            allowed = chosen.duration_s + self.cfg.adagio_safety * slack_s
-            chosen = slowest_fitting_point(admissible, allowed)
+            allowed = durations[chosen] + self.cfg.adagio_safety * slack_s
+            chosen = first_fitting(durations, n_fit, allowed)
 
+        config = prof.hull_configs[chosen]
         if (
             current is not None
-            and chosen.config != current
-            and chosen.duration_s < self.cfg.min_switch_duration_s
+            and config != current
+            and durations[chosen] < self.cfg.min_switch_duration_s
         ):
             return current  # paper's 1 ms switch threshold
-        return chosen.config
+        return config
 
     # ------------------------------------------------------------------
     def on_pcontrol(self, iteration: int, records: list[TaskRecord]) -> float:
@@ -260,8 +265,8 @@ class ConductorPolicy:
             busy[r] += rec.duration_s
             last_end[r] = max(last_end[r], rec.end_s)
             rank_tasks[r].append(rec)
-            frontier = self.frontiers.convex(r, rec.kernel)
-            max_useful[r] = max(max_useful[r], frontier[-1].power_w)
+            prof = self.table.profile(rec.ref, rec.kernel)
+            max_useful[r] = max(max_useful[r], prof.hull_powers[-1])
         barrier = float(last_end.max())
         span = max(barrier - iter_start, 1e-12)
         earliness = barrier - last_end
@@ -286,9 +291,10 @@ class ConductorPolicy:
                 stretch = 1.0 + self.cfg.adagio_safety * earliness[r] / busy[r]
             req = 0.0
             for rec in rank_tasks[r]:
-                frontier = self.frontiers.convex(r, rec.kernel)
-                point = slowest_fitting_point(frontier, rec.duration_s * stretch)
-                req = max(req, point.power_w)
+                prof = self.table.profile(rec.ref, rec.kernel)
+                durations = prof.hull_durations
+                fit = first_fitting(durations, len(durations), rec.duration_s * stretch)
+                req = max(req, prof.hull_powers[fit])
             needed[r] = req + self.cfg.donor_margin_w
 
         total_needed = float(needed.sum())

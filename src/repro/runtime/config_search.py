@@ -20,14 +20,13 @@ import numpy as np
 
 from ..machine.configuration import ConfigPoint, Configuration, task_space
 from ..machine.cpu import CpuSpec, XEON_E5_2670
-from ..machine.performance import TaskKernel
+from ..machine.performance import TaskKernel, rank_kernel_arrays
 from ..machine.power import SocketPowerModel
 from ..simulator.engine import (
     Engine,
     RunPlan,
     TaskRecord,
     plan_from_configs,
-    rank_kernel_arrays,
 )
 from ..simulator.program import Application, TaskRef
 

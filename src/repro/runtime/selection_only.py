@@ -14,7 +14,9 @@ virtually all of LULESH's (thread-count mismatch) and almost none of BT's
 
 from __future__ import annotations
 
-from ..machine.configuration import ConfigPoint, Configuration
+from bisect import bisect_right
+
+from ..machine.configuration import Configuration
 from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.frontiers import FrontierStore, NodeFrontierStore
 from ..machine.performance import TaskKernel
@@ -22,7 +24,7 @@ from ..machine.power import SocketPowerModel
 from ..machine.rapl import RaplController
 from ..simulator.engine import TaskRecord
 from ..simulator.program import Application, ComputeOp, TaskRef
-from .adagio import SlackEstimator, slowest_fitting_point
+from .adagio import FrontierTable, SlackEstimator, first_fitting
 from .conductor import task_key_for
 
 __all__ = ["SelectionOnlyPolicy"]
@@ -69,9 +71,7 @@ class SelectionOnlyPolicy:
             if frontier_store is not None
             else FrontierStore(power_models)
         )
-
-    def _frontier(self, rank: int, kernel: TaskKernel) -> list[ConfigPoint]:
-        return self.frontiers.convex(rank, kernel)
+        self.table = FrontierTable(self.frontiers, app)
 
     def configure(
         self,
@@ -82,28 +82,29 @@ class SelectionOnlyPolicy:
     ) -> Configuration:
         """Fastest frontier point under the fixed uniform budget (with
         Adagio slack absorption and the 1 ms switch rule)."""
-        frontier = self._frontier(ref.rank, kernel)
-        admissible = [p for p in frontier if p.power_w <= self.budget_w]
-        if not admissible:
-            threads = frontier[0].config.threads
+        prof = self.table.profile(ref, kernel)
+        n_fit = bisect_right(prof.hull_powers, self.budget_w)
+        if not n_fit:
+            threads = prof.hull_configs[0].threads
             return self.rapl[ref.rank].decide(
                 kernel, threads, self.budget_w
             ).config
-        chosen = admissible[-1]
+        durations = prof.hull_durations
+        chosen = n_fit - 1
         slack_s = self.slack.slack_estimate(
             task_key_for(ref, self.tasks_per_iteration[ref.rank])
         )
         if slack_s is not None:
-            chosen = slowest_fitting_point(
-                admissible, chosen.duration_s + self.adagio_safety * slack_s
-            )
+            allowed = durations[chosen] + self.adagio_safety * slack_s
+            chosen = first_fitting(durations, n_fit, allowed)
+        config = prof.hull_configs[chosen]
         if (
             current is not None
-            and chosen.config != current
-            and chosen.duration_s < self.min_switch_duration_s
+            and config != current
+            and durations[chosen] < self.min_switch_duration_s
         ):
             return current
-        return chosen.config
+        return config
 
     def on_pcontrol(self, iteration: int, records: list[TaskRecord]) -> float:
         self.slack.update(records)

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..machine.configuration import Configuration
 from ..machine.cpu import CpuSpec, XEON_E5_2670
-from ..machine.performance import TaskKernel
+from ..machine.performance import TaskKernel, rank_kernel_arrays
 from ..machine.power import SocketPowerModel
 from ..machine.rapl import RaplController
 from ..simulator.engine import (
@@ -21,8 +21,6 @@ from ..simulator.engine import (
     RunPlan,
     SweepRunPlan,
     TaskRecord,
-    kernel_arrays_as_columns,
-    rank_kernel_arrays,
     sweep_rank_plan,
 )
 from ..simulator.program import Application, TaskRef
@@ -124,7 +122,7 @@ class StaticPolicy:
             switches[1:] = (freq[1:] != freq[:-1]) | (duty[1:] != duty[:-1])
             configs = [[candidates[j] for j in row] for row in choice.tolist()]
             ranks.append(sweep_rank_plan(
-                engine, rank, kernel_arrays_as_columns(ka), configs,
+                engine, rank, ka.columns(), configs,
                 freq, thr, duty, switches, self.switch_cost_s(),
             ))
         return SweepRunPlan(ranks=ranks, n_points=len(caps))

@@ -27,7 +27,12 @@ import numpy as np
 from ..machine.configuration import Configuration
 from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.device import NodeSpec
-from ..machine.performance import TaskKernel, TaskTimeModel
+from ..machine.performance import (
+    KernelArrays,
+    TaskKernel,
+    TaskTimeModel,
+    rank_kernel_arrays,
+)
 from ..machine.power import SocketPowerModel
 from ..obs.events import CollectiveEvent, MpiWaitEvent, TaskEvent
 from ..obs.metrics import inc as metric_inc
@@ -57,7 +62,6 @@ __all__ = [
     "RunPlan",
     "SweepRankPlan",
     "SweepRunPlan",
-    "rank_kernel_arrays",
     "batch_task_durations",
     "batch_task_powers",
     "sweep_rank_plan",
@@ -181,58 +185,9 @@ class SweepRunPlan:
         ])
 
 
-@dataclass(frozen=True)
-class _KernelArrays:
-    """One rank's task-kernel parameters as dense arrays (plan hot path)."""
-
-    kernels: list
-    cpu: np.ndarray
-    mem: np.ndarray
-    pf: np.ndarray
-    pm: np.ndarray
-    sat: np.ndarray
-    ct: np.ndarray
-    cp: np.ndarray
-    activity: np.ndarray
-    mem_int: np.ndarray
-
-
-def rank_kernel_arrays(app: Application) -> list[_KernelArrays]:
-    """Per-rank kernel-parameter arrays, cached on the application.
-
-    Plan-building policies call this once per run; the gather over kernel
-    attributes is paid once per application object (sweeps replay the same
-    app at many caps, so the cache amortizes it to zero).
-    """
-    cached = getattr(app, "_plan_kernel_arrays", None)
-    if cached is not None:
-        return cached
-    arrays = []
-    for program in app.programs:
-        kernels = [op.kernel for op in program if isinstance(op, ComputeOp)]
-        arrays.append(_KernelArrays(
-            kernels=kernels,
-            cpu=np.array([k.cpu_seconds for k in kernels]),
-            mem=np.array([k.mem_seconds for k in kernels]),
-            pf=np.array([k.parallel_fraction for k in kernels]),
-            pm=np.array([k.mem_parallel_fraction for k in kernels]),
-            sat=np.array(
-                [k.bw_saturation_threads for k in kernels], dtype=np.int64
-            ),
-            ct=np.array(
-                [k.contention_threshold for k in kernels], dtype=np.int64
-            ),
-            cp=np.array([k.contention_penalty for k in kernels]),
-            activity=np.array([k.activity for k in kernels]),
-            mem_int=np.array([k.mem_intensity for k in kernels]),
-        ))
-    app._plan_kernel_arrays = arrays
-    return arrays
-
-
 def batch_task_durations(
     time_model: TaskTimeModel,
-    ka: _KernelArrays,
+    ka: KernelArrays,
     freq_ghz: np.ndarray,
     threads: np.ndarray,
     duty: np.ndarray,
@@ -254,7 +209,7 @@ def batch_task_durations(
 
 def batch_task_powers(
     power_model: SocketPowerModel,
-    ka: _KernelArrays,
+    ka: KernelArrays,
     freq_ghz: np.ndarray,
     threads: np.ndarray,
     duty: np.ndarray,
@@ -335,7 +290,7 @@ def plan_from_configs(app: Application, engine: "Engine", per_rank_configs: list
 def sweep_rank_plan(
     engine: "Engine",
     rank: int,
-    ka_cols: _KernelArrays,
+    ka_cols: KernelArrays,
     configs: list,
     freq_ghz: np.ndarray,
     threads: np.ndarray,
@@ -351,7 +306,7 @@ def sweep_rank_plan(
     configuration at point c.  Durations and powers are batch evaluated
     with the engine's machine models for every point at once (the shared
     tail of every sweep-planning policy; ``ka_cols`` comes from
-    :func:`kernel_arrays_as_columns`).
+    :meth:`KernelArrays.columns`).
     """
     return SweepRankPlan(
         configs=configs,
@@ -363,25 +318,6 @@ def sweep_rank_plan(
         ),
         switch_add=np.where(switches, switch_cost_s, 0.0),
         n_switches=np.count_nonzero(switches, axis=0),
-    )
-
-
-def kernel_arrays_as_columns(ka: _KernelArrays) -> _KernelArrays:
-    """The same kernel parameters shaped ``[n_tasks, 1]`` so the batch
-    evaluators broadcast against ``[n_tasks, n_points]`` configuration
-    arrays (cheap views; the elementwise expressions — and therefore the
-    result bits — are unchanged)."""
-    return _KernelArrays(
-        kernels=ka.kernels,
-        cpu=ka.cpu[:, None],
-        mem=ka.mem[:, None],
-        pf=ka.pf[:, None],
-        pm=ka.pm[:, None],
-        sat=ka.sat[:, None],
-        ct=ka.ct[:, None],
-        cp=ka.cp[:, None],
-        activity=ka.activity[:, None],
-        mem_int=ka.mem_int[:, None],
     )
 
 

@@ -182,7 +182,16 @@ class Application:
         Every send and receive names a peer in ``[0, n_ranks)``, and each
         ``(src, dst, tag)`` channel carries as many sends as receives: an
         unmatched message is a program MPI would hang on, not one to time.
+
+        A passing check is remembered with a snapshot of the op lists, so
+        the engine, the tracer and the workload builders re-validating
+        the same application cost one comparison; any later change to a
+        program (an op added, removed or replaced by an unequal one)
+        makes the next call check again.
         """
+        snapshot = tuple(map(tuple, self.programs))
+        if snapshot == self.__dict__.get("_validated"):
+            return
         coll_counts: dict[int, int] = {}
         sends: list[tuple[int, int, int]] = []  # (src, dst, tag) per message
         recvs: list[tuple[int, int, int]] = []
@@ -237,3 +246,4 @@ class Application:
                 "unmatched point-to-point messages, (src, dst, tag) -> "
                 f"sends minus receives: {bad}"
             )
+        self._validated = snapshot

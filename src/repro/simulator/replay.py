@@ -20,7 +20,7 @@ import numpy as np
 
 from ..machine.configuration import Configuration
 from ..machine.cpu import CpuSpec, XEON_E5_2670
-from ..machine.performance import TaskKernel, TaskTimeModel
+from ..machine.performance import TaskKernel, TaskTimeModel, rank_kernel_arrays
 from ..machine.power import SocketPowerModel
 from .engine import (
     Engine,
@@ -29,9 +29,7 @@ from .engine import (
     SweepRunPlan,
     TaskRecord,
     batch_task_durations,
-    kernel_arrays_as_columns,
     plan_from_configs,
-    rank_kernel_arrays,
     sweep_rank_plan,
 )
 from .network import IB_QDR, NetworkModel
@@ -232,7 +230,7 @@ def build_replay_sweep_plan(
     rank_plans = []
     for rank in range(app.n_ranks):
         ka = arrays[rank]
-        ka_cols = kernel_arrays_as_columns(ka)
+        ka_cols = ka.columns()
         n_tasks = len(ka.kernels)
         targets = [[None] * n_points for _ in range(n_tasks)]
         freq = np.ones((n_tasks, n_points))

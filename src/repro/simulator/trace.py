@@ -29,6 +29,7 @@ from ..obs.metrics import timed
 from ..machine.configuration import ConfigPoint
 from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.frontiers import FrontierProfile, FrontierStore, NodeFrontierStore
+from ..machine.performance import rank_kernel_arrays
 from ..machine.power import SocketPowerModel
 from .network import IB_QDR, NetworkModel
 from .program import (
@@ -293,6 +294,8 @@ def _trace_application(
     )
     graph, task_edges = build_dag(app, network)
 
+    # One batched pass profiles every task; the per-edge lookups below hit.
+    store.profile_table(rank_kernel_arrays(app))
     profiles = {
         edge_id: store.profile(ref.rank, graph.edges[edge_id].kernel)
         for ref, edge_id in task_edges.items()

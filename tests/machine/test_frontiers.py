@@ -1,8 +1,8 @@
 """Array-built frontier profiling against its scalar references.
 
 A task's configuration scatter is measured over the whole grid in one
-numpy pass (:func:`task_space`) and reduced with :func:`pareto_indices`
-and :func:`lower_hull`.  Every float must equal the scalar path exactly:
+numpy pass (:func:`task_space`) and reduced with :func:`frontier_rows`.
+Every float must equal the scalar path exactly:
 per-point :func:`measure_task` for the scatter, and the scan-based
 reductions kept below as the oracle for the frontiers.
 """

@@ -42,13 +42,13 @@ def _built(prof) -> set[str]:
 def recorded(monkeypatch):
     """Every profile any store builds while the test runs."""
     made = []
-    build = frontiers_module._profile
+    build = frontiers_module._reduce
 
     def record(*args):
-        made.append(build(*args))
-        return made[-1]
+        made.extend(build(*args))
+        return made[-len(args[1]):]
 
-    monkeypatch.setattr(frontiers_module, "_profile", record)
+    monkeypatch.setattr(frontiers_module, "_reduce", record)
     return made
 
 

@@ -7,6 +7,8 @@ from repro.runtime import AdagioPolicy
 from repro.simulator import Engine, MaxPerformancePolicy
 from repro.workloads import imbalanced_collective_app
 
+from .apps import kernel_app
+
 
 @pytest.fixture
 def models():
@@ -64,9 +66,9 @@ class TestAdagioPolicy:
         ]
         assert any(r.config.freq_ghz < 2.6 for r in late)
 
-    def test_first_iteration_runs_fastest(self, models, app, kernel):
+    def test_first_iteration_runs_fastest(self, models, kernel):
         """No slack estimates yet: everything at the fastest config."""
-        policy = AdagioPolicy(models, app)
+        policy = AdagioPolicy(models, kernel_app(kernel))
         from repro.simulator import TaskRef
 
         cfg = policy.configure(TaskRef(0, 0), kernel, 0, None)

@@ -8,6 +8,8 @@ from repro.runtime import ConductorConfig, ConductorPolicy, StaticPolicy
 from repro.simulator import Engine, TaskRef, job_power_timeline
 from repro.workloads import imbalanced_collective_app
 
+from .apps import kernel_app
+
 FAST_CONDUCTOR = ConductorConfig(
     exploration_iterations=2, realloc_period=1, step_w=4.0,
     measurement_noise=0.0, seed=1,
@@ -50,7 +52,8 @@ class TestConductorPolicy:
         with pytest.raises(ValueError):
             ConductorPolicy(models, 0.0, app)
 
-    def test_exploration_configs_heterogeneous(self, models, app, kernel):
+    def test_exploration_configs_heterogeneous(self, models, kernel):
+        app = kernel_app(kernel)
         policy = ConductorPolicy(models, 120.0, app, config=FAST_CONDUCTOR)
         cfgs = {
             policy.configure(TaskRef(r, 0), kernel, 0, None)
@@ -58,7 +61,8 @@ class TestConductorPolicy:
         }
         assert len(cfgs) > 1  # different ranks profile different configs
 
-    def test_exploration_respects_budget(self, models, app, kernel):
+    def test_exploration_respects_budget(self, models, kernel):
+        app = kernel_app(kernel)
         policy = ConductorPolicy(models, 120.0, app, config=FAST_CONDUCTOR)
         for r in range(4):
             cfg = policy.configure(TaskRef(r, 0), kernel, 0, None)
@@ -68,7 +72,8 @@ class TestConductorPolicy:
             )
             assert power <= policy.alloc_w[r] * 1.001 or cfg.duty < 1.0
 
-    def test_steady_state_fastest_under_budget(self, models, app, kernel):
+    def test_steady_state_fastest_under_budget(self, models, kernel):
+        app = kernel_app(kernel)
         policy = ConductorPolicy(models, 120.0, app, config=FAST_CONDUCTOR)
         cfg = policy.configure(TaskRef(0, 0), kernel, 5, None)
         frontier = policy.frontiers.convex(0, kernel)
@@ -76,7 +81,8 @@ class TestConductorPolicy:
         fits = [p for p in frontier if p.power_w <= budget]
         assert cfg == fits[-1].config  # no slack info yet -> fastest
 
-    def test_rapl_fallback_below_frontier(self, models, app, kernel):
+    def test_rapl_fallback_below_frontier(self, models, kernel):
+        app = kernel_app(kernel)
         policy = ConductorPolicy(models, 120.0, app, config=FAST_CONDUCTOR)
         policy.alloc_w[:] = 8.0  # below any frontier point
         cfg = policy.configure(TaskRef(0, 0), kernel, 5, None)

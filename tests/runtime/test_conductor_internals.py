@@ -9,6 +9,8 @@ from repro.runtime import ConductorConfig, ConductorPolicy, StaticPolicy
 from repro.simulator import Engine, TaskRecord, TaskRef
 from repro.workloads import imbalanced_collective_app
 
+from .apps import kernel_app
+
 
 @pytest.fixture
 def models():
@@ -36,8 +38,8 @@ class TestReallocateController:
         return ConductorPolicy(models, 120.0, app,
                                config=ConductorConfig(**kwargs))
 
-    def test_heavy_rank_gains(self, models, app, kernel):
-        policy = self.make_policy(models, app)
+    def test_heavy_rank_gains(self, models, kernel):
+        policy = self.make_policy(models, kernel_app(kernel))
         # Rank 3 busy the whole span; others idle half of it.
         records = [
             record(r, 0.0, 1.0 if r < 3 else 2.0, 28.0, kernel)
@@ -48,16 +50,16 @@ class TestReallocateController:
         assert policy.alloc_w[3] > before[3]
         assert policy.alloc_w.sum() <= 120.0 + 1e-9
 
-    def test_balanced_records_stable(self, models, app, kernel):
-        policy = self.make_policy(models, app)
+    def test_balanced_records_stable(self, models, kernel):
+        policy = self.make_policy(models, kernel_app(kernel))
         records = [record(r, 0.0, 1.5, 29.0, kernel) for r in range(4)]
         before = policy.alloc_w.copy()
         policy._reallocate(records)
         # Everyone critical and equally needy: allocation barely moves.
         np.testing.assert_allclose(policy.alloc_w, before, atol=2.0)
 
-    def test_step_bound_limits_movement(self, models, app, kernel):
-        policy = self.make_policy(models, app, step_w=1.0)
+    def test_step_bound_limits_movement(self, models, kernel):
+        policy = self.make_policy(models, kernel_app(kernel), step_w=1.0)
         records = [
             record(r, 0.0, 0.5 if r < 3 else 2.0, 20.0 if r < 3 else 29.0,
                    kernel)
@@ -67,9 +69,9 @@ class TestReallocateController:
         policy._reallocate(records)
         assert np.abs(policy.alloc_w - before).max() <= 1.0 + 1e-9
 
-    def test_infeasible_demand_scales_down(self, models, app):
+    def test_infeasible_demand_scales_down(self, models):
         hungry = TaskKernel(cpu_seconds=1.0, activity=1.8, mem_intensity=0.8)
-        policy = self.make_policy(models, app)
+        policy = self.make_policy(models, kernel_app(hungry))
         policy.job_cap_w = 60.0
         policy.alloc_w[:] = 15.0
         records = [record(r, 0.0, 2.0, 15.0, hungry) for r in range(4)]

@@ -12,6 +12,8 @@ from repro.runtime import (
 from repro.simulator import Engine, TaskRef, job_power_timeline
 from repro.workloads import WorkloadSpec, imbalanced_collective_app, make_lulesh
 
+from .apps import kernel_app
+
 
 @pytest.fixture
 def models():
@@ -36,7 +38,7 @@ class TestSelectionOnlyPolicy:
         assert policy.on_pcontrol(0, []) == 0.0
 
     def test_respects_budget(self, models, kernel):
-        app = imbalanced_collective_app(n_ranks=4, iterations=2)
+        app = kernel_app(kernel, iterations=2)
         policy = SelectionOnlyPolicy(models, 120.0, app)
         cfg = policy.configure(TaskRef(0, 0), kernel, 0, None)
         power = models[0].power(cfg.freq_ghz, cfg.threads, kernel.activity,

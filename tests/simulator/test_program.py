@@ -8,6 +8,7 @@ from repro.simulator import (
     ComputeOp,
     IrecvOp,
     IsendOp,
+    MaxPerformancePolicy,
     PcontrolOp,
     RecvOp,
     SendOp,
@@ -68,6 +69,24 @@ class TestValidation:
 
     def test_valid_program_passes(self, p2p_app):
         p2p_app.validate()
+
+    def test_program_changed_after_a_run_is_checked_again(self, p2p_app, engine):
+        engine.run(p2p_app, MaxPerformancePolicy())
+        p2p_app.validate()  # remembered: the programs did not change
+        p2p_app.programs[1].insert(0, RecvOp(src=0, tag=99))
+        with pytest.raises(ValueError, match="unmatched"):
+            engine.run(p2p_app, MaxPerformancePolicy())
+
+    def test_replaced_op_is_checked_again(self, p2p_app, engine):
+        engine.run(p2p_app, MaxPerformancePolicy())
+        prog = p2p_app.programs[0]
+        k = next(i for i, op in enumerate(prog) if isinstance(op, PcontrolOp))
+        prog[k] = CollectiveOp(iteration=prog[k].iteration)
+        prog[k] = PcontrolOp(prog[k].iteration)  # equal again: still valid
+        engine.run(p2p_app, MaxPerformancePolicy())
+        prog.pop(k)
+        with pytest.raises(ValueError, match="collectives"):
+            engine.run(p2p_app, MaxPerformancePolicy())
 
 
 class TestTaskRef:
