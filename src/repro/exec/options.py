@@ -39,9 +39,6 @@ class ExecutionOptions:
     task_timeout_s: float | None = None
     task_retries: int = 1
     task_backoff_s: float = 0.05
-    #: Sweep cells per pool dispatch (> 1 amortizes pickling/IPC when
-    #: individual cells are cheap; see ParallelRunner.batch_size).
-    task_batch_size: int = 1
 
     def make_cache(self) -> SolverCache | None:
         """A cache handle per these options (None when caching is off)."""

@@ -7,17 +7,14 @@ fans such cells out over a ``ProcessPoolExecutor`` while keeping the
 loop would produce, so parallel and serial runs are interchangeable
 byte-for-byte.
 
-Failure semantics come in two flavors:
-
-* :meth:`ParallelRunner.map` — the strict map: a task that fails (or
-  times out) on every allowed attempt aborts the whole map with
-  :class:`ParallelExecutionError` (or :class:`PoolBrokenError` when the
-  workers underneath it kept dying).
-* :meth:`ParallelRunner.map_outcomes` — the keep-going map: every item
-  produces a :class:`CellOutcome`, ok or failed, and the sweep completes
-  around failed cells.  An ``on_outcome`` callback fires per item in
-  submission order, which is how the sweep journal checkpoints progress
-  (see :mod:`repro.exec.checkpoint`).
+Every map settles every item.  :meth:`ParallelRunner.map_outcomes`
+gives each item a :class:`CellOutcome`, ok or failed, and an
+``on_outcome`` callback fires per item in submission order, which is how
+the sweep journal checkpoints progress (see :mod:`repro.exec.checkpoint`).
+:meth:`ParallelRunner.map` is the same map, raising
+:class:`ParallelExecutionError` (or :class:`PoolBrokenError` when the
+workers underneath it kept dying) for the first item that failed (or
+timed out) on every allowed attempt.
 
 Reliability machinery, hardened for production sweeps:
 
@@ -33,9 +30,9 @@ Reliability machinery, hardened for production sweeps:
   jitter (:func:`retry_delay_s`), so a thundering herd of workers
   retrying a shared resource de-synchronizes the same way every run.
 
-With ``max_workers <= 1`` the runner degrades to a plain in-process
-loop — no pickling, no subprocesses — which is also the benchmark
-harness's measured path.
+With ``max_workers <= 1`` the runner degrades to an in-process loop —
+no pickling, no subprocesses, the same retries and failures but no
+deadline — which is also the benchmark harness's measured path.
 
 Observability: each worker runs its task under fresh sinks of the kinds
 the parent has active (:class:`~repro.obs.sinks.Sinks` — metrics with
@@ -202,44 +199,6 @@ def _kill_workers(pool: ProcessPoolExecutor) -> None:
         proc.join()
 
 
-def _run_batch(packed: tuple) -> list[dict]:
-    """Worker-side batch: several items through one dispatch.
-
-    Amortizes per-task pickling/IPC overhead when cells are small (the
-    many-caps/cheap-solve regime a warm parametric sweep produces).
-    Each item retries *in the worker* on the same deterministic backoff
-    schedule as the unbatched map — :func:`retry_delay_s` keyed by the
-    item's global index — and settles into a structured doc, so one
-    failing item never discards its batch-mates' results.  The retry and
-    failure counters land in the worker metrics that :func:`run_task`
-    snapshots around the whole batch.
-    """
-    fn, batch, start, retries, backoff_s, seed = packed
-    docs: list[dict] = []
-    for k, item in enumerate(batch):
-        index = start + k
-        attempt = 0
-        while True:
-            try:
-                value = fn(item)
-                docs.append({"ok": True, "value": value, "attempts": attempt + 1})
-                break
-            except Exception as exc:
-                attempt += 1
-                if attempt > retries:
-                    metric_inc("task.failed", operational=True)
-                    docs.append({
-                        "ok": False,
-                        "error_type": type(exc).__name__,
-                        "error_message": str(exc),
-                        "attempts": attempt,
-                    })
-                    break
-                metric_inc("task.retry", operational=True)
-                time.sleep(retry_delay_s(seed, index, attempt, backoff_s))
-    return docs
-
-
 class ParallelRunner:
     """Ordered, fault-tolerant map over a process pool.
 
@@ -263,16 +222,6 @@ class ParallelRunner:
         ``0`` retries immediately.
     backoff_seed:
         Seed of the jitter schedule (so backoff is reproducible).
-    batch_size:
-        Items dispatched per submission (default 1: one task per item).
-        ``> 1`` groups contiguous items into one worker call
-        (:func:`_run_batch`), amortizing pickling/IPC overhead when
-        individual cells are cheap; results, outcome callbacks, and the
-        deterministic per-item retry schedule are unchanged.  Item
-        failures settle in-worker; the per-task ``timeout_s`` budget
-        scales to ``timeout_s * batch_size`` per dispatch.  Serial runs
-        ignore it.
-
     Each parallel map builds its own ``ProcessPoolExecutor`` and shuts
     it down before returning.
     """
@@ -284,7 +233,6 @@ class ParallelRunner:
         retries: int = 1,
         backoff_s: float = 0.05,
         backoff_seed: int = 0,
-        batch_size: int = 1,
     ) -> None:
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
@@ -292,40 +240,29 @@ class ParallelRunner:
             raise ValueError(f"retries must be >= 0, got {retries}")
         if backoff_s < 0:
             raise ValueError(f"backoff_s must be >= 0, got {backoff_s}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.max_workers = resolve_workers(max_workers)
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_s = backoff_s
         self.backoff_seed = backoff_seed
-        self.batch_size = batch_size
 
     # ------------------------------------------------------------------
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> list[Any]:
         """Apply ``fn`` to every item; results in item order.
 
-        A task that fails every attempt aborts the map with
-        :class:`ParallelExecutionError` (:class:`PoolBrokenError` when
-        the workers themselves kept dying).  ``fn`` and the items must
-        be picklable when the map runs on the pool (``fn`` should be a
-        module-level function).  Serially, exceptions propagate raw —
-        the in-process loop adds no retry machinery.
+        :meth:`map_outcomes` without a callback, then the first failed
+        outcome raises :class:`ParallelExecutionError`
+        (:class:`PoolBrokenError` when the workers themselves kept
+        dying), chained from the task's own exception — at every width,
+        so a serial map fails exactly as a pooled one does.  ``fn`` and
+        the items must be picklable when the map runs on the pool
+        (``fn`` should be a module-level function).
         """
-        items = list(items)
-        if self.max_workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        if self.batch_size > 1:
-            return [
-                outcome.value
-                for outcome in self._map_batched(
-                    fn, items, keep_going=False, on_outcome=None
-                )
-            ]
-        return [
-            outcome.value
-            for outcome in self._map_parallel(fn, items, keep_going=False)
-        ]
+        outcomes = self.map_outcomes(fn, items)
+        for outcome in outcomes:
+            if not outcome.ok:
+                raise _exhausted(outcome) from outcome.error
+        return [outcome.value for outcome in outcomes]
 
     def map_outcomes(
         self,
@@ -346,11 +283,7 @@ class ParallelRunner:
         items = list(items)
         if self.max_workers <= 1 or len(items) <= 1:
             return self._map_serial_outcomes(fn, items, on_outcome)
-        if self.batch_size > 1:
-            return self._map_batched(
-                fn, items, keep_going=True, on_outcome=on_outcome
-            )
-        return self._map_parallel(fn, items, keep_going=True, on_outcome=on_outcome)
+        return self._map_parallel(fn, items, on_outcome)
 
     # ------------------------------------------------------------------
     def _map_serial_outcomes(
@@ -394,103 +327,12 @@ class ParallelRunner:
         return outcomes
 
     # ------------------------------------------------------------------
-    def _map_batched(
-        self,
-        fn: Callable[[Any], Any],
-        items: Sequence[Any],
-        keep_going: bool,
-        on_outcome: Callable[[CellOutcome], None] | None,
-    ) -> list[CellOutcome]:
-        """Batched fan-out: contiguous item groups per dispatch.
-
-        Each batch runs through :func:`_run_batch` (item retries settle
-        in-worker); batch-level machinery — timeouts, worker-death
-        recovery, resubmission — reuses :meth:`_map_parallel` over the
-        batch descriptors, with the per-dispatch deadline scaled by the
-        batch size.  Outcomes flatten back to per-item
-        :class:`CellOutcome` objects in submission order, and
-        ``on_outcome`` fires per item as its batch settles, so journals
-        checkpoint identically to the unbatched map.  ``elapsed_s`` on a
-        batched outcome is its batch's wall-clock (diagnostics only).
-        """
-        bs = self.batch_size
-        starts = list(range(0, len(items), bs))
-        batch_items = [
-            (
-                fn, list(items[s:s + bs]), s,
-                self.retries, self.backoff_s, self.backoff_seed,
-            )
-            for s in starts
-        ]
-        batch_runner = ParallelRunner(
-            max_workers=self.max_workers,
-            timeout_s=None if self.timeout_s is None else self.timeout_s * bs,
-            retries=self.retries,
-            backoff_s=self.backoff_s,
-            backoff_seed=self.backoff_seed,
-        )
-        flat: list[CellOutcome] = []
-
-        def settle_batch(b_out: CellOutcome) -> None:
-            start = starts[b_out.index]
-            n = len(batch_items[b_out.index][1])
-            for k in range(n):
-                if b_out.ok:
-                    doc = b_out.value[k]
-                    outcome = CellOutcome(
-                        index=start + k,
-                        ok=bool(doc["ok"]),
-                        value=doc.get("value"),
-                        error_type=doc.get("error_type"),
-                        error_message=doc.get("error_message"),
-                        attempts=int(doc["attempts"]),
-                        elapsed_s=b_out.elapsed_s,
-                    )
-                else:
-                    # The whole dispatch failed (timeout / worker death
-                    # on every attempt): every item of the batch reports
-                    # that shared infrastructure failure.
-                    outcome = CellOutcome(
-                        index=start + k,
-                        ok=False,
-                        error_type=b_out.error_type,
-                        error_message=b_out.error_message,
-                        attempts=b_out.attempts,
-                        elapsed_s=b_out.elapsed_s,
-                        error=b_out.error,
-                    )
-                flat.append(outcome)
-                if on_outcome is not None:
-                    on_outcome(outcome)
-
-        # Batch-level keep_going mirrors the caller's: strict maps still
-        # abort on an infrastructure failure mid-sweep.  Item-level
-        # failures never raise out of _run_batch, so the strict check
-        # below is what enforces them.
-        batch_runner._map_parallel(
-            _run_batch, batch_items, keep_going=keep_going,
-            on_outcome=settle_batch,
-        )
-        if not keep_going:
-            for outcome in flat:
-                if not outcome.ok:
-                    raise ParallelExecutionError(
-                        f"task {outcome.index} failed on all "
-                        f"{outcome.attempts} attempt(s): "
-                        f"{outcome.error_message}"
-                    ) from outcome.error
-        return flat
-
-    # ------------------------------------------------------------------
     def _map_parallel(
         self,
         fn: Callable[[Any], Any],
         items: Sequence[Any],
-        keep_going: bool,
-        on_outcome: Callable[[CellOutcome], None] | None = None,
+        on_outcome: Callable[[CellOutcome], None] | None,
     ) -> list[CellOutcome]:
-        if not items:
-            return []
         outcomes: list[CellOutcome | None] = [None] * len(items)
         parent = Sinks.current()
         observe = parent.fresh()
@@ -554,8 +396,7 @@ class ParallelRunner:
                             abandoned = True
                         metric_inc("task.deadline_expired", operational=True)
                         attempt, failed = self._note_failure(
-                            i, attempt, "timed out", exc, keep_going,
-                            started, outcomes,
+                            i, attempt, exc, started, outcomes
                         )
                         if failed:
                             break
@@ -570,8 +411,7 @@ class ParallelRunner:
                         metric_inc("pool.rebuilt", operational=True)
                         pool = ProcessPoolExecutor(max_workers=n_workers)
                         attempt, failed = self._note_failure(
-                            i, attempt, "broke the worker pool", exc,
-                            keep_going, started, outcomes, broke_pool=True,
+                            i, attempt, exc, started, outcomes
                         )
                         for j in range(i + (1 if failed else 0), len(items)):
                             if outcomes[j] is None and _lost(futures[j]):
@@ -580,8 +420,7 @@ class ParallelRunner:
                             break
                     except Exception as exc:
                         attempt, failed = self._note_failure(
-                            i, attempt, "failed", exc, keep_going,
-                            started, outcomes,
+                            i, attempt, exc, started, outcomes
                         )
                         if failed:
                             break
@@ -599,19 +438,15 @@ class ParallelRunner:
         self,
         index: int,
         attempt: int,
-        what: str,
         exc: BaseException,
-        keep_going: bool,
         started: list[float],
         outcomes: list[CellOutcome | None],
-        broke_pool: bool = False,
     ) -> tuple[int, bool]:
         """Account one failed attempt; returns (attempt, exhausted).
 
         Below the retry budget: sleeps the deterministic backoff and
         reports (attempt, False) so the caller resubmits.  At the
-        budget: either records a failed :class:`CellOutcome`
-        (``keep_going``) or raises.
+        budget: records a failed :class:`CellOutcome`.
         """
         attempt += 1
         if attempt <= self.retries:
@@ -621,17 +456,27 @@ class ParallelRunner:
             )
             return attempt, False
         metric_inc("task.failed", operational=True)
-        if keep_going:
-            outcomes[index] = CellOutcome(
-                index=index, ok=False,
-                error_type=type(exc).__name__,
-                error_message=str(exc),
-                attempts=attempt,
-                elapsed_s=time.monotonic() - started[index],
-                error=exc,
-            )
-            return attempt, True
-        error_cls = PoolBrokenError if broke_pool else ParallelExecutionError
-        raise error_cls(
-            f"task {index} {what} on all {attempt} attempt(s): {exc!r}"
-        ) from exc
+        outcomes[index] = CellOutcome(
+            index=index, ok=False,
+            error_type=type(exc).__name__,
+            error_message=str(exc),
+            attempts=attempt,
+            elapsed_s=time.monotonic() - started[index],
+            error=exc,
+        )
+        return attempt, True
+
+
+def _exhausted(outcome: CellOutcome) -> ParallelExecutionError:
+    """The error :meth:`ParallelRunner.map` raises for a failed outcome."""
+    exc = outcome.error
+    if isinstance(exc, BrokenExecutor):
+        error_cls, what = PoolBrokenError, "broke the worker pool"
+    elif isinstance(exc, FuturesTimeoutError):
+        error_cls, what = ParallelExecutionError, "timed out"
+    else:
+        error_cls, what = ParallelExecutionError, "failed"
+    return error_cls(
+        f"task {outcome.index} {what} on all {outcome.attempts} "
+        f"attempt(s): {exc!r}"
+    )

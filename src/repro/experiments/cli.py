@@ -346,11 +346,8 @@ def main(argv: list[str] | None = None) -> int:
                              "(default 1; seeded exponential backoff)")
     parser.add_argument("--task-timeout", type=float, default=None, metavar="S",
                         help="per-task deadline in seconds, measured from "
-                             "submission (default: none)")
-    parser.add_argument("--batch-size", type=int, default=1, metavar="N",
-                        help="sweep cells per worker dispatch (default 1; "
-                             "> 1 amortizes per-task IPC overhead when "
-                             "cells are cheap)")
+                             "submission; enforced only with --workers > 1 "
+                             "(default: none)")
     parser.add_argument("--emit-trajectory", action="store_true",
                         help="bench: also write a schema-versioned "
                              "BENCH_<date>_<sha>.json trajectory point "
@@ -409,8 +406,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--workers must be >= 0, got {args.workers}")
     if args.task_retries < 0:
         parser.error(f"--task-retries must be >= 0, got {args.task_retries}")
-    if args.batch_size < 1:
-        parser.error(f"--batch-size must be >= 1, got {args.batch_size}")
 
     command = args.exhibits[0] if args.exhibits else None
 
@@ -482,7 +477,6 @@ def main(argv: list[str] | None = None) -> int:
         use_cache=not args.no_cache,
         task_timeout_s=args.task_timeout,
         task_retries=args.task_retries,
-        task_batch_size=args.batch_size,
     ))
 
     # Metrics are always on: they back --timings and the progress line as

@@ -17,7 +17,7 @@ from ..machine.frontiers import FrontierStore, NodeFrontierStore
 from ..machine.performance import TaskKernel
 from ..machine.power import SocketPowerModel
 from ..simulator.engine import TaskRecord
-from ..simulator.program import Application, ComputeOp, TaskRef
+from ..simulator.program import Application, TaskRef
 from .adagio import FrontierTable, SlackEstimator, first_fitting
 from .conductor import task_key_for
 
@@ -44,19 +44,8 @@ class AdagioPolicy:
         self.safety = safety
         self.switch_overhead_s = switch_overhead_s
         self.min_switch_duration_s = min_switch_duration_s
-        tpi = {
-            r: max(
-                1,
-                sum(
-                    1
-                    for op in app.programs[r]
-                    if isinstance(op, ComputeOp) and op.iteration == 0
-                ),
-            )
-            for r in range(len(power_models))
-        }
-        self.tasks_per_iteration = tpi
-        self.slack = SlackEstimator(tpi)
+        self.tasks_per_iteration = app.tasks_per_iteration()
+        self.slack = SlackEstimator(self.tasks_per_iteration)
         self.frontiers = (
             frontier_store
             if frontier_store is not None

@@ -38,7 +38,7 @@ from ..machine.rapl import RaplController
 from ..obs.events import ReallocEvent
 from ..obs.recorder import current_recorder
 from ..simulator.engine import TaskRecord
-from ..simulator.program import Application, ComputeOp, TaskRef
+from ..simulator.program import Application, TaskRef
 from .adagio import FrontierTable, SlackEstimator, first_fitting
 
 __all__ = ["ConductorPolicy", "ConductorConfig"]
@@ -128,16 +128,7 @@ class ConductorPolicy:
         # Per-rank power allocation, initially uniform (like Static).
         self.alloc_w = np.full(self.n_ranks, job_cap_w / self.n_ranks)
 
-        tpi = {
-            r: sum(
-                1
-                for op in app.programs[r]
-                if isinstance(op, ComputeOp) and op.iteration == 0
-            )
-            for r in range(self.n_ranks)
-        }
-        # Ranks whose iteration structure is unknown fall back to 1 task.
-        self.tasks_per_iteration = {r: max(1, c) for r, c in tpi.items()}
+        self.tasks_per_iteration = app.tasks_per_iteration()
         self.slack = SlackEstimator(self.tasks_per_iteration)
 
         # The shared frontier store: Conductor's profiling pass measures

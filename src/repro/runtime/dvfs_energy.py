@@ -21,7 +21,7 @@ from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.performance import TaskKernel, TaskTimeModel
 from ..machine.power import SocketPowerModel
 from ..simulator.engine import TaskRecord
-from ..simulator.program import Application, ComputeOp, TaskRef
+from ..simulator.program import Application, TaskRef
 from .adagio import SlackEstimator
 from .conductor import task_key_for
 
@@ -64,19 +64,8 @@ class DvfsEnergyPolicy:
         self.safety = safety
         self.switch_overhead_s = switch_overhead_s
         self.min_switch_duration_s = min_switch_duration_s
-        tpi = {
-            r: max(
-                1,
-                sum(
-                    1
-                    for op in app.programs[r]
-                    if isinstance(op, ComputeOp) and op.iteration == 0
-                ),
-            )
-            for r in range(len(power_models))
-        }
-        self.tasks_per_iteration = tpi
-        self.slack = SlackEstimator(tpi)
+        self.tasks_per_iteration = app.tasks_per_iteration()
+        self.slack = SlackEstimator(self.tasks_per_iteration)
         self._time_models = [TaskTimeModel(pm.spec) for pm in power_models]
         self._ladders: dict[tuple[int, TaskKernel], list[ConfigPoint]] = {}
 

@@ -23,7 +23,6 @@ from .run import (
     PolicyOutcome,
     ScenarioCell,
     ScenarioResult,
-    policy_iteration_time,
     run_scenario_cell,
     run_scenarios,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "ScenarioSpec",
     "default_registry",
     "make_synthetic",
-    "policy_iteration_time",
     "run_scenario_cell",
     "run_scenarios",
 ]

@@ -6,8 +6,8 @@ Every power-allocation policy the repo implements — the runtimes under
 default configuration document and a factory/solver callable.  Scenario
 specs (:mod:`repro.scenarios.spec`) reference policies purely by name +
 config overrides, which is what makes experiments *data*: adding a policy
-to the registry makes it reachable from the CLI, sweeps, caching, traces,
-and the cluster co-scheduler with no further plumbing.
+to the registry makes it reachable from the CLI, sweeps, caching and
+traces with no further plumbing.
 
 Two kinds of entry:
 
@@ -34,14 +34,10 @@ from typing import Any, Callable
 from ..core.device_split import best_static_split
 from ..core.fixed_order_lp import FixedOrderLpResult
 from ..core.flow_ilp import solve_flow_ilp
-from ..core.model import ProblemInstance, build_problem_instance
+from ..core.model import ProblemInstance
 from ..core.rounding import round_schedule
 from ..core.sweep import ParametricCapSolver
-from ..exec.cache import (
-    SolverCache,
-    cached_solve_energy_lp,
-    cached_solve_fixed_order_lp,
-)
+from ..exec.cache import SolverCache, cached_solve_energy_lp
 from ..machine.device import NodeSpec, device_power_groups
 from ..machine.frontiers import FrontierStore, NodeFrontierStore
 from ..machine.power import SocketPowerModel
@@ -68,27 +64,28 @@ __all__ = [
 class PolicyContext:
     """Everything a policy factory or bound solver may consume for one cell.
 
-    Built once per (benchmark, cap) cell by the executor; the fields a
+    Built once per (benchmark, cap) cell by the executor, from the
+    benchmark's shared state, so every field is set; the fields a
     given entry actually reads depend on its kind (runtime policies use
     the application/machine state, bounds use the trace/IR/cache).
     """
 
     power_models: list[SocketPowerModel]
     job_cap_w: float
-    app: Application | None = None
-    frontier_store: FrontierStore | NodeFrontierStore | None = None
-    trace: Trace | None = None
+    app: Application
+    frontier_store: FrontierStore | NodeFrontierStore
+    trace: Trace
     #: Per-rank typed-device nodes; None on the legacy homogeneous machine.
-    nodes: list[NodeSpec] | None = None
-    instance: ProblemInstance | None = None
-    cache: SolverCache | None = None
-    lp_iterations: int = 1
+    nodes: list[NodeSpec] | None
+    instance: ProblemInstance
+    cache: SolverCache | None
+    lp_iterations: int
     #: Shared ``power_tiebreak -> ParametricCapSolver`` pool, scoped to the
     #: benchmark (the trace).  The scenario executor passes the same dict
     #: into every cell's context, so the frozen LP model is assembled
     #: once per (trace, tiebreak) and re-solved across the whole cap grid
     #: on the thread's persistent HiGHS handle with only RHS updates.
-    cap_solvers: dict[float, ParametricCapSolver] | None = None
+    cap_solvers: dict[float, ParametricCapSolver]
 
 
 @dataclass(frozen=True)
@@ -278,7 +275,7 @@ def _energy_lp_cap_lps(cfg: dict) -> list[tuple[float, float | None]]:
 def cap_solver(
     cap_solvers: dict[float, ParametricCapSolver],
     trace: Trace,
-    instance: ProblemInstance | None,
+    instance: ProblemInstance,
     power_tiebreak: float,
 ) -> ParametricCapSolver:
     """The pool's fixed-order LP solver at ``power_tiebreak``, built and
@@ -299,26 +296,11 @@ def _fixed_order_at_cap(
     """The fixed-order LP at this cell's cap, through the shared pool.
 
     Cross-cell reuse: one frozen model per (trace, tiebreak), re-solved
-    at this cell's cap via an RHS update.  Cache
-    keys match cached_solve_fixed_order_lp, so warm entries are shared
-    either way.  Shared by the ``lp`` bound and by ``energy-lp``'s
-    capped-deadline anchor.
+    at this cell's cap via an RHS update.  Shared by the ``lp`` bound and
+    by ``energy-lp``'s capped-deadline anchor.
     """
-    if ctx.cap_solvers is not None:
-        solver = cap_solver(
-            ctx.cap_solvers, ctx.trace, ctx.instance, power_tiebreak
-        )
-        return solver.solve(
-            ctx.job_cap_w, cache=ctx.cache, time_limit_s=time_limit_s
-        )
-    return cached_solve_fixed_order_lp(
-        ctx.trace,
-        ctx.job_cap_w,
-        cache=ctx.cache,
-        instance=ctx.instance,
-        power_tiebreak=power_tiebreak,
-        time_limit_s=time_limit_s,
-    )
+    solver = cap_solver(ctx.cap_solvers, ctx.trace, ctx.instance, power_tiebreak)
+    return solver.solve(ctx.job_cap_w, cache=ctx.cache, time_limit_s=time_limit_s)
 
 
 def _solve_lp(ctx: PolicyContext, cfg: dict, scope: Callable[[], Any]) -> BoundResult:
@@ -388,14 +370,9 @@ def _solve_lp_split(
         raise ValueError(
             f"node {ctx.nodes[0].name!r} has no offload device to split against"
         )
-    instance = (
-        ctx.instance
-        if ctx.instance is not None
-        else build_problem_instance(ctx.trace)
-    )
     with scope():
         result = best_static_split(
-            instance,
+            ctx.instance,
             ctx.job_cap_w,
             groups,
             cpu_shares=tuple(float(s) for s in cfg["cpu_shares"]),

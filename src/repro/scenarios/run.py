@@ -73,7 +73,6 @@ __all__ = [
     "reset_cap_solvers",
     "run_scenario_cell",
     "run_scenarios",
-    "policy_iteration_time",
 ]
 
 
@@ -736,19 +735,26 @@ def run_scenarios(
     (Static) run ahead too, every cap in one DAG walk on this thread, and
     each cell takes its cap's run (see :func:`_running_ahead`).
 
+    Every cell settles through one
+    :meth:`~repro.exec.parallel.ParallelRunner.map_outcomes`, at every
+    width: a cell is retried per the ambient ``task_retries``, and one
+    that fails every attempt is a ``cell_failure`` trace event and a
+    ``cell.failed`` count.  A spec naming an unknown policy or config key
+    raises its ``KeyError``/``ValueError`` before any cell runs.
+
     Resilience (see ``docs/execution.md``):
 
     * ``keep_going`` — a cell that exhausts its attempts becomes a
       failed :class:`ScenarioCell` (a rendered gap, a journal record, a
-      ``cell_failure`` trace event, a manifest entry) instead of
-      aborting the sweep;
+      manifest entry).  Without it, the sweep settles every cell and
+      then raises :class:`~repro.exec.parallel.ParallelExecutionError`
+      (``cell cap=<cap> <Type> on all <n> attempt(s): <message>``) for
+      the first failed cap, chained from the cell's exception;
     * ``journal`` — a :class:`~repro.exec.checkpoint.SweepJournal`
       (or its path) checkpointing every settled cell as it completes;
       on entry, journaled-ok cells are rehydrated without recomputation,
       so an interrupted sweep resumes where it stopped and produces
-      byte-identical output.  Failed cells are retried on resume.
-      Without ``keep_going``, a failure still aborts — after the
-      remaining cells settle and are journaled;
+      byte-identical output.  Failed cells are retried on resume;
     * ``faults`` — a :class:`~repro.exec.faults.FaultInjector` wrapped
       around the cell task (chaos testing; cells are selected by their
       stable ``cap=<cap>`` identity, never by run-scoped paths).
@@ -768,6 +774,10 @@ def run_scenarios(
     if isinstance(journal, (str, Path)):
         journal = SweepJournal(journal)
     reg = registry if registry is not None else default_registry()
+    # A spec naming an unknown policy or config key fails here, raw and
+    # unretried, before any cell runs.
+    for pspec in spec.policies:
+        reg.get(pspec.policy).resolve_config(pspec.config)
     reset_cap_solvers(spec)
     caps = [float(cap) for cap in spec.caps_per_socket_w]
     keys = {
@@ -809,9 +819,17 @@ def run_scenarios(
         spec_json = spec.to_json()
         items: list = [(spec_json, cap, cache_root) for cap in pending]
         fn = _scenario_cell_task
+        ahead = runs = nullcontext()  # pool workers run their own cells
     else:
         items = list(pending)
         fn = partial(run_scenario_cell, spec, cache=cache, registry=registry)
+        unserved = [
+            cap for cap in pending if cache is None or keys[cap] not in cache
+        ]
+        ahead = solving_caps_ahead(
+            partial(_lps_ahead, spec, unserved, reg, cache)
+        )
+        runs = _running_ahead(spec, unserved, reg)
     if faults is not None:
         # Re-anchor the injector on the stable cell identity and the
         # actual cache root, whatever shape the items take.
@@ -825,146 +843,67 @@ def run_scenarios(
         )
         fn = faults.wrap(fn)
 
-    if use_pool:
-        ahead = runs = nullcontext()  # pool workers run their own cells
-    else:
-        unserved = [
-            cap for cap in pending if cache is None or keys[cap] not in cache
-        ]
-        ahead = solving_caps_ahead(
-            partial(_lps_ahead, spec, unserved, reg, cache)
-        )
-        runs = _running_ahead(spec, unserved, reg)
-    with ahead, runs:
-        if (
-            keep_going
-            or journal is not None
-            or faults is not None
-            or progress is not None
-        ):
-            def on_outcome(outcome: CellOutcome) -> None:
-                # Fires in submission (cap) order as each cell settles, so
-                # an interrupted sweep has journaled its whole settled
-                # prefix.  Worker cache hit/miss accounting arrives via the
-                # sink snapshots ParallelRunner merges.
-                cap = pending[outcome.index]
-                if progress is not None:
-                    for _ in range(multiplicity[cap]):
-                        progress.update(ok=outcome.ok)
-                if outcome.ok:
-                    if journal is not None:
-                        # wall_s is a diagnostic extra (slowest-cell tables
-                        # in `repro-exp report`); journal *payloads* stay
-                        # byte-deterministic and resume ignores it.
-                        journal.record_ok(
-                            keys[cap], cap, cell_payload(spec, outcome.value),
-                            spec_hash=spec.spec_hash(),
-                            wall_s=round(outcome.elapsed_s, 6),
-                        )
-                    return
-                metric_inc("cell.failed")
-                emit(CellFailureEvent(
-                    benchmark=spec.benchmark,
-                    cap_per_socket_w=cap,
-                    error_type=outcome.error_type,
-                    error_message=outcome.error_message,
-                    attempts=outcome.attempts,
-                ))
-                if journal is not None:
-                    journal.record_failed(
-                        keys[cap], cap, outcome.failure_doc(),
-                        spec_hash=spec.spec_hash(),
-                    )
+    def on_outcome(outcome: CellOutcome) -> None:
+        # Fires in submission (cap) order as each cell settles, so an
+        # interrupted sweep has journaled its whole settled prefix.
+        # Worker cache hit/miss accounting arrives via the sink snapshots
+        # ParallelRunner merges.
+        cap = pending[outcome.index]
+        if progress is not None:
+            for _ in range(multiplicity[cap]):
+                progress.update(ok=outcome.ok)
+        if outcome.ok:
+            if journal is not None:
+                # wall_s is a diagnostic extra (slowest-cell tables in
+                # `repro-exp report`); journal *payloads* stay
+                # byte-deterministic and resume ignores it.
+                journal.record_ok(
+                    keys[cap], cap, cell_payload(spec, outcome.value),
+                    spec_hash=spec.spec_hash(),
+                    wall_s=round(outcome.elapsed_s, 6),
+                )
+            return
+        metric_inc("cell.failed")
+        emit(CellFailureEvent(
+            benchmark=spec.benchmark,
+            cap_per_socket_w=cap,
+            error_type=outcome.error_type,
+            error_message=outcome.error_message,
+            attempts=outcome.attempts,
+        ))
+        if journal is not None:
+            journal.record_failed(
+                keys[cap], cap, outcome.failure_doc(),
+                spec_hash=spec.spec_hash(),
+            )
 
-            runner = ParallelRunner(
-                max_workers=workers if use_pool else 1,
-                timeout_s=opts.task_timeout_s,
-                retries=opts.task_retries,
-                backoff_s=opts.task_backoff_s,
-                backoff_seed=spec.seed,
-                batch_size=opts.task_batch_size,
-            )
-            first_failed: CellOutcome | None = None
-            for cap, outcome in zip(
-                pending, runner.map_outcomes(fn, items, on_outcome=on_outcome)
-            ):
-                if outcome.ok:
-                    cells[cap] = outcome.value
-                else:
-                    cells[cap] = _failed_cell(
-                        spec, cap, reg, CellFailure.from_outcome(outcome)
-                    )
-                    if first_failed is None:
-                        first_failed = outcome
-            if first_failed is not None and not keep_going:
-                raise ParallelExecutionError(
-                    f"cell cap={pending[first_failed.index]:g} "
-                    f"{first_failed.error_type} on all {first_failed.attempts} "
-                    f"attempt(s): {first_failed.error_message}"
-                ) from first_failed.error
-        elif use_pool:
-            runner = ParallelRunner(
-                max_workers=workers,
-                timeout_s=opts.task_timeout_s,
-                retries=opts.task_retries,
-                backoff_s=opts.task_backoff_s,
-                backoff_seed=spec.seed,
-                batch_size=opts.task_batch_size,
-            )
-            for cap, cell in zip(pending, runner.map(fn, items)):
-                cells[cap] = cell
+    runner = ParallelRunner(
+        max_workers=workers if use_pool else 1,
+        timeout_s=opts.task_timeout_s,
+        retries=opts.task_retries,
+        backoff_s=opts.task_backoff_s,
+        backoff_seed=spec.seed,
+    )
+    with ahead, runs:
+        outcomes = runner.map_outcomes(fn, items, on_outcome=on_outcome)
+    first_failed: CellOutcome | None = None
+    for cap, outcome in zip(pending, outcomes):
+        if outcome.ok:
+            cells[cap] = outcome.value
         else:
-            for cap in pending:
-                cells[cap] = fn(cap)
+            cells[cap] = _failed_cell(
+                spec, cap, reg, CellFailure.from_outcome(outcome)
+            )
+            if first_failed is None:
+                first_failed = outcome
+    if first_failed is not None and not keep_going:
+        raise ParallelExecutionError(
+            f"cell cap={pending[first_failed.index]:g} "
+            f"{first_failed.error_type} on all {first_failed.attempts} "
+            f"attempt(s): {first_failed.error_message}"
+        ) from first_failed.error
 
     metrics = current_metrics()
     if metrics is not None:
         metrics.set_gauge("sweep.cells_total", len(caps))
     return ScenarioResult(spec=spec, cells=[cells[cap] for cap in caps])
-
-
-# ----------------------------------------------------------------------
-def policy_iteration_time(
-    policy: str,
-    app,
-    power_models: list[SocketPowerModel],
-    job_cap_w: float,
-    iterations: int,
-    config: dict | None = None,
-    trace: Trace | None = None,
-    cache: SolverCache | None = None,
-    registry: PolicyRegistry | None = None,
-    label: str | None = None,
-) -> float | None:
-    """Raw per-iteration time of one registered policy on one app + cap.
-
-    The building block for callers that model performance as a function
-    of power (the cluster co-scheduler's anchor evaluations): a runtime
-    policy is engine-run over the whole application (makespan divided by
-    ``iterations``); a bound is solved on ``trace`` (traced on demand
-    when omitted).  Returns None when the bound is infeasible at the cap.
-    ``label``, when given, wraps the evaluation in a trace scope so
-    cluster anchors are attributable in exported traces.
-    """
-    registry = registry if registry is not None else default_registry()
-    entry = registry.get(policy)
-    cfg = entry.resolve_config(config)
-    rec = current_recorder()
-    scope = partial(_scope, rec, label) if label is not None else nullcontext
-    if entry.kind == "bound":
-        if trace is None:
-            trace = trace_application(app, power_models)
-        ctx = PolicyContext(
-            power_models=power_models, job_cap_w=job_cap_w, app=app,
-            trace=trace, cache=cache, lp_iterations=iterations,
-        )
-        bound = entry.solve(ctx, cfg, scope)
-        return bound.time_s
-    ctx = PolicyContext(
-        power_models=power_models, job_cap_w=job_cap_w, app=app,
-        lp_iterations=iterations,
-    )
-    policy_obj = entry.build(ctx, cfg)
-    with scope():
-        result = Engine(power_models).run(app, policy_obj)
-    return result.makespan_s / iterations

@@ -166,6 +166,30 @@ class Application:
             raise KeyError(f"no task {ref} (rank has {len(ops)} tasks)")
         return ops[ref.seq].kernel
 
+    def tasks_per_iteration(self) -> dict[int, int]:
+        """Per rank, the compute tasks it runs in iteration 0 (at least 1).
+
+        The per-iteration task count the slack-reclaiming runtimes key
+        their task history by; a rank whose compute ops carry no
+        iteration 0 tag counts 1.  The count is kept with a snapshot of
+        the op lists, as :meth:`validate` keeps its check, so every
+        policy built on the same application reads it back; any later
+        change to a program counts again.
+        """
+        snapshot = tuple(map(tuple, self.programs))
+        kept = self.__dict__.get("_tasks_per_iteration")
+        if kept is None or kept[0] != snapshot:
+            counts = {
+                r: max(1, sum(
+                    1
+                    for op in prog
+                    if isinstance(op, ComputeOp) and op.iteration == 0
+                ))
+                for r, prog in enumerate(self.programs)
+            }
+            kept = self._tasks_per_iteration = (snapshot, counts)
+        return dict(kept[1])
+
     def n_tasks(self) -> int:
         """Total compute tasks across all ranks."""
         return sum(

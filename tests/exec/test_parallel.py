@@ -47,12 +47,6 @@ def _boom(item: int) -> int:
     raise ValueError(f"boom {item}")
 
 
-def _boom_on_two(item: int) -> int:
-    if item == 2:
-        raise ValueError("boom 2")
-    return item * 10
-
-
 def _flaky(marker: str) -> str:
     """Fails once per marker path, then succeeds (exercises retries)."""
     path = Path(marker)
@@ -176,8 +170,13 @@ class TestSerialFallback:
         assert ParallelRunner(max_workers=4).map(_slow_identity, []) == []
 
     def test_serial_exception_propagates(self):
-        with pytest.raises(ValueError, match="boom"):
-            ParallelRunner(max_workers=1).map(_boom, [7])
+        runner = ParallelRunner(max_workers=1, backoff_s=0.0)
+        with pytest.raises(
+            ParallelExecutionError, match="task 0 failed on all 2 attempt"
+        ) as info:
+            runner.map(_boom, [7])
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == "boom 7"
 
 
 class TestParallelMap:
@@ -451,64 +450,3 @@ class TestBrokenPool:
 
     def test_pool_broken_is_a_parallel_execution_error(self):
         assert issubclass(PoolBrokenError, ParallelExecutionError)
-
-
-class TestBatchedDispatch:
-    """batch_size > 1: same results, outcomes, and retry schedule as the
-    unbatched map — only the dispatch granularity changes."""
-
-    @pytest.mark.parametrize("batch_size", [2, 3, 5, 8])
-    def test_map_matches_unbatched_across_batch_sizes(self, batch_size):
-        items = list(range(6))
-        plain = ParallelRunner(max_workers=2).map(_slow_identity, items)
-        batched = ParallelRunner(max_workers=2, batch_size=batch_size).map(
-            _slow_identity, items
-        )
-        assert batched == plain == [i * 10 for i in items]
-
-    @pytest.mark.parametrize("max_workers", [2, 3])
-    def test_identical_across_worker_counts(self, max_workers):
-        items = list(range(5))
-        runner = ParallelRunner(max_workers=max_workers, batch_size=2)
-        assert runner.map(_slow_identity, items) == [i * 10 for i in items]
-
-    def test_item_failure_does_not_discard_batch_mates(self):
-        runner = ParallelRunner(max_workers=2, batch_size=3, retries=0)
-        outcomes = runner.map_outcomes(_boom_on_two, [1, 2, 3])
-        assert [o.ok for o in outcomes] == [True, False, True]
-        assert outcomes[1].error_type == "ValueError"
-        assert [o.index for o in outcomes] == [0, 1, 2]
-        assert outcomes[0].value == 10 and outcomes[2].value == 30
-
-    def test_in_worker_retries_report_attempts(self, tmp_path):
-        runner = ParallelRunner(
-            max_workers=2, batch_size=2, retries=3, backoff_s=0.0
-        )
-        items = [(str(tmp_path / f"m{i}"), 2) for i in range(4)]
-        outcomes = runner.map_outcomes(_flaky_n, items)
-        assert [o.value for o in outcomes] == ["ok"] * 4
-        assert [o.attempts for o in outcomes] == [3, 3, 3, 3]
-
-    def test_exhausted_batched_map_raises(self):
-        runner = ParallelRunner(max_workers=2, batch_size=2, retries=1)
-        with pytest.raises(ParallelExecutionError, match="failed on all 2"):
-            runner.map(_boom, [1, 2, 3])
-
-    def test_on_outcome_fires_per_item_in_order(self):
-        seen: list[int] = []
-        runner = ParallelRunner(max_workers=2, batch_size=2)
-        runner.map_outcomes(
-            _slow_identity, [3, 0, 1, 2],
-            on_outcome=lambda o: seen.append(o.index),
-        )
-        assert seen == [0, 1, 2, 3]
-
-    def test_worker_telemetry_merges_into_parent(self):
-        metrics = Metrics()
-        with use_metrics(metrics):
-            results = ParallelRunner(max_workers=2, batch_size=2).map(
-                _instrumented, [1, 2, 3]
-            )
-        assert results == [1, 2, 3]
-        assert metrics.histograms["phase.worker"].count == 3
-        assert metrics.counter("worker.count") == 6

@@ -224,6 +224,28 @@ class TestResilienceFlags:
         assert main(argv) == 1
         assert "error: cell cap=50" in capsys.readouterr().err
 
+    LP_SPLIT = ["sweep", "--benchmark", "comd", "--ranks", "4", "--quick",
+                "--policies", "static,lp-split", "--caps", "40,50"]
+
+    def test_failed_cell_is_one_error_line(self, capsys):
+        # Without a TTY the CLI attaches no progress reporter; the failure
+        # still settles every cell and ends in one line, not a traceback.
+        assert main(self.LP_SPLIT) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            "error: cell cap=40 ValueError on all 2 attempt(s): "
+            "lp-split models a fixed per-device cap partition"
+        )
+        assert "Traceback" not in err
+
+    def test_task_retries_zero_is_one_attempt(self, capsys):
+        assert main([*self.LP_SPLIT, "--task-retries", "0"]) == 1
+        assert "error: cell cap=40 ValueError on all 1 attempt(s)" in (
+            capsys.readouterr().err
+        )
+
     def test_run_single_cell_failure_text(self, capsys):
         argv = ["run", *self.QUICK, "--cap", "50", "--keep-going", *self.FAULT]
         assert main(argv) == 1

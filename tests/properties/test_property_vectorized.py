@@ -4,9 +4,8 @@ Random deadlock-free DAGs, random per-task configuration assignments,
 and random cap grids; the plan-based engine run and the sweep-batched
 DAG walk must reproduce the scalar reference oracles
 (``tests/simulator/oracles.py``) exactly — same floats, same record
-order, same schedules.  Deterministic worker-count
-and batch-size identity (which needs real process pools) lives in
-``tests/exec/test_parallel.py``.
+order, same schedules.  Deterministic worker-count identity (which
+needs real process pools) lives in ``tests/exec/test_parallel.py``.
 """
 
 from __future__ import annotations

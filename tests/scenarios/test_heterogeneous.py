@@ -15,6 +15,7 @@ from repro.core.fixed_order_lp import solve_fixed_order_lp
 from repro.core.model import build_problem_instance
 from repro.core.serialize import schedule_to_dict
 from repro.exec.keys import scenario_cell_key
+from repro.exec.parallel import ParallelExecutionError
 from repro.machine.device import LEGACY_NODE, get_node, rank_nodes, single_socket_node
 from repro.machine.frontiers import FrontierStore, NodeFrontierStore
 from repro.machine.variability import make_power_models
@@ -174,7 +175,7 @@ class TestHeterogeneousScenarioRuns:
         import pytest
 
         spec = _legacy_spec(policies=(PolicySpec("lp-split"),))
-        with pytest.raises(ValueError, match="heterogeneous node"):
+        with pytest.raises(ParallelExecutionError, match="heterogeneous node"):
             run_scenarios(spec)
 
     def test_same_spec_different_node_changes_results(self):

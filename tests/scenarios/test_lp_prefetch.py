@@ -256,7 +256,7 @@ class TestHelperLifetime:
 
         monkeypatch.setattr(run_mod, "_run_scenario_cell", failing)
         width(2)
-        with pytest.raises(RuntimeError, match="cell failed"):
+        with pytest.raises(ParallelExecutionError, match="cell failed"):
             sweep(spec_for("comd"))
         assert len(pools) == 1
         assert helper_threads() == []

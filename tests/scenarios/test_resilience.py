@@ -6,9 +6,12 @@ import pytest
 
 from repro.exec.checkpoint import SweepJournal
 from repro.exec.faults import FaultInjector, FaultSpec
+from repro.exec.options import execution_options
 from repro.exec.parallel import ParallelExecutionError
 from repro.obs.metrics import Metrics, use_metrics
+from repro.obs.progress import ProgressReporter
 from repro.obs.recorder import TraceRecorder, use_recorder
+from repro.scenarios import run as run_mod
 from repro.scenarios.run import run_scenarios
 from repro.scenarios.spec import PolicySpec, ScenarioSpec
 
@@ -89,6 +92,53 @@ class TestKeepGoing:
         )
         assert times(parallel) == times(serial)
         assert parallel.failure_docs() == serial.failure_docs()
+
+
+@pytest.fixture
+def cell_fails_at_50(monkeypatch):
+    """Every attempt of the cap=50 cell raises, with no fault injector
+    attached (pool workers fork with the patch in place)."""
+    cell = run_mod._run_scenario_cell
+
+    def failing(spec, cap, *args):
+        if cap == 50.0:
+            raise ValueError("no cell at 50 W")
+        return cell(spec, cap, *args)
+
+    monkeypatch.setattr(run_mod, "_run_scenario_cell", failing)
+
+
+class TestOneFailureContract:
+    """A failing cell fails one way, whatever the width and the flags."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("progress", [False, True])
+    def test_same_error_at_every_width(self, cell_fails_at_50, workers, progress):
+        reporter = ProgressReporter(total=len(CAPS)) if progress else None
+        with execution_options(task_backoff_s=0.0), pytest.raises(
+            ParallelExecutionError
+        ) as info:
+            run_scenarios(small_spec(), workers=workers, progress=reporter)
+        assert str(info.value) == (
+            "cell cap=50 ValueError on all 2 attempt(s): no cell at 50 W"
+        )
+        assert isinstance(info.value.__cause__, ValueError)
+        if reporter is not None:
+            assert reporter.done == len(CAPS)  # every cell settled
+
+    def test_serial_sweep_without_retries_tries_once(self, cell_fails_at_50):
+        with execution_options(task_retries=0), pytest.raises(
+            ParallelExecutionError, match="on all 1 attempt"
+        ):
+            run_scenarios(small_spec())
+
+    def test_failed_cell_is_counted_without_keep_going(self, cell_fails_at_50):
+        metrics = Metrics()
+        with execution_options(task_backoff_s=0.0), use_metrics(metrics):
+            with pytest.raises(ParallelExecutionError):
+                run_scenarios(small_spec())
+        assert metrics.counter("cell.failed") == 1
+        assert metrics.counter("cells.computed") == 2  # 40 and 60 still ran
 
 
 class TestJournalResume:

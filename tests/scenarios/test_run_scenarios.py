@@ -6,19 +6,14 @@ from repro.exec.cache import SolverCache
 from repro.exec.keys import scenario_cell_key
 from repro.experiments.figures import benchmark_config
 from repro.experiments.runner import comparison_spec
-from repro.machine.variability import make_power_models
+from repro.obs.metrics import Metrics, use_metrics
 from repro.obs.recorder import TraceRecorder, use_recorder
-from repro.scenarios.run import (
-    policy_iteration_time,
-    run_scenario_cell,
-    run_scenarios,
-)
+from repro.scenarios.run import run_scenario_cell, run_scenarios
 from repro.scenarios.spec import (
     SCENARIO_LAYER_VERSION,
     PolicySpec,
     ScenarioSpec,
 )
-from repro.workloads import WorkloadSpec, make_comd
 
 ALL_FIVE = (
     PolicySpec("static"),
@@ -103,6 +98,24 @@ class TestNWaySmoke:
         spec = small_spec(policies=(PolicySpec("magic"),))
         with pytest.raises(KeyError, match="registered"):
             run_scenarios(spec)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "policy, error, match",
+        [
+            (PolicySpec("magic"), KeyError, "registered"),
+            (PolicySpec("lp", config={"bogus": 1}), ValueError, "unknown config keys"),
+        ],
+    )
+    def test_bad_spec_raises_raw_before_any_cell(
+        self, workers, policy, error, match
+    ):
+        spec = small_spec(policies=(PolicySpec("static"), policy))
+        metrics = Metrics()
+        with use_metrics(metrics), pytest.raises(error, match=match):
+            run_scenarios(spec, workers=workers)
+        assert metrics.counter("cells.computed") == 0
+        assert metrics.counter("task.retry") == 0
 
     def test_trace_scopes_per_policy_instance(self):
         rec = TraceRecorder()
@@ -327,24 +340,3 @@ class TestParallel:
         for a, b in zip(cold.cells, warm.cells):
             for name in spec.policy_labels():
                 assert a.outcomes[name].time_s == b.outcomes[name].time_s
-
-
-class TestPolicyIterationTime:
-    def test_runtime_and_bound_paths(self):
-        app = make_comd(WorkloadSpec(n_ranks=4, iterations=2, seed=2015))
-        pm = make_power_models(4)
-        t_static = policy_iteration_time("static", app, pm, 4 * 50.0, 2)
-        t_lp = policy_iteration_time("lp", app, pm, 4 * 50.0, 2)
-        assert t_lp <= t_static
-        assert t_static > 0
-
-    def test_infeasible_bound_returns_none(self):
-        app = make_comd(WorkloadSpec(n_ranks=4, iterations=2, seed=2015))
-        pm = make_power_models(4)
-        assert policy_iteration_time("lp", app, pm, 1.0, 2) is None
-
-    def test_unknown_policy(self):
-        app = make_comd(WorkloadSpec(n_ranks=4, iterations=2, seed=2015))
-        pm = make_power_models(4)
-        with pytest.raises(KeyError, match="registered"):
-            policy_iteration_time("magic", app, pm, 200.0, 2)

@@ -22,6 +22,7 @@ from repro.exec.cache import SolverCache
 from repro.exec.checkpoint import SweepJournal
 from repro.exec.faults import FaultInjector, FaultSpec
 from repro.exec.options import execution_options
+from repro.exec.parallel import ParallelExecutionError
 from repro.experiments.figures import benchmark_config
 from repro.experiments.runner import comparison_spec
 from repro.obs import Metrics, TraceRecorder, use_metrics
@@ -274,7 +275,9 @@ class TestFailures:
             return cell(spec, cap, *args)
 
         monkeypatch.setattr(run_mod, "_run_scenario_cell", failing)
-        with pytest.raises(RuntimeError, match="cell failed"):
+        with pytest.raises(ParallelExecutionError, match="cell failed"):
             swept(spec)
-        assert left == [3, 3]
+        # Every cell settles before the sweep raises: 40 W, both attempts
+        # of 55 W, then 70 W, each with the points still in place.
+        assert left == [3, 3, 3, 3]
         assert points_left(spec) == {}

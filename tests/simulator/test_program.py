@@ -89,6 +89,42 @@ class TestValidation:
             engine.run(p2p_app, MaxPerformancePolicy())
 
 
+def _old_tasks_per_iteration(app: Application) -> dict[int, int]:
+    """The per-policy rescan the runtimes used before the count moved onto
+    the application."""
+    return {
+        r: max(1, sum(
+            1 for op in app.programs[r]
+            if isinstance(op, ComputeOp) and op.iteration == 0
+        ))
+        for r in range(app.n_ranks)
+    }
+
+
+class TestTasksPerIteration:
+    @pytest.mark.parametrize("bench", ["bt", "sp", "comd", "lulesh"])
+    def test_matches_the_per_policy_rescan(self, bench):
+        from repro.workloads import BENCHMARKS, WorkloadSpec
+
+        app = BENCHMARKS[bench](WorkloadSpec(n_ranks=4, iterations=3, seed=2015))
+        assert app.tasks_per_iteration() == _old_tasks_per_iteration(app)
+        # Read back, and a copy: a caller's edit cannot reach the next one.
+        counts = app.tasks_per_iteration()
+        counts[0] = -1
+        assert app.tasks_per_iteration() == _old_tasks_per_iteration(app)
+
+    def test_counted_again_after_a_program_edit(self, p2p_app, kernel):
+        assert p2p_app.tasks_per_iteration() == {0: 2, 1: 2}
+        p2p_app.programs[0].insert(0, ComputeOp(kernel, 0, label="extra"))
+        assert p2p_app.tasks_per_iteration() == {0: 3, 1: 2}
+        p2p_app.programs[1][:] = [
+            op for op in p2p_app.programs[1] if not isinstance(op, ComputeOp)
+        ]
+        # A rank without iteration-0 tasks counts one.
+        assert p2p_app.tasks_per_iteration() == {0: 3, 1: 1}
+        assert p2p_app.tasks_per_iteration() == _old_tasks_per_iteration(p2p_app)
+
+
 class TestTaskRef:
     def test_hashable_identity(self):
         assert TaskRef(1, 2) == TaskRef(1, 2)
