@@ -27,6 +27,7 @@ from repro.simulator.engine import Engine
 from repro.simulator.replay import ReplayPolicy
 from repro.workloads import WorkloadSpec, make_bt
 from tests.core.lp_oracles import solve_fixed_order_lp_reference
+from tests.core.rounding_oracles import round_schedule_reference
 from tests.simulator.oracles import job_power_timeline_reference, run_scalar
 
 #: Dense grid, as in a production figure sweep.
@@ -82,23 +83,23 @@ def test_parametric_sweep_2x_and_byte_identical(benchmark):
     assert result.feasible_caps()
 
 
-def _assignment(trace, lp):
-    disc = round_schedule(trace, lp.schedule)
+def _assignment(disc):
     return {ref: a.mixture[0][0].config for ref, a in disc.assignments.items()}
 
 
 def _ref_pipeline(trace, app_run, pms, caps):
     """Baseline: per-cap rebuild with the row-by-row LP assembly and
-    per-task decode oracles, scalar replay, reference timeline accounting.
-    One ``(lp makespan, replay makespan, peak W)`` tuple per cap, ``None``
-    where the LP is infeasible."""
+    per-task decode oracles, per-frontier rounding with the scalar ASAP
+    re-timing, scalar replay, reference timeline accounting.  One ``(lp
+    makespan, replay makespan, peak W)`` tuple per cap, ``None`` where the
+    LP is infeasible."""
     out = []
     for cap in caps:
         lp = solve_fixed_order_lp_reference(trace, cap)
         if not lp.feasible:
             out.append(None)
             continue
-        asg = _assignment(trace, lp)
+        asg = _assignment(round_schedule_reference(trace, lp.schedule))
         result = run_scalar(Engine(pms), app_run, ReplayPolicy(asg))
         tl = job_power_timeline_reference(result, pms)
         out.append((lp.makespan_s, result.makespan_s, tl.max_power()))
@@ -116,7 +117,7 @@ def _vec_pipeline(trace, app_run, pms, caps):
             lp_mk[cap] = None
             continue
         lp_mk[cap] = lp.makespan_s
-        asgs.append(_assignment(trace, lp))
+        asgs.append(_assignment(round_schedule(trace, lp.schedule)))
         kept.append(cap)
     outcomes = replay_schedule_sweep(app_run, asgs, pms, kept)
     out, i = [], 0

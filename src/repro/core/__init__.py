@@ -38,7 +38,7 @@ from .model import (
     extract_schedule,
 )
 from .rounding import round_schedule
-from .schedule import PowerSchedule, TaskAssignment
+from .schedule import PowerSchedule, TaskArrays, TaskAssignment
 from .serialize import schedule_from_dict, schedule_to_dict
 from .solver import (
     FrozenProgram,
@@ -76,6 +76,7 @@ __all__ = [
     "PowerSchedule",
     "ProblemInstance",
     "SPLIT_ROW_TAG",
+    "TaskArrays",
     "TaskAssignment",
     "TaskFrontier",
     "ValidationReport",

@@ -35,10 +35,9 @@ from ..dag.graph import VertexKind
 from ..machine.configuration import ConfigPoint
 from ..machine.cpu import XEON_E5_2670
 from ..machine.performance import TaskTimeModel
-from ..simulator.program import TaskRef
 from ..simulator.trace import Trace
 from .events import EventStructure, build_event_structure
-from .schedule import PowerSchedule, TaskAssignment
+from .schedule import PowerSchedule, TaskArrays
 from .solver import LinearProgram, LpSolution
 
 __all__ = [
@@ -206,18 +205,21 @@ class _ColumnArrays:
 class _ExtractLayout:
     """Flattened per-task decode layout (cached; extraction hot path).
 
-    Task ``t`` (in ``items`` order) owns the slice
-    ``indptr[t]:indptr[t+1]`` of the concatenated arrays: its solution
-    columns, and the frontier duration/power coefficients aligned with
-    them.  Lets :func:`extract_schedule` decode every task with a handful
-    of whole-solution gathers instead of per-task indexing.
+    Task ``t`` (``refs[t]`` on edge ``edge_ids[t]``, in trace task order)
+    owns the slice ``indptr[t]:indptr[t+1]`` of the concatenated arrays:
+    its solution columns, and the frontier points (``pool``) and their
+    duration/power coefficients aligned with them.  Lets
+    :func:`extract_schedule` decode every task with a handful of
+    whole-solution gathers instead of per-task indexing.
     """
 
-    items: tuple
+    refs: tuple
+    edge_ids: np.ndarray
     all_cols: np.ndarray
     indptr: np.ndarray
     durations: np.ndarray
     powers: np.ndarray
+    pool: tuple
 
 
 @dataclass
@@ -262,29 +264,19 @@ class CompiledModel:
         """Flattened task decode layout (cached; see :class:`_ExtractLayout`)."""
         if self._layout is None:
             cols = self.column_arrays()
-            items = tuple(self.instance.trace.task_edges.items())
-            per_task = [cols.tasks[edge_id] for _, edge_id in items]
+            task_edges = self.instance.trace.task_edges
+            fronts = [self.frontiers[e] for e in task_edges.values()]
+            per_task = [cols.tasks[e] for e in task_edges.values()]
             widths = np.array([len(a) for a in per_task], dtype=np.int64)
+            # A trace has at least one task per rank, so nothing is empty.
             self._layout = _ExtractLayout(
-                items=items,
-                all_cols=(
-                    np.concatenate(per_task)
-                    if per_task
-                    else np.empty(0, dtype=np.int64)
-                ),
+                refs=tuple(task_edges),
+                edge_ids=np.array(list(task_edges.values()), dtype=np.int64),
+                all_cols=np.concatenate(per_task),
                 indptr=np.concatenate([[0], np.cumsum(widths)]),
-                durations=(
-                    np.concatenate(
-                        [self.frontiers[e].durations for _, e in items]
-                    )
-                    if items
-                    else np.empty(0)
-                ),
-                powers=(
-                    np.concatenate([self.frontiers[e].powers for _, e in items])
-                    if items
-                    else np.empty(0)
-                ),
+                durations=np.concatenate([f.durations for f in fronts]),
+                powers=np.concatenate([f.powers for f in fronts]),
+                pool=tuple(p for f in fronts for p in f.points),
             )
         return self._layout
 
@@ -413,40 +405,35 @@ def extract_schedule(
         raise ValueError("extract_schedule needs a cap (model compiled without)")
     x = solution.x
     cols = compiled.column_arrays()
-    vertex_times = x[cols.vertices]
-    assignments = _extract_assignments(compiled, x, frac_tol)
     return PowerSchedule(
         kind=kind if kind is not None else compiled.kind,
         cap_w=float(cap_w),
         objective_s=float(x[compiled.v_idx[compiled.fin_id]]),
-        assignments=assignments,
-        vertex_times=vertex_times,
+        assignments=None,
+        vertex_times=x[cols.vertices],
         solver_info={
             "n_vars": compiled.lp.n_vars,
             "n_constraints": compiled.lp.n_constraints,
             "objective_raw": solution.objective,
             **compiled.solver_info,
         },
+        tasks=_extract_tasks(compiled, x, frac_tol),
     )
 
 
-def _extract_assignments(
+def _extract_tasks(
     compiled: CompiledModel, x: np.ndarray, frac_tol: float
-) -> dict[TaskRef, TaskAssignment]:
+) -> TaskArrays:
     """Vectorized decode: gather/clip/normalize all tasks at once.
 
-    The per-task weighted duration/power sums stay as sequential
-    accumulation over the (tiny) kept mixtures so the floats match a
-    per-task decode bit for bit.  The normalizing denominators are each
-    task's ``.sum()`` of its kept fractions: ``np.add.reduceat`` gives the
-    same bits for one or two of them (the usual mix of two adjacent hull
-    points), but associates three or more differently, so those rare
-    tasks are summed one by one.
+    The normalizing denominators are each task's ``.sum()`` of its kept
+    fractions, and its duration and power are ``0.0`` plus its weighted
+    terms one by one, as a per-task decode adds them.
+    ``np.add.reduceat`` gives the same bits for one or two terms (the
+    usual mix of two adjacent hull points) but associates three or more
+    differently, so those rare tasks are summed one by one.
     """
     lay = compiled.extract_layout()
-    assignments: dict[TaskRef, TaskAssignment] = {}
-    if not lay.items:
-        return assignments
     fracs = x[lay.all_cols].clip(0.0, 1.0)
     keep = fracs > frac_tol
     starts = lay.indptr[:-1]
@@ -457,31 +444,36 @@ def _extract_assignments(
         counts[t] = 1
     kept_idx = np.flatnonzero(keep)
     kept_ptr = np.concatenate([[0], np.cumsum(counts)])
+    kept_starts = kept_ptr[:-1]
+    long_runs = np.flatnonzero(counts > 2)
     kept_fracs = fracs[kept_idx]
-    sums = np.add.reduceat(kept_fracs, kept_ptr[:-1])
-    for t in np.flatnonzero(counts > 2):
+    sums = np.add.reduceat(kept_fracs, kept_starts)
+    for t in long_runs:
         sums[t] = kept_fracs[kept_ptr[t]:kept_ptr[t + 1]].sum()
     norm = kept_fracs / np.repeat(sums, counts)
-    d_terms = (lay.durations[kept_idx] * norm).tolist()
-    p_terms = (lay.powers[kept_idx] * norm).tolist()
-    local = (kept_idx - np.repeat(starts, counts)).tolist()
-    norm_l = norm.tolist()
-    kp = kept_ptr.tolist()
-    for t, (ref, edge_id) in enumerate(lay.items):
-        lo, hi = kp[t], kp[t + 1]
-        duration = 0.0
-        power = 0.0
-        for k in range(lo, hi):
-            duration += d_terms[k]
-            power += p_terms[k]
-        points = compiled.frontiers[edge_id].points
-        assignments[ref] = TaskAssignment(
-            ref=ref,
-            edge_id=edge_id,
-            mixture=tuple(
-                (points[local[k]], norm_l[k]) for k in range(lo, hi)
-            ),
-            duration_s=duration,
-            power_w=power,
-        )
-    return assignments
+    d_terms = lay.durations[kept_idx] * norm
+    p_terms = lay.powers[kept_idx] * norm
+    durations = 0.0 + np.add.reduceat(d_terms, kept_starts)
+    powers = 0.0 + np.add.reduceat(p_terms, kept_starts)
+    for t in long_runs:
+        lo, hi = kept_ptr[t], kept_ptr[t + 1]
+        durations[t] = _added(d_terms[lo:hi])
+        powers[t] = _added(p_terms[lo:hi])
+    return TaskArrays(
+        refs=lay.refs,
+        edge_ids=lay.edge_ids,
+        durations=durations,
+        powers=powers,
+        mix_ptr=kept_ptr,
+        mix_index=kept_idx,
+        mix_fracs=norm,
+        pool=lay.pool,
+    )
+
+
+def _added(terms: np.ndarray) -> float:
+    """``0.0`` plus ``terms`` one by one, left to right."""
+    total = 0.0
+    for v in terms.tolist():
+        total += v
+    return total

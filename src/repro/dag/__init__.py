@@ -13,12 +13,22 @@ from .analysis import (
     unconstrained_schedule,
 )
 from .builder import DagBuilder
-from .graph import EdgeKind, TaskEdge, TaskGraph, Vertex, VertexKind
+from .graph import (
+    CompiledGraph,
+    EdgeKind,
+    GraphLevel,
+    TaskEdge,
+    TaskGraph,
+    Vertex,
+    VertexKind,
+)
 
 __all__ = [
+    "CompiledGraph",
     "DagBuilder",
     "DagSchedule",
     "EdgeKind",
+    "GraphLevel",
     "TaskEdge",
     "TaskGraph",
     "Vertex",

@@ -57,23 +57,35 @@ class DagSchedule:
 def schedule_fixed_durations(
     graph: TaskGraph, durations: np.ndarray | list[float]
 ) -> DagSchedule:
-    """ASAP schedule for given per-edge durations (longest path from INIT)."""
+    """ASAP schedule for given per-edge durations (longest path from INIT).
+
+    Vertex times are set one topological level at a time: each vertex's
+    time is the ``max`` of ``v_src + d`` over its in-edges.  Raises
+    ``ValueError`` unless every duration is finite and ``>= 0``.
+    """
     d = np.asarray(durations, dtype=float)
     if d.shape != (graph.n_edges,):
         raise ValueError(
             f"durations must have shape ({graph.n_edges},), got {d.shape}"
         )
+    if not np.isfinite(d).all():
+        raise ValueError("durations must be finite")
     if np.any(d < 0):
         raise ValueError("durations must be >= 0")
+    view = graph.compiled()
     times = np.zeros(graph.n_vertices)
-    for vid in graph.topological_order():
-        incoming = graph.in_edges(vid)
-        if incoming:
-            times[vid] = max(times[e.src] + d[e.id] for e in incoming)
-    starts = np.array([times[e.src] for e in graph.edges])
-    makespan = float(times[graph.find_vertex(VertexKind.FINALIZE).id])
+    for level in view.levels:
+        times[level.vertices] = np.maximum.reduceat(
+            times[level.src] + d[level.edges], level.offsets
+        )
+    fin_id = view.fin_id
+    if fin_id is None:
+        fin_id = graph.find_vertex(VertexKind.FINALIZE).id  # raises
     return DagSchedule(
-        vertex_times=times, edge_durations=d, edge_starts=starts, makespan=makespan
+        vertex_times=times,
+        edge_durations=d,
+        edge_starts=times[view.src],
+        makespan=float(times[fin_id]),
     )
 
 

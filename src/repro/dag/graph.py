@@ -15,11 +15,17 @@ start simultaneously — the synchronization semantics of an MPI collective.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..machine.performance import TaskKernel
 
-__all__ = ["VertexKind", "EdgeKind", "Vertex", "TaskEdge", "TaskGraph"]
+__all__ = [
+    "VertexKind", "EdgeKind", "Vertex", "TaskEdge", "TaskGraph", "CompiledGraph",
+    "GraphLevel",
+]
 
 
 class VertexKind(enum.Enum):
@@ -91,6 +97,45 @@ class TaskEdge:
         return self.kind is EdgeKind.COMPUTE
 
 
+@dataclass(frozen=True, eq=False)
+class GraphLevel:
+    """The vertices of one topological level and their in-edges.
+
+    ``edges`` lists each vertex's in-edges in insertion order, vertex
+    after vertex; ``offsets[i]`` is where ``vertices[i]``'s run starts,
+    ready for ``np.maximum.reduceat``.  ``src`` is ``edges``' source
+    vertices.
+    """
+
+    vertices: np.ndarray
+    edges: np.ndarray
+    src: np.ndarray
+    offsets: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledGraph:
+    """Index arrays of a :class:`TaskGraph`, built once per graph size.
+
+    ``order`` is :meth:`TaskGraph.topological_order`.  A vertex's level
+    is the most edges on any path into it (0 for sources); ``levels``
+    holds levels 1, 2, ... in order, so every in-edge of a level's
+    vertices leaves an earlier level.  ``src`` is each edge's source and
+    ``durations`` holds each message edge's duration and 0 on compute
+    edges.  ``fin_id`` is the FINALIZE vertex, None unless there is
+    exactly one.  The arrays are shared by every caller, so they are
+    read-only.
+    """
+
+    n_vertices: int
+    n_edges: int
+    order: np.ndarray
+    levels: tuple[GraphLevel, ...]
+    src: np.ndarray
+    durations: np.ndarray
+    fin_id: int | None
+
+
 class TaskGraph:
     """Mutable DAG container with adjacency indexes.
 
@@ -107,6 +152,8 @@ class TaskGraph:
         self.edges: list[TaskEdge] = []
         self._out: dict[int, list[int]] = {}
         self._in: dict[int, list[int]] = {}
+        self._rank_compute: dict[int, list[int]] = {}
+        self._compiled: CompiledGraph | None = None
 
     # ------------------------------------------------------------------
     def add_vertex(
@@ -135,6 +182,8 @@ class TaskGraph:
         self.edges.append(edge)
         self._out[edge.src].append(edge.id)
         self._in[edge.dst].append(edge.id)
+        if edge.is_compute:
+            self._rank_compute.setdefault(edge.rank, []).append(edge.id)
         return edge
 
     def add_compute(
@@ -187,7 +236,7 @@ class TaskGraph:
 
     def rank_edges(self, rank: int) -> list[TaskEdge]:
         """Compute edges owned by one rank, in insertion (program) order."""
-        return [e for e in self.edges if e.is_compute and e.rank == rank]
+        return [self.edges[i] for i in self._rank_compute.get(rank, ())]
 
     @property
     def n_vertices(self) -> int:
@@ -205,26 +254,78 @@ class TaskGraph:
         return matches[0]
 
     # ------------------------------------------------------------------
-    def topological_order(self) -> list[int]:
-        """Kahn's algorithm; raises if the graph has a cycle."""
-        indeg = {v.id: len(self._in[v.id]) for v in self.vertices}
-        ready = sorted(vid for vid, d in indeg.items() if d == 0)
-        order: list[int] = []
-        # Use a list-as-stack with sorted seeding for deterministic output.
-        from collections import deque
+    def compiled(self) -> CompiledGraph:
+        """The graph's :class:`CompiledGraph`, rebuilt only after it grew.
 
-        queue = deque(ready)
+        Vertices and edges are only ever appended, so the vertex and edge
+        counts identify the graph the cached view was built from.
+        Raises ``ValueError`` if the graph has a cycle.
+        """
+        view = self._compiled
+        if view is None or (view.n_vertices, view.n_edges) != (
+            len(self.vertices), len(self.edges)
+        ):
+            view = self._compiled = self._compile()
+        return view
+
+    def _compile(self) -> CompiledGraph:
+        # Kahn's algorithm from the sorted sources, first in first out,
+        # recording each vertex's level on the way.
+        indeg = {v.id: len(self._in[v.id]) for v in self.vertices}
+        queue = deque(sorted(vid for vid, d in indeg.items() if d == 0))
+        level = [0] * len(self.vertices)
+        order: list[int] = []
         while queue:
             vid = queue.popleft()
             order.append(vid)
             for eid in self._out[vid]:
                 dst = self.edges[eid].dst
+                level[dst] = max(level[dst], level[vid] + 1)
                 indeg[dst] -= 1
                 if indeg[dst] == 0:
                     queue.append(dst)
         if len(order) != len(self.vertices):
             raise ValueError("task graph contains a cycle")
-        return order
+
+        src = np.array([e.src for e in self.edges], dtype=np.int64)
+        by_level: list[list[int]] = [[] for _ in range(max(level, default=0) + 1)]
+        for vid in order:
+            by_level[level[vid]].append(vid)
+        levels = []
+        for verts in by_level[1:]:
+            runs = [self._in[vid] for vid in verts]
+            edges = np.array([eid for run in runs for eid in run], dtype=np.int64)
+            widths = np.array([len(run) for run in runs], dtype=np.int64)
+            levels.append(GraphLevel(
+                vertices=np.array(verts, dtype=np.int64),
+                edges=edges,
+                src=src[edges],
+                offsets=np.concatenate([[0], np.cumsum(widths[:-1])]),
+            ))
+        finals = [v.id for v in self.vertices if v.kind is VertexKind.FINALIZE]
+        view = CompiledGraph(
+            n_vertices=len(self.vertices),
+            n_edges=len(self.edges),
+            order=np.array(order, dtype=np.int64),
+            levels=tuple(levels),
+            src=src,
+            durations=np.array(
+                [0.0 if e.is_compute else e.duration_s for e in self.edges],
+                dtype=float,
+            ),
+            fin_id=finals[0] if len(finals) == 1 else None,
+        )
+        arrays = [view.order, view.src, view.durations]
+        for level in view.levels:
+            arrays += [level.vertices, level.edges, level.src, level.offsets]
+        for a in arrays:
+            a.setflags(write=False)
+        return view
+
+    def topological_order(self) -> list[int]:
+        """Kahn's algorithm from the sorted sources; raises if the graph
+        has a cycle."""
+        return self.compiled().order.tolist()
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""

@@ -389,14 +389,19 @@ class ParallelRunner:
                             "task.dispatch_wall_s", elapsed, operational=True
                         )
                         break
-                    except FuturesTimeoutError as exc:
+                    except FuturesTimeoutError:
                         # A queued task is dropped; a running one cannot
                         # be interrupted and is left to the final kill.
                         if not futures[i].cancel():
                             abandoned = True
                         metric_inc("task.deadline_expired", operational=True)
+                        # The futures' own TimeoutError carries no message.
+                        expired = FuturesTimeoutError(
+                            f"no result within the {self.timeout_s:g} s "
+                            "deadline from submission"
+                        )
                         attempt, failed = self._note_failure(
-                            i, attempt, exc, started, outcomes
+                            i, attempt, expired, started, outcomes
                         )
                         if failed:
                             break

@@ -162,8 +162,9 @@ def _scenario_spec(args, caps: tuple[float, ...] | None, parser) -> ScenarioSpec
     A spec file carries everything — ``caps`` (when not None) overrides
     its grid, which is how ``run`` pins a file to one ``--cap`` cell and
     ``sweep --caps`` re-grids it; ``--policies`` builds a spec around the
-    CLI's benchmark and protocol flags.  Policy names are validated
-    against the registry up front so typos fail before any simulation.
+    CLI's benchmark and protocol flags.  Policy names, and a spec file's
+    policy config keys, are validated against the registry up front so
+    typos fail as usage errors before any simulation.
     """
     if args.scenario and args.policies:
         parser.error("--scenario and --policies are mutually exclusive")
@@ -172,6 +173,13 @@ def _scenario_spec(args, caps: tuple[float, ...] | None, parser) -> ScenarioSpec
             spec = ScenarioSpec.from_json(Path(args.scenario).read_text())
         except (OSError, ValueError, KeyError) as exc:
             parser.error(f"--scenario {args.scenario}: {exc}")
+        registry = default_registry()
+        for pspec in spec.policies:
+            # Unknown policies and config keys fail here, before any cell.
+            try:
+                registry.get(pspec.policy).resolve_config(pspec.config)
+            except (KeyError, ValueError) as exc:
+                parser.error(f"--scenario {args.scenario}: {exc.args[0]}")
         if caps is not None:
             doc = spec.to_doc()
             doc["caps_per_socket_w"] = [float(c) for c in caps]

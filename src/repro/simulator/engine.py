@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Protocol
 
 import numpy as np
@@ -411,25 +411,40 @@ class _SweepPointResult(SimulationResult):
 
     A sweep holds every record field as one array column; building
     ``n_tasks`` :class:`TaskRecord` objects per point dominates the
-    vectorized sweep's cost when most consumers only read the makespan
-    and the (array-computed) timelines.  The ``records`` property builds
-    the list on first access — bit-identical to the eager list, in
-    :meth:`Engine.run`'s emission order.
+    vectorized sweep's cost when most consumers only read the makespan,
+    the measurement window and the (array-computed) timelines.  The
+    ``records`` property builds the list on first access — bit-identical
+    to the eager list, in :meth:`Engine.run`'s emission order — and
+    :meth:`window` reads the columns without building it.
     """
 
-    def __init__(self, loader, **kwargs) -> None:
-        self._loader = loader
+    def __init__(self, outcome: "SweepRunOutcome", c: int, **kwargs) -> None:
+        self._outcome = outcome
+        self._c = c
         super().__init__(records=None, **kwargs)
 
     @property
     def records(self) -> list[TaskRecord]:
         if self._records is None:
-            self._records = self._loader()
+            self._records = self._outcome._materialize_records(self._c)
         return self._records
 
     @records.setter
     def records(self, value) -> None:
         self._records = value
+
+    def window(self, first_iteration: int) -> tuple[float, float]:
+        return self._outcome._window(self._c, first_iteration)
+
+
+@dataclass(frozen=True, eq=False)
+class _EmissionColumns:
+    """A sweep's record fields per emission, ``[n_emissions, n_points]``."""
+
+    iterations: np.ndarray
+    starts: np.ndarray
+    durations: np.ndarray
+    powers: np.ndarray
 
 
 @dataclass
@@ -475,6 +490,30 @@ class SweepRunOutcome:
             for rank, seq, op in self.emissions
         ]
 
+    @cached_property
+    def _columns(self) -> _EmissionColumns:
+        ranks = np.array([rank for rank, _, _ in self.emissions], dtype=np.int64)
+        seqs = np.array([seq for _, seq, _ in self.emissions], dtype=np.int64)
+        heights = [len(s) for s in self.starts]
+        rows = np.concatenate([[0], np.cumsum(heights)[:-1]])[ranks] + seqs
+        plan = self.plan
+        return _EmissionColumns(
+            iterations=np.array(
+                [op.iteration for _, _, op in self.emissions], dtype=np.int64
+            ),
+            starts=np.concatenate(self.starts)[rows],
+            durations=np.concatenate([rp.durations for rp in plan.ranks])[rows],
+            powers=np.concatenate([rp.powers for rp in plan.ranks])[rows],
+        )
+
+    def _window(self, c: int, first_iteration: int) -> tuple[float, float]:
+        """:meth:`SimulationResult.window` of point ``c``, read from the
+        columns: the same records in the same order, so the same floats."""
+        cols = self._columns
+        kept = cols.iterations >= first_iteration
+        energies = cols.durations[kept, c] * cols.powers[kept, c]
+        return float(cols.starts[kept, c].min()), sum(energies.tolist())
+
     def result(self, c: int) -> SimulationResult:
         """The c-th sweep point as a :class:`SimulationResult`."""
         if not (0 <= c < self.n_points):
@@ -483,7 +522,7 @@ class SweepRunOutcome:
         metric_inc("sim.mpi_waits", self.mpi_wait_count)
         metric_inc("sim.collectives", self.collective_count)
         return _SweepPointResult(
-            loader=lambda: self._materialize_records(c),
+            self, c,
             app_name=self.app_name,
             makespan_s=float(self.makespans[c]),
             n_ranks=self.n_ranks,

@@ -22,7 +22,7 @@ from repro.core import (
     extract_schedule,
     solve_fixed_order_lp,
 )
-from repro.core.solver import LpStatus
+from repro.core.solver import LpSolution, LpStatus
 from repro.experiments.runner import make_power_models
 from repro.machine.device import device_power_groups, get_node, rank_nodes
 from repro.machine.frontiers import NodeFrontierStore
@@ -126,6 +126,21 @@ class TestBenchmarkModels:
         got = extract_schedule(compiled, solution, frac_tol=frac_tol)
         want = extract_assignments_reference(compiled, solution.x, frac_tol)
         assert_same_assignments(got.assignments, want)
+
+    def test_decode_of_wide_mixtures(self, instance):
+        """Random fractions keep three or more points of most tasks: the
+        runs the decode adds one by one rather than by ``reduceat``."""
+        compiled = compile_fixed_order(instance, CAP_PER_RANK_W * N_RANKS)
+        x = np.random.default_rng(5).random(compiled.lp.n_vars)
+        got = extract_schedule(
+            compiled, LpSolution(LpStatus.OPTIMAL, 0.0, x)
+        )
+        assert (np.diff(got.tasks.mix_ptr) > 2).any()
+        want = extract_assignments_reference(compiled, x)
+        assert_same_assignments(got.assignments, want)
+        assert got.total_energy_j() == sum(
+            a.duration_s * a.power_w for a in want.values()
+        )
 
 
 def test_discrete_model_matches():

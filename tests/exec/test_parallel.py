@@ -211,6 +211,16 @@ class TestParallelMap:
         with pytest.raises(ParallelExecutionError, match="timed out"):
             runner.map(_sleepy, [1.5, 1.5])
 
+    def test_timeout_message_names_the_deadline(self):
+        runner = ParallelRunner(max_workers=2, timeout_s=0.2, retries=0)
+        with pytest.raises(ParallelExecutionError, match=r"within the 0\.2 s deadline"):
+            runner.map(_sleepy, [1.5, 1.5])
+        outcome, _ = runner.map_outcomes(_sleepy, [1.5, 0.0])
+        assert outcome.error_type == "TimeoutError"
+        assert outcome.error_message == (
+            "no result within the 0.2 s deadline from submission"
+        )
+
     def test_generous_timeout_passes(self):
         runner = ParallelRunner(max_workers=2, timeout_s=30.0)
         assert runner.map(_sleepy, [0.01, 0.02]) == [0.01, 0.02]

@@ -143,6 +143,29 @@ class TestScenarioRuns:
         assert "cond-fast" in out
         assert "45" in out and "65" in out
 
+    @pytest.mark.parametrize("policy, config, says", [
+        ("lp", {"bogus": 1}, "unknown config keys ['bogus']"),
+        ("magic", {}, "unknown policy 'magic'"),
+    ])
+    def test_sweep_scenario_file_bad_policy_is_a_usage_error(
+        self, capsys, tmp_path, policy, config, says
+    ):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "benchmark": "synthetic", "caps_per_socket_w": [50.0],
+            "policies": [{"policy": "static"},
+                         {"policy": policy, "config": config}],
+            "n_ranks": 4, "run_iterations": 8, "lp_iterations": 2,
+            "discard_iterations": 2, "steady_window": 4,
+        }))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--scenario", str(path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and says in errors[0]
+        assert "Traceback" not in err
+
     def test_run_save_embeds_scenario_in_manifest(self, capsys, tmp_path):
         argv = ["run", *self.QUICK, "--cap", "50",
                 "--policies", "static,adagio,lp", "--save", str(tmp_path)]
@@ -239,6 +262,25 @@ class TestResilienceFlags:
             "lp-split models a fixed per-device cap partition"
         )
         assert "Traceback" not in err
+
+    def test_timed_out_cell_names_its_deadline(self, capsys, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        argv = ["sweep", *self.QUICK, "--caps", "40,50", "--workers", "2",
+                "--task-timeout", "0.5", "--task-retries", "0",
+                "--inject-faults", "mode=delay,delay_s=3,match=cap=50",
+                "--journal", str(journal)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert (
+            "error: cell cap=50 TimeoutError on all 1 attempt(s): "
+            "no result within the 0.5 s deadline from submission"
+        ) in err
+        messages = [
+            doc["failure"]["error_message"]
+            for doc in map(json.loads, journal.read_text().splitlines())
+            if doc["status"] == "failed"
+        ]
+        assert messages == ["no result within the 0.5 s deadline from submission"]
 
     def test_task_retries_zero_is_one_attempt(self, capsys):
         assert main([*self.LP_SPLIT, "--task-retries", "0"]) == 1

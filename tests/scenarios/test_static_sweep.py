@@ -31,7 +31,7 @@ from repro.obs.recorder import use_recorder
 from repro.scenarios import run as run_mod
 from repro.scenarios.run import cell_payload, run_scenarios
 from repro.scenarios.spec import PolicySpec
-from repro.simulator.engine import Engine
+from repro.simulator.engine import Engine, SimulationResult
 
 RANKS = 4
 #: sp's and lulesh's 30 W caps are below their minimum cap (40 W).
@@ -142,6 +142,35 @@ class TestIdenticalCells:
             )
 
         assert snapshot(swept) == snapshot(unswept)
+
+
+class TestWindowFromColumns:
+    @pytest.mark.parametrize("bench", ["comd", "bt", "sp", "lulesh"])
+    def test_equals_the_record_window(self, bench, monkeypatch):
+        """A swept point reads its measurement window from the sweep's
+        columns, without building its records, and reads what the
+        record-based window reads, bit for bit."""
+        outcomes = []
+        run_sweep = Engine.run_sweep
+
+        def kept(self, app, policy, plan):
+            outcomes.append(run_sweep(self, app, policy, plan))
+            return outcomes[-1]
+
+        monkeypatch.setattr(Engine, "run_sweep", kept)
+        spec = spec_for(bench)
+        swept(spec)
+        assert outcomes
+        firsts = sorted({0, spec.discard_iterations,
+                         spec.run_iterations - spec.steady_window})
+        for outcome in outcomes:
+            for c in range(outcome.n_points):
+                point = outcome.result(c)
+                got = [point.window(first) for first in firsts]
+                assert point._records is None  # still lazy
+                want = [SimulationResult.window(point, first) for first in firsts]
+                assert got == want
+                assert {type(v) for pair in got for v in pair} == {float}
 
 
 class TestTracing:
