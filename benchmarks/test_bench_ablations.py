@@ -28,6 +28,7 @@ from repro.simulator import Trace, trace_application
 from repro.workloads import WorkloadSpec, imbalanced_collective_app, make_comd
 
 from conftest import engage
+from tests.core.lp_oracles import solve_fixed_order_lp_reference
 
 CAP_PER_RANK = 32.0
 
@@ -99,7 +100,7 @@ def test_ablation_discrete_vs_rounding(benchmark, small_trace):
     engage(benchmark)
     cap = 4 * CAP_PER_RANK
     cont = solve_fixed_order_lp(small_trace, cap)
-    disc = solve_fixed_order_lp(small_trace, cap, discrete=True)
+    disc = solve_fixed_order_lp_reference(small_trace, cap, discrete=True)
     rounded = round_schedule(small_trace, cont.schedule, mode="floor")
     assert cont.makespan_s <= disc.makespan_s <= rounded.objective_s + 1e-9
     assert rounded.objective_s <= disc.makespan_s * 1.10

@@ -1,26 +1,31 @@
 """Parametric cap-sweep benchmark: one assembled model, many caps.
 
-The paper's Figures 9-15 re-solve the same trace at dozens of caps.  The
-rebuild path pays trace -> events -> IR -> LP compilation -> sparse
-assembly at every cap; the parametric path
-(:class:`repro.core.ParametricCapSolver`) pays them once and re-solves
-with an updated RHS.  This benchmark pins both properties the refactor
-claims:
+The paper's Figures 9-15 re-solve the same trace at dozens of caps.  A
+loop of one-cap :func:`repro.core.solve_fixed_order_lp` calls pays trace
+-> events -> IR -> LP compilation -> sparse assembly at every cap; a
+sweep (:class:`repro.core.ParametricCapSolver`) pays them once and
+re-solves with an updated RHS.  This benchmark pins both properties:
 
 * **speed** — the parametric dense sweep is at least 2x faster than the
-  per-cap rebuild on the same grid (measured as min over interleaved
+  per-cap loop on the same grid (measured as min over interleaved
   repetitions, alternating which path runs first, so a scheduler hiccup
   on either side cannot fake or mask the speedup);
-* **identity** — the two paths return byte-identical makespans and
-  primal vectors (the model handed to HiGHS is the same, and HiGHS is
-  deterministic).
+* **identity** — both return byte-identical makespans and primal
+  vectors, and so does the rebuild oracle (``tests/core/lp_oracles.py``):
+  the model handed to HiGHS is the same, and HiGHS is deterministic.
 """
 
 import time
 
 import numpy as np
 
-from repro.core import ParametricCapSolver, round_schedule, solve_cap_sweep
+from repro.core import (
+    CapSweepResult,
+    ParametricCapSolver,
+    round_schedule,
+    solve_cap_sweep,
+    solve_fixed_order_lp,
+)
 from repro.experiments.runner import make_power_models
 from repro.simulator import replay_schedule_sweep, trace_application
 from repro.simulator.engine import Engine
@@ -47,6 +52,14 @@ def _cap_grid(n_ranks=8):
     return [float(c) * n_ranks for c in np.linspace(22.0, 70.0, N_CAPS)]
 
 
+def _per_cap_sweep(trace, caps):
+    """The baseline: one :func:`solve_fixed_order_lp` call per cap, each
+    assembling its own model."""
+    return CapSweepResult(
+        trace=trace, results={cap: solve_fixed_order_lp(trace, cap) for cap in caps}
+    )
+
+
 def test_parametric_sweep_2x_and_byte_identical(benchmark):
     trace = _bt_trace()
     caps = _cap_grid()
@@ -56,24 +69,27 @@ def test_parametric_sweep_2x_and_byte_identical(benchmark):
     for rep in range(N_REPS):
         # Alternate which path goes first, so a slow stretch of the host
         # does not always land on the same side.
-        for mode in (rep % 2 == 1, rep % 2 == 0):
+        for parametric in (rep % 2 == 1, rep % 2 == 0):
+            sweep = solve_cap_sweep if parametric else _per_cap_sweep
             t0 = time.perf_counter()
-            results[mode] = solve_cap_sweep(trace, caps, parametric=mode)
-            times[mode].append(time.perf_counter() - t0)
+            results[parametric] = sweep(trace, caps)
+            times[parametric].append(time.perf_counter() - t0)
     rebuild, parametric = results[False], results[True]
     t_rebuild, t_parametric = times[False], times[True]
 
     # Identity first: same feasibility verdicts, bit-equal makespans and
-    # primal vectors at every cap.
+    # primal vectors at every cap, for the per-cap loop and the oracle.
     assert parametric.makespans() == rebuild.makespans()
     for cap in caps:
         a, b = parametric.results[cap], rebuild.results[cap]
+        oracle = solve_fixed_order_lp_reference(trace, cap)
         assert np.array_equal(a.solution.x, b.solution.x)
+        assert np.array_equal(a.solution.x, oracle.solution.x)
 
     speedup = min(t_rebuild) / min(t_parametric)
     assert speedup >= 2.0, (
         f"parametric sweep only {speedup:.2f}x faster "
-        f"({min(t_parametric):.2f}s vs {min(t_rebuild):.2f}s rebuild)"
+        f"({min(t_parametric):.2f}s vs {min(t_rebuild):.2f}s per-cap)"
     )
 
     # Record the parametric path for the regression baseline.

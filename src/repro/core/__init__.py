@@ -16,7 +16,6 @@ from .device_split import (
 from .energy_lp import EnergyLpResult, compile_energy, solve_energy_lp
 from .events import EventStructure, build_event_structure
 from .fixed_order_lp import (
-    MAX_DISCRETE_TASKS,
     FixedOrderLpResult,
     compile_fixed_order,
     solve_fixed_order_lp,
@@ -69,7 +68,6 @@ __all__ = [
     "LinearProgram",
     "LpSolution",
     "LpStatus",
-    "MAX_DISCRETE_TASKS",
     "MAX_FLOW_ILP_EDGES",
     "MODEL_LAYER_VERSION",
     "ParametricCapSolver",

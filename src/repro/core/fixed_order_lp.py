@@ -31,19 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.metrics import timed
 from ..simulator.trace import Trace
 from .events import EventStructure
 from .schedule import PowerSchedule
-from .model import (
-    CAP_ROW_TAG,
-    CompiledModel,
-    ProblemInstance,
-    base_model,
-    build_problem_instance,
-    extract_schedule,
-)
-from .solver import InfeasibleError, LpSolution, LpStatus
+from .model import CAP_ROW_TAG, CompiledModel, ProblemInstance, base_model
+from .solver import InfeasibleError, LpSolution
 
 __all__ = ["FixedOrderLpResult", "solve_fixed_order_lp", "compile_fixed_order"]
 
@@ -67,17 +59,10 @@ class FixedOrderLpResult:
         return self.schedule.objective_s
 
 
-#: Discrete (binary-configuration) instances beyond this many tasks are
-#: rejected — "a significantly less efficient solution method, which
-#: prohibits us from solving realistic problems" (paper §3.2).
-MAX_DISCRETE_TASKS = 64
-
-
 def compile_fixed_order(
     instance: ProblemInstance,
     cap_w: float,
     power_tiebreak: float = 1e-9,
-    discrete: bool = False,
 ) -> CompiledModel:
     """Compile the fixed-order LP (eqs. 1-13) from the shared IR.
 
@@ -88,12 +73,9 @@ def compile_fixed_order(
     """
     if cap_w <= 0:
         raise ValueError(f"cap must be positive, got {cap_w}")
-    frontiers = instance.frontier_family(discrete)
+    frontiers = instance.convex
     lp, v_idx, c_idx = base_model(
-        instance,
-        name=f"fixed-order-{instance.trace.app.name}",
-        frontiers=frontiers,
-        integer=discrete,
+        instance, name=f"fixed-order-{instance.trace.app.name}"
     )
     events = instance.events
 
@@ -176,7 +158,7 @@ def compile_fixed_order(
         c_idx=c_idx,
         frontiers=frontiers,
         formulation="fixed-order",
-        kind="discrete" if discrete else "continuous",
+        kind="continuous",
         cap_w=float(cap_w),
     )
 
@@ -187,10 +169,14 @@ def solve_fixed_order_lp(
     events: EventStructure | None = None,
     power_tiebreak: float = 1e-9,
     time_limit_s: float | None = None,
-    discrete: bool = False,
     instance: ProblemInstance | None = None,
 ) -> FixedOrderLpResult:
-    """Solve the fixed-vertex-order LP for a traced application.
+    """Solve the fixed-vertex-order LP for a traced application at one cap.
+
+    The one-cap spelling of :class:`~.sweep.ParametricCapSolver`: the
+    model is assembled and solved exactly as a sweep solves each of its
+    caps.  Callers solving the same trace at several caps should hold
+    one solver instead.
 
     Parameters
     ----------
@@ -200,49 +186,20 @@ def solve_fixed_order_lp(
         Job-level power constraint PC (total watts across all sockets).
     events:
         Precomputed event structure; recomputed from the trace when None.
-        Passing one in lets a power sweep share the (fixed) event order.
     power_tiebreak:
         Tiny objective weight on total task power that selects the
         minimum-power optimum among equal-makespan solutions; keeps slack
         tasks on the Pareto frontier instead of arbitrary vertices.
         Must stay small enough not to trade makespan for power.
-    discrete:
-        Solve the paper's *discrete* variant (equation 5: each task runs a
-        single configuration for its whole duration) as a mixed-integer
-        program over the full Pareto set.  Exact but only tractable for
-        small traces — the continuous LP plus rounding is the production
-        path (paper §3.2).
     instance:
-        A prebuilt :class:`ProblemInstance` for this trace.  Callers
-        solving the same trace repeatedly (sweeps, experiment grids)
-        should build it once and pass it here; ``events`` is ignored
-        in that case.
+        A prebuilt :class:`ProblemInstance` for this trace; ``events`` is
+        ignored in that case.
     """
+    from .sweep import ParametricCapSolver  # sweep builds on this module
+
     if cap_w <= 0:
         raise ValueError(f"cap must be positive, got {cap_w}")
-    if discrete and len(trace.task_edges) > MAX_DISCRETE_TASKS:
-        raise ValueError(
-            f"discrete formulation limited to {MAX_DISCRETE_TASKS} tasks "
-            f"(got {len(trace.task_edges)}); solve continuously and round"
-        )
-    with timed("phase.assemble"):
-        if instance is None:
-            instance = build_problem_instance(trace, events=events)
-        compiled = compile_fixed_order(
-            instance,
-            cap_w,
-            power_tiebreak=power_tiebreak,
-            discrete=discrete,
-        )
-
-    with timed("phase.solve"):
-        solution = compiled.lp.solve(time_limit_s=time_limit_s)
-    if solution.status is not LpStatus.OPTIMAL:
-        return FixedOrderLpResult(
-            schedule=None, solution=solution, events=instance.events
-        )
-
-    schedule = extract_schedule(compiled, solution)
-    return FixedOrderLpResult(
-        schedule=schedule, solution=solution, events=instance.events
+    solver = ParametricCapSolver(
+        trace, events=events, power_tiebreak=power_tiebreak, instance=instance
     )
+    return solver.solve(cap_w, time_limit_s=time_limit_s)

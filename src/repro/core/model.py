@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -100,11 +99,8 @@ class ProblemInstance:
         Fixed event order + activity sets (also carries the
         power-unconstrained initial schedule in ``events.initial``).
     convex:
-        Per-compute-edge convex frontiers — the continuous formulations'
+        Per-compute-edge convex frontiers — the formulations'
         configuration sets.
-    pareto:
-        Per-compute-edge full Pareto sets — the discrete MILP's sets,
-        built on first use.
     init_id / fin_id:
         Vertex ids of MPI_Init and MPI_Finalize (objective anchors).
     """
@@ -119,16 +115,6 @@ class ProblemInstance:
     @property
     def graph(self):
         return self.trace.graph
-
-    @cached_property
-    def pareto(self) -> dict[int, TaskFrontier]:
-        return _as_frontiers(self.trace.pareto)
-
-    def frontier_family(self, discrete: bool = False) -> dict[int, TaskFrontier]:
-        """The frontier set a formulation compiles against (paper §3.2:
-        the discrete variant selects one configuration outright, so the
-        larger full Pareto set is strictly better there)."""
-        return self.pareto if discrete else self.convex
 
     def unconstrained_makespan_s(self) -> float:
         """Makespan of the power-unconstrained initial schedule."""
@@ -288,15 +274,13 @@ class CompiledModel:
 def base_model(
     instance: ProblemInstance,
     name: str,
-    frontiers: dict[int, TaskFrontier] | None = None,
     edge_order: list[int] | None = None,
-    integer: bool = False,
 ) -> tuple[LinearProgram, list[int], dict[int, list[int]]]:
     """Compile the rows/columns every formulation shares.
 
     * vertex time variables ``v_k`` with Init pinned at 0 (eq. 2);
-    * per-task configuration fractions ``c_{ij}`` with the simplex row
-      (eqs. 6, 9 — binary under ``integer`` for the discrete variant);
+    * per-task configuration fractions ``c_{ij}`` over the convex
+      frontiers, with the simplex row (eqs. 6, 9);
     * precedence rows (eqs. 3-4, 7) for compute and message edges.
 
     Returns ``(lp, v_idx, c_idx)``; the caller adds its objective and its
@@ -307,8 +291,7 @@ def base_model(
     variables, same row order, same assembled matrix.
     """
     graph = instance.graph
-    if frontiers is None:
-        frontiers = instance.convex
+    frontiers = instance.convex
     order = list(frontiers) if edge_order is None else edge_order
 
     lp = LinearProgram(name=name)
@@ -329,7 +312,6 @@ def base_model(
             [f"c{edge_id}_{j}" for j in range(len(frontier))],
             lb=0.0,
             ub=1.0,
-            integer=integer,
         )
     c_arr = {e: np.asarray(cols, dtype=np.int64) for e, cols in c_idx.items()}
     if order:

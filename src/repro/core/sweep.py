@@ -1,15 +1,15 @@
-"""Efficient LP cap sweeps: assemble the model once, re-solve per cap.
+"""The fixed-order LP at any cap: assemble the model once, re-solve per cap.
 
 The paper's Figures 9-15 solve the same trace under many power caps.  The
 cap appears only in the RHS of the event-power rows, so the entire model
 — variables, precedence, the hundreds of thousands of event-power
 nonzeros — is cap-invariant: :class:`ParametricCapSolver` compiles and
-freezes it once and re-solves with an updated RHS per cap.  The matrix
-handed to HiGHS is identical to a from-scratch build at that cap, so the
-results match the rebuild path exactly (see
-``benchmarks/test_bench_sweep_parametric.py`` for the speedup and the
-byte-identity assertion).  Every solve starts cold, so a sweep's caps are
-solved on two threads at once with the same bits
+freezes it once and re-solves with an updated RHS per cap.  It is the one
+path that solves the fixed-order LP; :func:`solve_fixed_order_lp` is its
+one-cap spelling.  The matrix handed to HiGHS is identical to a
+from-scratch build at that cap (the tests hold it to a rebuild oracle in
+``tests/core/lp_oracles.py``).  Every solve starts cold, so a sweep's
+caps are solved on two threads at once with the same bits
 (:meth:`ParametricCapSolver.solve_many`), and a caller with other work
 between its solves can have them solved ahead on a helper thread
 (:func:`solving_caps_ahead`).
@@ -17,20 +17,16 @@ between its solves can have them solved ahead on a helper thread
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Iterator
 from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+from ..obs.metrics import timed
 from ..simulator.trace import Trace
 from .events import EventStructure
-from .fixed_order_lp import (
-    FixedOrderLpResult,
-    compile_fixed_order,
-    solve_fixed_order_lp,
-)
+from .fixed_order_lp import FixedOrderLpResult, compile_fixed_order
 from .model import CAP_ROW_TAG, ProblemInstance, build_problem_instance, extract_schedule
 from .solver import LpStatus, helper_threads, solving_ahead
 
@@ -80,9 +76,10 @@ class ParametricCapSolver:
     the sparse matrix, and answers each :meth:`solve` by overriding the
     RHS of the :data:`~.model.CAP_ROW_TAG` rows — skipping model build
     and matrix assembly entirely.  Optionally consults/feeds a
-    :class:`repro.exec.SolverCache` with the same keys as
-    :func:`~repro.exec.cache.cached_solve_fixed_order_lp`, so parametric
-    and per-cap callers share warm entries.
+    :class:`repro.exec.SolverCache` under
+    :func:`~repro.exec.keys.fixed_order_lp_key`.  The build is timed as
+    ``phase.assemble`` and each solve on the calling thread as
+    ``phase.solve``.
     """
 
     def __init__(
@@ -92,16 +89,17 @@ class ParametricCapSolver:
         power_tiebreak: float = 1e-9,
         instance: ProblemInstance | None = None,
     ) -> None:
-        if instance is None:
-            instance = build_problem_instance(trace, events=events)
+        with timed("phase.assemble"):
+            if instance is None:
+                instance = build_problem_instance(trace, events=events)
+            # The placeholder cap never reaches the solver: every solve
+            # overrides the tagged rows' RHS with its own cap.
+            self._compiled = compile_fixed_order(
+                instance, cap_w=1.0, power_tiebreak=power_tiebreak
+            )
+            self._frozen = self._compiled.freeze()
         self.instance = instance
         self.power_tiebreak = float(power_tiebreak)
-        # The placeholder cap never reaches the solver: every solve
-        # overrides the tagged rows' RHS with its own cap.
-        self._compiled = compile_fixed_order(
-            instance, cap_w=1.0, power_tiebreak=power_tiebreak
-        )
-        self._frozen = self._compiled.freeze()
         # (cap_w, time_limit_s) -> the solve solving_caps_ahead started
         # for it, taken (and dropped) by the first solve of that cap.
         self._ahead: dict[tuple[float, float | None], Future] = {}
@@ -180,9 +178,10 @@ class ParametricCapSolver:
         with solving_ahead(jobs) as futures:
             ahead.update(zip(own, futures))
             for cap in misses:
-                solution = self._frozen.solve(
-                    time_limit_s, {CAP_ROW_TAG: cap}, ahead=ahead[cap]
-                )
+                with timed("phase.solve"):
+                    solution = self._frozen.solve(
+                        time_limit_s, {CAP_ROW_TAG: cap}, ahead=ahead[cap]
+                    )
                 if solution.status is LpStatus.OPTIMAL:
                     schedule = extract_schedule(
                         self._compiled, solution, cap_w=cap
@@ -258,7 +257,6 @@ def solve_cap_sweep(
     power_tiebreak: float = 1e-9,
     cache=None,
     instance: ProblemInstance | None = None,
-    parametric: bool = True,
 ) -> CapSweepResult:
     """Solve the fixed-order LP at every cap from one assembled model.
 
@@ -269,41 +267,12 @@ def solve_cap_sweep(
     sweeps over overlapping cap grids skip already-solved caps entirely.
     An empty list or a cap that is not finite and positive raises
     ``ValueError`` before anything is solved.
-
-    ``parametric=False`` falls back to a full per-cap rebuild — every cap
-    pays trace -> events -> IR -> LP compilation -> matrix assembly again
-    (unless the caller hands in ``events``/``instance``, which are then
-    shared as given).  The results are identical (the benchmark asserts
-    it); the flag exists as the comparison baseline and as an escape
-    hatch.
     """
     caps = _checked_caps(caps_w)
-    if parametric:
-        solver = ParametricCapSolver(
-            trace, events=events, power_tiebreak=power_tiebreak,
-            instance=instance,
-        )
-        return CapSweepResult(
-            trace=trace, results=solver.solve_many(caps, cache=cache)
-        )
-
-    if cache is not None:
-        from ..exec.cache import cached_solve_fixed_order_lp
-
-        solve = functools.partial(cached_solve_fixed_order_lp, cache=cache)
-    else:
-        solve = solve_fixed_order_lp
-    results = {
-        cap: solve(
-            trace,
-            cap,
-            events=events,
-            power_tiebreak=power_tiebreak,
-            instance=instance,
-        )
-        for cap in caps
-    }
-    return CapSweepResult(trace=trace, results=results)
+    solver = ParametricCapSolver(
+        trace, events=events, power_tiebreak=power_tiebreak, instance=instance
+    )
+    return CapSweepResult(trace=trace, results=solver.solve_many(caps, cache=cache))
 
 
 def minimum_feasible_cap(

@@ -34,9 +34,7 @@ from __future__ import annotations
 
 __all__ = [
     "SolverCache",
-    "cached_solve_fixed_order_lp",
     "solver_key",
-    "experiment_key",
     "trace_fingerprint",
     "machine_fingerprint",
     "ParallelRunner",
@@ -57,9 +55,7 @@ __all__ = [
 
 _EXPORTS = {
     "SolverCache": "cache",
-    "cached_solve_fixed_order_lp": "cache",
     "solver_key": "keys",
-    "experiment_key": "keys",
     "trace_fingerprint": "keys",
     "machine_fingerprint": "keys",
     "ParallelRunner": "parallel",

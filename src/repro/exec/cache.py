@@ -29,13 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from ..core.energy_lp import EnergyLpResult, solve_energy_lp
-from ..core.fixed_order_lp import FixedOrderLpResult, solve_fixed_order_lp
+from ..core.fixed_order_lp import FixedOrderLpResult
 from ..core.model import MODEL_LAYER_VERSION
 from ..core.serialize import schedule_from_dict, schedule_to_dict
 from ..core.solver import LpSolution, LpStatus
 from ..obs.metrics import inc as metric_inc
 from ..obs.provenance import collect_manifest
-from .keys import energy_lp_key, fixed_order_lp_key
+from .keys import energy_lp_key
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -44,7 +44,6 @@ __all__ = [
     "solution_from_dict",
     "lp_result_payload",
     "lp_result_from_payload",
-    "cached_solve_fixed_order_lp",
     "energy_result_payload",
     "energy_result_from_payload",
     "cached_solve_energy_lp",
@@ -227,61 +226,6 @@ def lp_result_from_payload(payload: dict, events) -> FixedOrderLpResult:
     )
 
 
-def cached_solve_fixed_order_lp(
-    trace,
-    cap_w: float,
-    cache: SolverCache | None = None,
-    events=None,
-    power_tiebreak: float = 1e-9,
-    time_limit_s: float | None = None,
-    discrete: bool = False,
-    instance=None,
-) -> FixedOrderLpResult:
-    """Memoized :func:`~repro.core.fixed_order_lp.solve_fixed_order_lp`.
-
-    With ``cache=None`` this is a plain pass-through.  On a hit the
-    returned result carries the caller's ``events`` (or None): the event
-    structure is a function of the trace alone and is only needed by
-    callers that iterate further caps, which pass their own.  ``instance``
-    (a prebuilt :class:`~repro.core.model.ProblemInstance`) skips the
-    IR rebuild on misses; it does not affect the key, which fingerprints
-    the trace the instance was built from.
-    """
-    if cache is None:
-        return solve_fixed_order_lp(
-            trace,
-            cap_w,
-            events=events,
-            power_tiebreak=power_tiebreak,
-            time_limit_s=time_limit_s,
-            discrete=discrete,
-            instance=instance,
-        )
-    key = fixed_order_lp_key(
-        trace,
-        cap_w,
-        power_tiebreak=power_tiebreak,
-        time_limit_s=time_limit_s,
-        discrete=discrete,
-    )
-    payload = cache.get(key)
-    if payload is not None:
-        return lp_result_from_payload(
-            payload, instance.events if instance is not None else events
-        )
-    result = solve_fixed_order_lp(
-        trace,
-        cap_w,
-        events=events,
-        power_tiebreak=power_tiebreak,
-        time_limit_s=time_limit_s,
-        discrete=discrete,
-        instance=instance,
-    )
-    cache.put(key, lp_result_payload(result))
-    return result
-
-
 def energy_result_payload(result: EnergyLpResult) -> dict:
     """JSON-safe cache payload for an energy-LP result."""
     return {
@@ -317,10 +261,10 @@ def cached_solve_energy_lp(
 ) -> EnergyLpResult:
     """Memoized :func:`~repro.core.energy_lp.solve_energy_lp`.
 
-    Mirrors :func:`cached_solve_fixed_order_lp`: ``cache=None`` is a plain
-    pass-through, ``instance`` only skips the IR rebuild on misses, and
-    the key covers everything the answer depends on — slowdown, time
-    limit, the optional power cap, and the optional deadline anchor.
+    ``cache=None`` is a plain pass-through, ``instance`` only skips the
+    IR rebuild on misses, and the key covers everything the answer
+    depends on — slowdown, time limit, the optional power cap, and the
+    optional deadline anchor.
     """
     if cache is None:
         return solve_energy_lp(

@@ -36,7 +36,6 @@ __all__ = [
     "solver_key",
     "fixed_order_lp_key",
     "energy_lp_key",
-    "experiment_key",
     "scenario_cell_key",
 ]
 
@@ -95,7 +94,8 @@ def trace_fingerprint(trace: Trace) -> str:
 
     Covers the graph (vertices, edges, message durations, kernels), the
     TaskRef-to-edge correspondence, and both frontier families (convex
-    frontiers feed the LP; the full Pareto sets feed the discrete MILP).
+    frontiers feed the LP; the full Pareto sets stay in the document so
+    that existing keys keep hitting).
     The machine configuration enters implicitly: frontier durations and
     powers are the machine models evaluated on each task's owning socket.
     """
@@ -176,13 +176,15 @@ def fixed_order_lp_key(
     cap_w: float,
     power_tiebreak: float = 1e-9,
     time_limit_s: float | None = None,
-    discrete: bool = False,
 ) -> str:
     """The canonical fixed-order-LP solver key.
 
-    Shared by every caller that caches fixed-order solutions — the
-    per-cap solver, sweeps, and the parametric re-solver — so a cap
-    solved by any of them is a warm hit for all of them.
+    Shared by every caller that caches fixed-order solutions through
+    :class:`~repro.core.sweep.ParametricCapSolver` — one-cap solves,
+    sweeps, bisections and scenario cells — so a cap solved by any of
+    them is a warm hit for all of them.  ``"discrete": False`` stays in
+    the document so that keys written before the discrete variant left
+    the product still hit.
     """
     return solver_key(
         trace,
@@ -191,7 +193,7 @@ def fixed_order_lp_key(
         params={
             "power_tiebreak": power_tiebreak,
             "time_limit_s": time_limit_s,
-            "discrete": discrete,
+            "discrete": False,
         },
     )
 
@@ -221,25 +223,6 @@ def energy_lp_key(
             "deadline_s": None if deadline_s is None else float(deadline_s),
         },
     )
-
-
-def experiment_key(config_doc: dict[str, Any], cap_w: float, **extra: Any) -> str:
-    """Cache key for one (experiment config, cap) comparison cell.
-
-    ``config_doc`` should be the full canonical dictionary of the
-    experiment configuration (e.g. ``dataclasses.asdict(cfg)``) so that
-    any configuration change — seeds, iteration counts, Conductor
-    tunables — produces a different key.
-    """
-    doc = {
-        "key_version": KEY_VERSION,
-        "model_layer": MODEL_LAYER_VERSION,
-        "kind": "comparison",
-        "config": config_doc,
-        "cap_w": float(cap_w),
-        "extra": dict(sorted(extra.items())),
-    }
-    return digest(doc)
 
 
 def scenario_cell_key(

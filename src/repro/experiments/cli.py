@@ -297,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "exhibits", nargs="*", default=["all"],
         help="exhibit names (see 'list'), 'all', or a subcommand: "
-             "run, sweep, audit, bench, report, validate-trace, "
+             "run, sweep, audit, report, validate-trace, "
              "verify-results",
     )
     parser.add_argument("--ranks", type=int, default=32,
@@ -356,23 +356,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="per-task deadline in seconds, measured from "
                              "submission; enforced only with --workers > 1 "
                              "(default: none)")
-    parser.add_argument("--emit-trajectory", action="store_true",
-                        help="bench: also write a schema-versioned "
-                             "BENCH_<date>_<sha>.json trajectory point "
-                             "(see docs/performance.md)")
-    parser.add_argument("--check-trajectory", action="store_true",
-                        help="bench: gate the run against the best "
-                             "historical point in benchmarks/trajectory/")
-    parser.add_argument("--bench-full", action="store_true",
-                        help="bench: run the whole benchmarks/ suite "
-                             "instead of the CI-gated subset")
-    parser.add_argument("--bench-json", metavar="FILE", default="fresh.json",
-                        help="bench: pytest-benchmark JSON output path "
-                             "(default fresh.json)")
-    parser.add_argument("--trajectory-dir", metavar="DIR", default=None,
-                        help="bench: where --emit-trajectory writes the "
-                             "point (default: repo root; CI passes "
-                             "benchmarks/trajectory)")
     parser.add_argument("--metrics", metavar="FILE", default=None,
                         help="write the full metrics snapshot (counters, "
                              "gauges, histograms) as JSON; its deterministic "
@@ -682,51 +665,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[keep-going: {len(failures)} of {len(result.cells)} "
                   "cell(s) failed]", file=sys.stderr)
             return 1
-        return 0
-
-    if command == "bench":
-        # The measured perf surface: run the benchmark harness and
-        # (optionally) stamp/gate the perf trajectory.  Everything runs
-        # as subprocesses from the checkout so the harness measures the
-        # exact environment CI does.
-        import subprocess
-
-        bench_dir = Path.cwd() / "benchmarks"
-        if not (bench_dir / "trajectory.py").exists():
-            parser.error("bench must run from the repository root "
-                         "(benchmarks/trajectory.py not found)")
-        if args.bench_full:
-            targets = ["benchmarks"]
-        else:
-            # The CI-gated subset (mirrors .github/workflows/ci.yml).
-            targets = [
-                "benchmarks/test_bench_fig1_pareto.py",
-                "benchmarks/test_bench_lp_scaling.py",
-                "benchmarks/test_bench_sweep_parametric.py",
-                "benchmarks/test_bench_obs_overhead.py",
-                "benchmarks/test_bench_metrics_overhead.py",
-            ]
-        rc = subprocess.call([
-            sys.executable, "-m", "pytest", *targets,
-            "--benchmark-only", f"--benchmark-json={args.bench_json}", "-q",
-        ])
-        if rc != 0:
-            return rc
-        if args.emit_trajectory:
-            cmd = [sys.executable, "benchmarks/trajectory.py", "emit",
-                   args.bench_json]
-            if args.trajectory_dir:
-                cmd += ["--out-dir", args.trajectory_dir]
-            rc = subprocess.call(cmd)
-            if rc != 0:
-                return rc
-        if args.check_trajectory:
-            rc = subprocess.call([
-                sys.executable, "benchmarks/trajectory.py", "check",
-                args.bench_json,
-            ])
-            if rc != 0:
-                return rc
         return 0
 
     if command == "audit":

@@ -29,7 +29,6 @@ from .engine import (
     SweepRunPlan,
     TaskRecord,
     batch_task_durations,
-    plan_from_configs,
     sweep_rank_plan,
 )
 from .network import IB_QDR, NetworkModel
@@ -93,55 +92,16 @@ class ReplayPolicy:
         return target
 
     def plan_run(self, app: Application, engine: Engine) -> RunPlan:
-        """Whole-run plan: vectorized evaluation of the schedule replay.
-
-        Per rank, the assigned targets' 1 ms-rule durations are batch
-        evaluated up front (the rule depends only on the static
-        assignment), then a cheap sequential pass applies the
-        carry-current semantics of :meth:`configure`; the chosen
-        configurations' durations and powers are batch evaluated with
-        the engine's machine models.  Bit-identical to the scalar path.
-        """
-        arrays = rank_kernel_arrays(app)
-        per_rank = []
-        for rank in range(app.n_ranks):
-            ka = arrays[rank]
-            n_tasks = len(ka.kernels)
-            targets: list[Configuration | None] = [None] * n_tasks
-            freq = np.ones(n_tasks)
-            thr = np.ones(n_tasks, dtype=np.int64)
-            duty = np.ones(n_tasks)
-            for i in range(n_tasks):
-                target = self.assignment.get(TaskRef(rank, i))
-                if target is not None:
-                    targets[i] = target
-                    freq[i] = target.freq_ghz
-                    thr[i] = target.threads
-                    duty[i] = target.duty
-            planned = batch_task_durations(
-                self.time_model, ka, freq, thr, duty
-            ).tolist()
-            configs: list[Configuration] = []
-            current: Configuration | None = None
-            for i in range(n_tasks):
-                target = targets[i]
-                if target is None:
-                    if current is None:
-                        raise KeyError(
-                            "replay schedule has no configuration for "
-                            f"first task {TaskRef(rank, i)}"
-                        )
-                    target = current
-                elif (
-                    current is not None
-                    and target != current
-                    and planned[i] < self.min_switch_duration_s
-                ):
-                    target = current  # too short to amortize the transition
-                configs.append(target)
-                current = target
-            per_rank.append(configs)
-        return plan_from_configs(app, engine, per_rank)
+        """Whole-run plan: :func:`build_replay_sweep_plan` for this one
+        assignment.  Bit-identical to the scalar path."""
+        return build_replay_sweep_plan(
+            app,
+            engine,
+            [self.assignment],
+            spec=self.time_model.spec,
+            switch_overhead_s=self.switch_overhead_s,
+            min_switch_duration_s=self.min_switch_duration_s,
+        ).column(0)
 
     def on_pcontrol(self, iteration: int, records: list[TaskRecord]) -> float:
         return 0.0
@@ -216,13 +176,14 @@ def build_replay_sweep_plan(
 ) -> SweepRunPlan:
     """Plan every sweep point's schedule replay in one batch.
 
-    Column ``c`` replicates exactly what
-    :meth:`ReplayPolicy.plan_run` would produce for ``assignments[c]``:
-    the 1 ms-rule durations of the assigned targets are evaluated for all
-    points with one broadcast per rank, a sequential pass applies the
-    carry-current semantics per point, and the chosen configurations'
-    durations and powers are batch evaluated ``[n_tasks, n_points]`` at
-    once.  Bit-identical per point (the tests assert this).
+    Column ``c`` is the plan :meth:`ReplayPolicy.configure` makes task by
+    task for ``assignments[c]`` (:meth:`ReplayPolicy.plan_run` is column
+    0 of a one-point sweep): the 1 ms-rule durations of the assigned
+    targets are evaluated for all points with one broadcast per rank, a
+    sequential pass applies the carry-current semantics per point, and
+    the chosen configurations' durations and powers are batch evaluated
+    ``[n_tasks, n_points]`` at once.  Bit-identical per point (the tests
+    assert this).
     """
     time_model = TaskTimeModel(spec)
     arrays = rank_kernel_arrays(app)

@@ -17,7 +17,14 @@ schedule:
   the per-device-group split rows;
 * :func:`extract_assignments_reference` and
   :func:`solve_fixed_order_lp_reference` — the per-task decode and the
-  whole reference solve path.
+  whole reference solve path: a model rebuilt and solved at one cap,
+  the twin of the product's parametric re-solve.
+
+The paper's discrete variant (eq. 5: each task runs one configuration
+for its whole duration) lives here too, as an exact reference for the
+rounding heuristic: ``discrete=True`` compiles the model over the full
+Pareto sets (:func:`frontier_family`) with binary fraction columns and
+solves it as a MILP, on at most :data:`MAX_DISCRETE_TASKS` tasks.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from repro.core.model import (
     CompiledModel,
     ProblemInstance,
     TaskFrontier,
+    _as_frontiers,
     build_problem_instance,
 )
 from repro.core.schedule import PowerSchedule, TaskAssignment
@@ -38,12 +46,30 @@ from repro.core.solver import LinearProgram, LpStatus
 from repro.simulator import TaskRef, Trace
 
 __all__ = [
+    "MAX_DISCRETE_TASKS",
+    "frontier_family",
     "base_model_reference",
     "compile_fixed_order_reference",
     "compile_device_split_reference",
     "extract_assignments_reference",
     "solve_fixed_order_lp_reference",
 ]
+
+
+#: Discrete (binary-configuration) instances beyond this many tasks are
+#: rejected — "a significantly less efficient solution method, which
+#: prohibits us from solving realistic problems" (paper §3.2).
+MAX_DISCRETE_TASKS = 64
+
+
+def frontier_family(
+    instance: ProblemInstance, discrete: bool = False
+) -> dict[int, TaskFrontier]:
+    """The frontier set a formulation compiles against: the convex
+    frontiers, or for the discrete variant the full Pareto sets (paper
+    §3.2: a task that runs one configuration outright can use any
+    Pareto-efficient point, not only the hull's)."""
+    return _as_frontiers(instance.trace.pareto) if discrete else instance.convex
 
 
 def base_model_reference(
@@ -96,8 +122,9 @@ def compile_fixed_order_reference(
     power_tiebreak: float = 1e-9,
     discrete: bool = False,
 ) -> CompiledModel:
-    """Row-by-row twin of :func:`repro.core.compile_fixed_order`."""
-    frontiers = instance.frontier_family(discrete)
+    """Row-by-row twin of :func:`repro.core.compile_fixed_order`;
+    ``discrete=True`` builds the eq. 5 MILP instead."""
+    frontiers = frontier_family(instance, discrete)
     lp, v_idx, c_idx = base_model_reference(
         instance,
         name=f"fixed-order-{instance.trace.app.name}",
@@ -200,16 +227,26 @@ def extract_assignments_reference(
 
 
 def solve_fixed_order_lp_reference(
-    trace: Trace, cap_w: float, power_tiebreak: float = 1e-9
+    trace: Trace,
+    cap_w: float,
+    power_tiebreak: float = 1e-9,
+    discrete: bool = False,
 ) -> FixedOrderLpResult:
     """Rebuild, solve and decode one cap with both oracles.
 
     The twin of ``solve_fixed_order_lp(trace, cap_w)``: a fresh problem
     instance, the row-by-row model and the per-task decode.
+    ``discrete=True`` solves the eq. 5 MILP, and raises ``ValueError``
+    for a trace of more than :data:`MAX_DISCRETE_TASKS` tasks.
     """
+    if discrete and len(trace.task_edges) > MAX_DISCRETE_TASKS:
+        raise ValueError(
+            f"discrete formulation limited to {MAX_DISCRETE_TASKS} tasks "
+            f"(got {len(trace.task_edges)}); solve continuously and round"
+        )
     instance = build_problem_instance(trace)
     compiled = compile_fixed_order_reference(
-        instance, cap_w, power_tiebreak=power_tiebreak
+        instance, cap_w, power_tiebreak=power_tiebreak, discrete=discrete
     )
     solution = compiled.lp.solve()
     if solution.status is not LpStatus.OPTIMAL:

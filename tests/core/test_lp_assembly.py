@@ -9,6 +9,8 @@ names and bounds, the same rows in the same order with the same tags,
 the same CSR arrays and objective, and bit-identical task assignments.
 """
 
+import dataclasses
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from tests.core.lp_oracles import (
     compile_device_split_reference,
     compile_fixed_order_reference,
     extract_assignments_reference,
+    frontier_family,
     solve_fixed_order_lp_reference,
 )
 
@@ -79,10 +82,9 @@ def assert_same_compiled(bulk, ref):
     assert_same_program(bulk.lp, ref.lp)
 
 
-def assert_same_compiled_base(instance, integer=False):
-    frontiers = instance.frontier_family(integer)
-    bulk = base_model(instance, "m", frontiers=frontiers, integer=integer)
-    ref = base_model_reference(instance, "m", frontiers=frontiers, integer=integer)
+def assert_same_compiled_base(instance):
+    bulk = base_model(instance, "m")
+    ref = base_model_reference(instance, "m")
     assert bulk[1] == ref[1]
     assert bulk[2] == ref[2]
     assert_same_program(bulk[0], ref[0])
@@ -144,13 +146,22 @@ class TestBenchmarkModels:
 
 
 def test_discrete_model_matches():
+    """The eq. 5 MILP oracle is the product's model over the full Pareto
+    sets with binary fraction columns: the product build on an instance
+    whose convex frontiers are swapped for the Pareto sets matches it in
+    everything but the integrality."""
     app = random_application(n_ranks=2, iterations=1, seed=7)
     instance = build_problem_instance(_trace(app))
-    assert_same_compiled_base(instance, integer=True)
-    assert_same_compiled(
-        compile_fixed_order(instance, 100.0, discrete=True),
-        compile_fixed_order_reference(instance, 100.0, discrete=True),
+    on_pareto = dataclasses.replace(
+        instance, convex=frontier_family(instance, discrete=True)
     )
+    bulk = compile_fixed_order(on_pareto, 100.0)
+    ref = compile_fixed_order_reference(instance, 100.0, discrete=True)
+    binary = sorted(col for cols in ref.c_idx.values() for col in cols)
+    assert np.flatnonzero(ref.lp._integrality).tolist() == binary
+    assert not bulk.lp.is_mip
+    ref.lp._integrality = list(bulk.lp._integrality)
+    assert_same_compiled(bulk, ref)
 
 
 def test_solve_path_matches_oracle_path():

@@ -18,6 +18,8 @@ from repro.experiments import make_power_models
 from repro.simulator import trace_application
 from repro.workloads import imbalanced_collective_app
 
+from .lp_oracles import compile_fixed_order_reference, frontier_family
+
 
 @pytest.fixture(scope="module")
 def trace():
@@ -39,7 +41,7 @@ class TestProblemInstance:
 
     def test_frontiers_mirror_trace(self, trace, instance):
         assert set(instance.convex) == set(trace.frontiers)
-        assert set(instance.pareto) == set(trace.pareto)
+        assert set(frontier_family(instance, discrete=True)) == set(trace.pareto)
         for edge_id, tf in instance.convex.items():
             points = trace.frontiers[edge_id]
             assert isinstance(tf, TaskFrontier)
@@ -49,9 +51,11 @@ class TestProblemInstance:
             )
             np.testing.assert_allclose(tf.powers, [p.power_w for p in points])
 
-    def test_frontier_family(self, instance):
-        assert instance.frontier_family(discrete=False) is instance.convex
-        assert instance.frontier_family(discrete=True) is instance.pareto
+    def test_frontier_family(self, trace, instance):
+        assert frontier_family(instance, discrete=False) is instance.convex
+        pareto = frontier_family(instance, discrete=True)
+        for edge_id, tf in pareto.items():
+            assert tf.points == tuple(trace.pareto[edge_id])
 
     def test_unconstrained_makespan(self, instance):
         assert instance.unconstrained_makespan_s() == pytest.approx(
@@ -92,9 +96,11 @@ class TestCompilation:
         lb, ub = fixed.lp.var_bounds(fixed.v_idx[instance.init_id])
         assert (lb, ub) == (0.0, 0.0)
 
-    def test_discrete_uses_pareto(self, instance):
-        disc = compile_fixed_order(instance, cap_w=100.0, discrete=True)
-        assert disc.frontiers is instance.pareto
+    def test_discrete_uses_pareto(self, trace, instance):
+        disc = compile_fixed_order_reference(instance, cap_w=100.0, discrete=True)
+        assert {e: tf.points for e, tf in disc.frontiers.items()} == {
+            e: tuple(points) for e, points in trace.pareto.items()
+        }
         assert disc.kind == "discrete"
         assert disc.lp.is_mip
 

@@ -11,6 +11,8 @@ from repro.experiments import make_power_models
 from repro.simulator import trace_application
 from repro.workloads import imbalanced_collective_app
 
+from .lp_oracles import solve_fixed_order_lp_reference
+
 
 @pytest.fixture(scope="module")
 def trace():
@@ -24,9 +26,9 @@ class TestCapSweep:
         sweep = solve_cap_sweep(trace, caps)
         for cap in caps:
             single = solve_fixed_order_lp(trace, cap)
-            assert sweep.results[cap].makespan_s == pytest.approx(
-                single.makespan_s, rel=1e-9
-            )
+            rebuilt = solve_fixed_order_lp_reference(trace, cap)
+            assert sweep.results[cap].makespan_s == single.makespan_s
+            assert sweep.results[cap].makespan_s == rebuilt.makespan_s
 
     def test_makespans_mapping(self, trace):
         sweep = solve_cap_sweep(trace, (20.0, 130.0))

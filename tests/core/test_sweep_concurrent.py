@@ -39,6 +39,8 @@ from repro.scenarios.spec import PolicySpec, ScenarioSpec
 from repro.simulator import trace_application
 from repro.workloads import BENCHMARKS, WorkloadSpec
 
+from .lp_oracles import solve_fixed_order_lp_reference
+
 #: The dense benchmark grid: 25 per-socket caps from 22 to 80 W at 32 ranks.
 DENSE_RANKS = 32
 DENSE_CAPS = tuple(DENSE_RANKS * float(c) for c in np.linspace(22.0, 80.0, 25))
@@ -73,6 +75,14 @@ def serial_solves(trace, caps) -> dict:
     """One ``solve`` per cap, one after another, on this thread."""
     solver = ParametricCapSolver(trace)
     return {float(cap): solver.solve(cap) for cap in caps}
+
+
+def rebuilt_solves(trace, caps) -> dict:
+    """The rebuild oracle at each distinct cap: a fresh row-by-row model."""
+    return {
+        cap: solve_fixed_order_lp_reference(trace, cap)
+        for cap in dict.fromkeys(float(c) for c in caps)
+    }
 
 
 @pytest.fixture
@@ -110,8 +120,7 @@ class TestBitIdentity:
         trace, serial = dense(bench)
         threaded = solve_cap_sweep(trace, DENSE_CAPS)
         assert_identical(threaded.results, serial)
-        rebuild = solve_cap_sweep(trace, DENSE_CAPS, parametric=False)
-        assert_identical(rebuild.results, serial)
+        assert_identical(rebuilt_solves(trace, DENSE_CAPS), serial)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_forced_width_matches_serial(self, dense, width, k):
@@ -134,8 +143,7 @@ class TestBitIdentity:
         assert not got[160.0].feasible
         assert_identical(got, serial_solves(trace, got))
         assert_identical(
-            solve_cap_sweep(trace, caps).results,
-            solve_cap_sweep(trace, caps, parametric=False).results,
+            solve_cap_sweep(trace, caps).results, rebuilt_solves(trace, caps)
         )
 
 
@@ -394,9 +402,8 @@ class TestDegenerateInput:
         with pytest.raises(ValueError):
             solver.solve_many(caps)
         assert solver.n_solves == 0
-        for parametric in (True, False):
-            with pytest.raises(ValueError):
-                solve_cap_sweep(small_trace, caps, parametric=parametric)
+        with pytest.raises(ValueError):
+            solve_cap_sweep(small_trace, caps)
 
     def test_linprog_fallback_matches_direct(self, small_trace, width, monkeypatch):
         if not solver_mod._HIGHS_DIRECT:

@@ -14,25 +14,25 @@ import pytest
 
 from repro.core.fixed_order_lp import solve_fixed_order_lp
 from repro.core.serialize import schedule_to_dict
+from repro.core.sweep import ParametricCapSolver
 from repro.core.energy_lp import solve_energy_lp
 from repro.exec.cache import (
     CACHE_SCHEMA_VERSION,
     SolverCache,
     cached_solve_energy_lp,
-    cached_solve_fixed_order_lp,
     solution_from_dict,
     solution_to_dict,
 )
 from repro.exec.keys import (
     canonical_json,
-    experiment_key,
+    fixed_order_lp_key,
     machine_fingerprint,
     solver_key,
     trace_fingerprint,
 )
 from repro.experiments.runner import make_power_models
 from repro.simulator import trace_application
-from repro.workloads import two_rank_exchange
+from repro.workloads import WorkloadSpec, make_comd, two_rank_exchange
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -75,13 +75,19 @@ class TestKeys:
         assert machine_fingerprint(pm_a) == machine_fingerprint(pm_a)
         assert machine_fingerprint(pm_a) != machine_fingerprint(pm_b)
 
-    def test_experiment_key_sees_config_and_extras(self):
-        doc = {"benchmark": "comd", "n_ranks": 8, "seed": 2015}
-        base = experiment_key(doc, 50.0)
-        assert experiment_key(doc, 50.0) == base
-        assert experiment_key(doc, 60.0) != base
-        assert experiment_key({**doc, "seed": 2016}, 50.0) != base
-        assert experiment_key(doc, 50.0, include_discrete=True) != base
+    def test_fixed_order_lp_key_is_pinned(self):
+        """Digests pinned from the keys caches were filled under: a
+        fixed-order entry written before must still hit."""
+        app = make_comd(WorkloadSpec(n_ranks=4, iterations=2, seed=2015))
+        trace = trace_application(app, make_power_models(4, 11))
+        keys = [
+            fixed_order_lp_key(trace, 200.0),
+            fixed_order_lp_key(trace, 200.0, power_tiebreak=0.0, time_limit_s=30.0),
+        ]
+        assert keys == [
+            "02329635850a6c47ea801613dee89a3c136960c01d485af4cb6035517731bc07",
+            "55062dbddab4a9f3cf70674bf8af142c28f757de9815ec3cc6cf3c2da83d6aa2",
+        ]
 
     def test_key_stable_across_processes(self, trace):
         """The same model hashes identically in a fresh interpreter with a
@@ -229,10 +235,13 @@ class TestSolverCache:
 # Solver memoization round trips
 # ----------------------------------------------------------------------
 class TestCachedSolve:
+    """``ParametricCapSolver.solve(cache=...)``, the one cached path of
+    the fixed-order LP."""
+
     def test_hit_is_bit_identical(self, tmp_path, trace):
         cache = SolverCache(tmp_path)
-        cold = cached_solve_fixed_order_lp(trace, 50.0, cache=cache)
-        warm = cached_solve_fixed_order_lp(trace, 50.0, cache=cache)
+        cold = ParametricCapSolver(trace).solve(50.0, cache=cache)
+        warm = ParametricCapSolver(trace).solve(50.0, cache=cache)
         assert cache.hits == 1 and cache.stores == 1
         assert warm.solution.status == cold.solution.status
         assert warm.solution.objective == cold.solution.objective
@@ -241,32 +250,41 @@ class TestCachedSolve:
 
     def test_hit_matches_uncached_solve(self, tmp_path, trace):
         cache = SolverCache(tmp_path)
-        cached_solve_fixed_order_lp(trace, 50.0, cache=cache)
-        warm = cached_solve_fixed_order_lp(trace, 50.0, cache=cache)
+        ParametricCapSolver(trace).solve(50.0, cache=cache)
+        solver = ParametricCapSolver(trace)
+        warm = solver.solve(50.0, cache=cache)
+        assert solver.n_solves == 0
         fresh = solve_fixed_order_lp(trace, 50.0)
         assert warm.solution.objective == fresh.solution.objective
         assert np.array_equal(warm.solution.x, fresh.solution.x)
 
     def test_infeasible_result_is_cached(self, tmp_path, trace):
         cache = SolverCache(tmp_path)
-        cold = cached_solve_fixed_order_lp(trace, 1.0, cache=cache)
-        warm = cached_solve_fixed_order_lp(trace, 1.0, cache=cache)
+        cold = ParametricCapSolver(trace).solve(1.0, cache=cache)
+        solver = ParametricCapSolver(trace)
+        warm = solver.solve(1.0, cache=cache)
         assert not cold.feasible
         assert not warm.feasible
         assert warm.schedule is None
         assert cache.hits == 1
+        assert solver.n_solves == 0
 
     def test_none_cache_is_a_pass_through(self, trace):
-        result = cached_solve_fixed_order_lp(trace, 50.0, cache=None)
+        result = ParametricCapSolver(trace).solve(50.0, cache=None)
         fresh = solve_fixed_order_lp(trace, 50.0)
         assert result.solution.objective == fresh.solution.objective
+        assert np.array_equal(result.solution.x, fresh.solution.x)
 
     def test_different_params_do_not_collide(self, tmp_path, trace):
         cache = SolverCache(tmp_path)
-        cont = cached_solve_fixed_order_lp(trace, 50.0, cache=cache)
-        disc = cached_solve_fixed_order_lp(trace, 50.0, cache=cache, discrete=True)
-        assert cache.hits == 0 and cache.stores == 2
-        assert cont.solution.objective <= disc.solution.objective + 1e-9
+        tied = ParametricCapSolver(trace)
+        untied = ParametricCapSolver(trace, power_tiebreak=0.0)
+        first = tied.solve(50.0, cache=cache)
+        limited = tied.solve(50.0, cache=cache, time_limit_s=60.0)
+        other = untied.solve(50.0, cache=cache)
+        assert cache.hits == 0 and cache.stores == 3
+        assert limited.makespan_s == first.makespan_s
+        assert other.makespan_s == pytest.approx(first.makespan_s, rel=1e-6)
 
 
 class TestCachedEnergySolve:

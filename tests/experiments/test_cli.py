@@ -449,6 +449,20 @@ class TestTelemetryFlags:
         for name, value in timings["counters"].items():
             assert int(prom[f"{prom_name(name)}_total"]) == value
 
+    def test_timings_list_the_lp_phases(self, capsys, tmp_path):
+        """A scenario sweep's LP cells report the model build once and a
+        solve per cap, like a one-cap solve does."""
+        out = tmp_path / "t.json"
+        argv = ["sweep", *self.QUICK, "--caps", "40,50", "--quiet",
+                "--timings", "--timings-json", str(out)]
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert re.search(r"^assemble +[0-9.]+ s +\(1 calls\)$", text, re.M)
+        assert re.search(r"^solve +[0-9.]+ s +\(2 calls\)$", text, re.M)
+        phases = json.loads(out.read_text())["phases"]
+        assert phases["assemble"]["calls"] == 1
+        assert phases["solve"]["calls"] == 2
+
     def test_timings_text_reports_cache_hit_rate(self, capsys, tmp_path):
         argv = ["sweep", *self.QUICK, "--caps", "40,60", "--timings",
                 "--cache-dir", str(tmp_path)]

@@ -28,6 +28,7 @@ from repro.runtime import ConductorConfig, ConductorPolicy, StaticPolicy
 from repro.simulator import Engine, trace_application
 from repro.workloads import WorkloadSpec, make_comd
 
+from ..core.lp_oracles import frontier_family
 from .test_frontiers import KERNELS, scan_convex, scan_pareto, space_points
 
 KERNEL = KERNELS[0]
@@ -76,9 +77,9 @@ class TestHeadlinePathStaysLazy:
         trace = trace_application(app, make_power_models(2, 11))
         instance = build_problem_instance(trace)
         assert all(not _built(p) for p in recorded)
-        assert instance.frontier_family(discrete=True) is instance.pareto
+        pareto = frontier_family(instance, discrete=True)
         assert all(_built(p) == {"pareto"} for p in recorded)
-        for edge_id, tf in instance.pareto.items():
+        for edge_id, tf in pareto.items():
             assert tf.points == tuple(trace.pareto[edge_id])
             assert tf.durations.tolist() == [p.duration_s for p in tf.points]
             assert tf.powers.tolist() == [p.power_w for p in tf.points]

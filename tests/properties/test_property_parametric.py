@@ -1,21 +1,23 @@
 """Property: parametric re-solve is indistinguishable from rebuilding.
 
-The parametric cap sweep freezes one matrix and swaps the cap into the
-tagged rows' RHS; the rebuild path assembles a fresh model per cap.  For
-any random application and any cap grid the two must agree — same
-feasibility verdicts, same makespans, same primal vectors (HiGHS is
-deterministic on identical inputs, and the inputs are identical by
-construction).
+The parametric cap solver freezes one matrix and swaps the cap into the
+tagged rows' RHS; the rebuild oracle (``tests/core/lp_oracles.py``)
+assembles a fresh model per cap, row by row.  For any random application
+and any cap grid the two must agree — same feasibility verdicts, same
+makespans, same primal vectors (HiGHS is deterministic on identical
+inputs, and the inputs are identical by construction).
 """
 
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import given, settings
 
-from repro.core import ParametricCapSolver, solve_cap_sweep, solve_fixed_order_lp
+from repro.core import ParametricCapSolver, solve_cap_sweep
 from repro.machine import SocketPowerModel
 from repro.simulator import trace_application
 from repro.workloads import random_application
+
+from ..core.lp_oracles import solve_fixed_order_lp_reference
 
 apps = st.builds(
     random_application,
@@ -45,7 +47,7 @@ class TestParametricEquivalence:
         for cap_per_rank in caps_per_rank:
             cap = cap_per_rank * app.n_ranks
             para = solver.solve(cap)
-            fresh = solve_fixed_order_lp(trace, cap)
+            fresh = solve_fixed_order_lp_reference(trace, cap)
             assert para.feasible == fresh.feasible
             if not para.feasible:
                 continue
@@ -57,9 +59,12 @@ class TestParametricEquivalence:
     def test_sweep_paths_identical(self, app, caps_per_rank):
         trace = trace_for(app)
         caps = [c * app.n_ranks for c in caps_per_rank]
-        fast = solve_cap_sweep(trace, caps, parametric=True)
-        slow = solve_cap_sweep(trace, caps, parametric=False)
-        assert fast.makespans() == slow.makespans()
+        sweep = solve_cap_sweep(trace, caps)
+        rebuilt = {}
+        for cap in caps:
+            result = solve_fixed_order_lp_reference(trace, cap)
+            rebuilt[cap] = result.makespan_s if result.feasible else None
+        assert sweep.makespans() == rebuilt
 
     @given(app=apps, cap_per_rank=st.floats(25.0, 90.0))
     @settings(max_examples=10, deadline=None)

@@ -4,16 +4,16 @@ comparison bit-for-bit.
 ``run_comparison``/``sweep_caps`` are thin wrappers over a
 ``{static, conductor, lp}`` scenario spec; this file re-implements the
 pre-scenario evaluation loop inline (direct policy construction, direct
-engine runs, direct LP solve, the same measurement windows) and asserts
+engine runs, the rebuild oracle's LP solve, the same measurement
+windows) and asserts
 exact float equality against the registry-driven path — cold cache, warm
 cache, serial, and two workers.
 """
 
 import dataclasses
 
-from repro.core.model import build_problem_instance
 from repro.core.rounding import round_schedule
-from repro.exec.cache import SolverCache, cached_solve_fixed_order_lp
+from repro.exec.cache import SolverCache
 from repro.experiments.runner import (
     ExperimentConfig,
     comparison_spec,
@@ -27,6 +27,8 @@ from repro.runtime.static import StaticPolicy
 from repro.simulator.engine import Engine
 from repro.simulator.trace import trace_application
 from repro.workloads import BENCHMARKS, WorkloadSpec
+
+from ..core.lp_oracles import solve_fixed_order_lp_reference
 
 CFG = ExperimentConfig(
     benchmark="comd", n_ranks=4, run_iterations=10, lp_iterations=2,
@@ -43,7 +45,8 @@ def _steady(result, first_iteration, n_iterations):
 
 
 def legacy_comparison(cfg: ExperimentConfig, cap: float, include_discrete=False):
-    """The pre-scenario evaluation loop, verbatim."""
+    """The pre-scenario evaluation loop, with the LP solved by the
+    rebuild oracle."""
     gen = BENCHMARKS[cfg.benchmark]
     app_run = gen(WorkloadSpec(n_ranks=cfg.n_ranks,
                                iterations=cfg.run_iterations, seed=cfg.seed))
@@ -53,7 +56,6 @@ def legacy_comparison(cfg: ExperimentConfig, cap: float, include_discrete=False)
                            sigma=cfg.efficiency_sigma)
     store = FrontierStore(pm)
     trace = trace_application(app_lp, pm, frontier_store=store)
-    instance = build_problem_instance(trace)
     engine = Engine(pm)
     job_cap = cap * cfg.n_ranks
 
@@ -71,7 +73,7 @@ def legacy_comparison(cfg: ExperimentConfig, cap: float, include_discrete=False)
     t_cond = _steady(res_cond, cfg.run_iterations - cfg.steady_window,
                      cfg.steady_window)
 
-    lp = cached_solve_fixed_order_lp(trace, job_cap, instance=instance)
+    lp = solve_fixed_order_lp_reference(trace, job_cap)
     t_lp = lp.makespan_s / cfg.lp_iterations if lp.feasible else None
     t_disc = None
     if include_discrete and lp.feasible:

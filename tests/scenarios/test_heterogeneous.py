@@ -27,6 +27,8 @@ from repro.simulator.engine import Engine
 from repro.simulator.trace import trace_application
 from repro.workloads import WorkloadSpec, make_comd
 
+from ..core.lp_oracles import frontier_family
+
 N_RANKS = 4
 CAP_W = 50.0 * N_RANKS
 
@@ -70,12 +72,12 @@ class TestGoldenEquivalence:
         _, _, (legacy_trace, _), (node_trace, _) = _pipelines()
         a = build_problem_instance(legacy_trace)
         b = build_problem_instance(node_trace)
-        for family in ("convex", "pareto"):
-            mine = getattr(a, family)
-            twin = getattr(b, family)
+        for discrete in (False, True):
+            mine = frontier_family(a, discrete)
+            twin = frontier_family(b, discrete)
             assert {e: f.points for e, f in mine.items()} == {
                 e: f.points for e, f in twin.items()
-            }, family
+            }, discrete
 
     def test_static_runs_are_identical(self):
         app, pm, (_, legacy_engine), (_, node_engine) = _pipelines()
