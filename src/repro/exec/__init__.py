@@ -43,6 +43,7 @@ __all__ = [
     "CellOutcome",
     "retry_delay_s",
     "resolve_workers",
+    "pool_width",
     "SweepJournal",
     "FaultSpec",
     "FaultInjector",
@@ -64,6 +65,7 @@ _EXPORTS = {
     "CellOutcome": "parallel",
     "retry_delay_s": "parallel",
     "resolve_workers": "parallel",
+    "pool_width": "parallel",
     "SweepJournal": "checkpoint",
     "FaultSpec": "faults",
     "FaultInjector": "faults",

@@ -98,9 +98,20 @@ def trace_fingerprint(trace: Trace) -> str:
     that existing keys keep hitting).
     The machine configuration enters implicitly: frontier durations and
     powers are the machine models evaluated on each task's owning socket.
+    Hashed on first use and kept on the trace (a trace's data does not
+    change once traced), so keying many solves of one trace hashes it
+    once.
     """
+    fingerprint = trace.__dict__.get("_fingerprint")
+    if fingerprint is None:
+        fingerprint = trace._fingerprint = digest(_trace_doc(trace))
+    return fingerprint
+
+
+def _trace_doc(trace: Trace) -> dict:
+    """The canonical document :func:`trace_fingerprint` hashes."""
     graph = trace.graph
-    doc = {
+    return {
         "app": trace.app.name,
         "n_ranks": graph.n_ranks,
         "vertices": [[v.id, v.kind.value, v.rank] for v in graph.vertices],
@@ -130,7 +141,6 @@ def trace_fingerprint(trace: Trace) -> str:
             for edge_id in sorted(trace.pareto)
         ],
     }
-    return digest(doc)
 
 
 def machine_fingerprint(power_models: list[SocketPowerModel]) -> str:

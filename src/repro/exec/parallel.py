@@ -65,6 +65,7 @@ __all__ = [
     "CellOutcome",
     "retry_delay_s",
     "resolve_workers",
+    "pool_width",
     "run_task",
 ]
 
@@ -131,6 +132,22 @@ def resolve_workers(workers: int | None) -> int:
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     return workers
+
+
+def pool_width(workers: int, n_items: int, n_unserved: int) -> int:
+    """The ``max_workers`` of a map of ``n_items`` cells of which
+    ``n_unserved`` need computing (the rest are served from a cache).
+
+    ``1``, in-process, when nothing needs computing: a pool would only
+    read stored results.  Otherwise one worker per cell to compute,
+    within ``[2, workers]`` (two is the narrowest pool a
+    :class:`ParallelRunner` starts), so every computed cell keeps the
+    pool's deadline and crash isolation, and served cells are read by
+    the same workers.
+    """
+    if workers <= 1 or n_items <= 1 or n_unserved == 0:
+        return 1
+    return max(2, min(workers, n_unserved))
 
 
 def retry_delay_s(
@@ -223,7 +240,8 @@ class ParallelRunner:
     backoff_seed:
         Seed of the jitter schedule (so backoff is reproducible).
     Each parallel map builds its own ``ProcessPoolExecutor`` and shuts
-    it down before returning.
+    it down before returning; every pool it starts (a rebuild included)
+    counts one operational ``pool.started``.
     """
 
     def __init__(
@@ -338,6 +356,9 @@ class ParallelRunner:
         observe = parent.fresh()
         n_workers = max(1, min(self.max_workers, len(items)))
         pool = ProcessPoolExecutor(max_workers=n_workers)
+        # Whether a map paid for a pool depends on the width and on what
+        # the cache held: operational, like the rebuilds below.
+        metric_inc("pool.started", operational=True)
         abandoned = False
         deadlines: list[float | None] = [None] * len(items)
         started: list[float] = [0.0] * len(items)
@@ -415,6 +436,7 @@ class ParallelRunner:
                         pool.shutdown(wait=False, cancel_futures=True)
                         metric_inc("pool.rebuilt", operational=True)
                         pool = ProcessPoolExecutor(max_workers=n_workers)
+                        metric_inc("pool.started", operational=True)
                         attempt, failed = self._note_failure(
                             i, attempt, exc, started, outcomes
                         )

@@ -20,7 +20,7 @@ from ..core.model import build_problem_instance
 from ..exec.cache import SolverCache
 from ..exec.keys import solver_key
 from ..exec.options import get_execution_options
-from ..exec.parallel import ParallelRunner
+from ..exec.parallel import ParallelRunner, pool_width
 from ..machine.configuration import ConfigPoint, measure_task_space
 from ..machine.pareto import convex_frontier, pareto_frontier
 from ..machine.power import SocketPowerModel
@@ -206,6 +206,14 @@ def _fig8_instance(phases: int):
     return build_problem_instance(_fig8_trace(phases))
 
 
+def _fig8_key(cap: float, phases: int, time_limit_s: float) -> str:
+    """The cache key of one Figure 8 cell."""
+    return solver_key(
+        _fig8_trace(phases), cap, formulation="fig8_cell",
+        params={"time_limit_s": time_limit_s},
+    )
+
+
 def _fig8_cell(
     cell: tuple[float, int, float, str | None],
 ) -> tuple[float | None, float | None]:
@@ -215,10 +223,7 @@ def _fig8_cell(
     instance = _fig8_instance(phases)
     cache = SolverCache(cache_root) if cache_root is not None else None
     if cache is not None:
-        key = solver_key(
-            trace, cap, formulation="fig8_cell",
-            params={"time_limit_s": time_limit_s},
-        )
+        key = _fig8_key(cap, phases, time_limit_s)
         payload = cache.get(key)
         if payload is not None:
             return payload["fixed"], payload["flow"]
@@ -243,14 +248,20 @@ def figure8_flow_vs_fixed(
     The per-cap cells (an LP plus an ILP each) fan out over the ambient
     :class:`~repro.exec.options.ExecutionOptions` workers and are
     memoized in the ambient cache; the default options run the paper's
-    serial, uncached loop.
+    serial, uncached loop.  As in
+    :func:`~repro.scenarios.run.run_scenarios`, the pool is sized by the
+    cells that miss the cache (:func:`~repro.exec.parallel.pool_width`).
     """
     caps = [float(c) for c in np.linspace(cap_min_w, cap_max_w, n_caps)]
     opts = get_execution_options()
     cache = opts.make_cache()
     cache_root = str(cache.root) if cache is not None else None
+    unserved = [
+        cap for cap in caps
+        if cache is None or _fig8_key(cap, phases, time_limit_s) not in cache
+    ]
     runner = ParallelRunner(
-        max_workers=opts.workers,
+        max_workers=pool_width(opts.workers, len(caps), len(unserved)),
         timeout_s=opts.task_timeout_s,
         retries=opts.task_retries,
     )

@@ -45,6 +45,7 @@ from ..exec.parallel import (
     CellOutcome,
     ParallelExecutionError,
     ParallelRunner,
+    pool_width,
     resolve_workers,
 )
 from ..machine.device import LEGACY_NODE, NodeSpec, get_node, rank_nodes
@@ -719,10 +720,14 @@ def run_scenarios(
 
     Every cap is an independent, fully seeded cell; with ``workers > 1``
     the cells fan out over a process pool with results in cap order —
-    bit-identical to the serial sweep.  ``workers``/``cache`` default to
-    the ambient :class:`~repro.exec.options.ExecutionOptions` (serial,
-    uncached).  A non-default ``registry`` runs serially: worker
-    processes rebuild policies from the default registry only.
+    bit-identical to the serial sweep.  The pool is sized by the cells
+    that need computing, the pending cells that neither the journal nor
+    the cache serves (:func:`~repro.exec.parallel.pool_width`): with
+    none, a warm sweep settles in this process, reading its cached cells
+    as a worker would.  ``workers``/``cache`` default to the ambient
+    :class:`~repro.exec.options.ExecutionOptions` (serial, uncached).
+    A non-default ``registry`` runs serially: worker processes rebuild
+    policies from the default registry only.
 
     Cells run in this process solve their fixed-order LP bounds ahead:
     when another CPU is free, one helper thread solves the LP of each
@@ -813,7 +818,13 @@ def run_scenarios(
         metric_inc("cells.deduped", deduped)
     pending = list(multiplicity)
 
-    use_pool = workers > 1 and len(pending) > 1 and registry is None
+    # The cells that need computing size the pool.  With none, every
+    # cell is read in this process exactly as a worker would read it.
+    unserved = [
+        cap for cap in pending if cache is None or keys[cap] not in cache
+    ]
+    width = pool_width(workers, len(pending), len(unserved))
+    use_pool = width > 1 and registry is None
     if use_pool:
         cache_root = str(cache.root) if cache is not None else None
         spec_json = spec.to_json()
@@ -823,9 +834,6 @@ def run_scenarios(
     else:
         items = list(pending)
         fn = partial(run_scenario_cell, spec, cache=cache, registry=registry)
-        unserved = [
-            cap for cap in pending if cache is None or keys[cap] not in cache
-        ]
         ahead = solving_caps_ahead(
             partial(_lps_ahead, spec, unserved, reg, cache)
         )
@@ -878,7 +886,7 @@ def run_scenarios(
             )
 
     runner = ParallelRunner(
-        max_workers=workers if use_pool else 1,
+        max_workers=width if use_pool else 1,
         timeout_s=opts.task_timeout_s,
         retries=opts.task_retries,
         backoff_s=opts.task_backoff_s,

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import repro.core.solver as solver_mod
+import repro.exec.keys as keys_mod
 from repro.core import (
     LpStatus,
     ParametricCapSolver,
@@ -386,6 +387,35 @@ class TestObservability:
         records, metrics, _ = _observe(small_trace, caps, cache=cache)
         assert len(records) == 3
         assert metrics.to_dict()["counters"]["solve.total"] == 3
+
+
+class TestCacheKeys:
+    def test_a_cached_sweep_fingerprints_the_trace_once(self, small_trace,
+                                                        tmp_path, monkeypatch):
+        caps = [c * 8 for c in np.linspace(22.0, 80.0, 25)]
+        cache = SolverCache(tmp_path)
+        ParametricCapSolver(small_trace).solve_many(caps, cache=cache)
+        keys = [keys_mod.fixed_order_lp_key(small_trace, cap) for cap in caps]
+        # Forget the kept fingerprint and count the hashes a warm sweep makes.
+        small_trace.__dict__.pop("_fingerprint")
+        trace_doc = keys_mod._trace_doc
+        calls = []
+
+        def counted(trace):
+            calls.append(trace)
+            return trace_doc(trace)
+
+        monkeypatch.setattr(keys_mod, "_trace_doc", counted)
+        solver = ParametricCapSolver(small_trace)
+        solver.solve_many(caps, cache=cache)
+        assert len(calls) == 1 and solver.n_solves == 0
+        # The kept fingerprint keys each cap as a fresh hash does.
+        assert keys_mod.trace_fingerprint(small_trace) == keys_mod.digest(
+            trace_doc(small_trace)
+        )
+        assert [
+            keys_mod.fixed_order_lp_key(small_trace, cap) for cap in caps
+        ] == keys
 
 
 class TestDegenerateInput:

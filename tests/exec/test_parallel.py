@@ -21,6 +21,7 @@ from repro.exec.parallel import (
     ParallelExecutionError,
     ParallelRunner,
     PoolBrokenError,
+    pool_width,
     resolve_workers,
     retry_delay_s,
     run_task,
@@ -124,6 +125,20 @@ class TestResolveWorkers:
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert resolve_workers(0) == 1
+
+
+class TestPoolWidth:
+    def test_nothing_to_compute_settles_in_process(self):
+        assert pool_width(4, 40, 0) == 1
+
+    def test_one_worker_per_miss_within_the_request(self):
+        assert pool_width(4, 40, 1) == 2  # the narrowest pool
+        assert pool_width(4, 40, 3) == 3
+        assert pool_width(4, 40, 40) == 4
+
+    def test_serial_requests_stay_serial(self):
+        assert pool_width(1, 40, 40) == 1
+        assert pool_width(4, 1, 1) == 1
 
 
 class TestRunTask:

@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.exec.parallel as parallel_mod
+from repro.exec.options import execution_options
 from repro.experiments import figure1_pareto_frontier, figure8_flow_vs_fixed
 from repro.experiments.figures import (
     Figure8Result,
@@ -9,6 +11,7 @@ from repro.experiments.figures import (
     figure12_comd_task_scatter,
 )
 from repro.experiments.runner import ComparisonResult
+from repro.obs.metrics import Metrics, use_metrics
 
 
 class TestFigure1:
@@ -46,6 +49,20 @@ class TestFigure8:
     def test_render(self, fig):
         text = fig.render()
         assert "Figure 8" in text and "agreement" in text
+
+    def test_warm_rerender_starts_no_pool(self, tmp_path, monkeypatch):
+        with execution_options(cache_dir=str(tmp_path), workers=2):
+            metrics = Metrics()
+            with use_metrics(metrics):
+                cold = figure8_flow_vs_fixed(n_caps=3, time_limit_s=30.0)
+            assert metrics.counter("pool.started") == 1
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("a process pool was started")
+
+            monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", refuse)
+            warm = figure8_flow_vs_fixed(n_caps=3, time_limit_s=30.0)
+        assert warm == cold
 
     def test_agreement_stats_on_synthetic_data(self):
         fig = Figure8Result(

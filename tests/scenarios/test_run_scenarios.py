@@ -1,14 +1,19 @@
 """The N-way executor: smoke over every runtime, caching, parallelism."""
 
+import json
+
 import pytest
 
+import repro.exec.parallel as parallel_mod
 from repro.exec.cache import SolverCache
-from repro.exec.keys import scenario_cell_key
+from repro.exec.faults import FaultInjector, FaultSpec
+from repro.exec.keys import canonical_json, scenario_cell_key
+from repro.exec.options import execution_options
 from repro.experiments.figures import benchmark_config
 from repro.experiments.runner import comparison_spec
 from repro.obs.metrics import Metrics, use_metrics
 from repro.obs.recorder import TraceRecorder, use_recorder
-from repro.scenarios.run import run_scenario_cell, run_scenarios
+from repro.scenarios.run import cell_payload, run_scenario_cell, run_scenarios
 from repro.scenarios.spec import (
     SCENARIO_LAYER_VERSION,
     PolicySpec,
@@ -340,3 +345,128 @@ class TestParallel:
         for a, b in zip(cold.cells, warm.cells):
             for name in spec.policy_labels():
                 assert a.outcomes[name].time_s == b.outcomes[name].time_s
+
+
+class _BlindCache(SolverCache):
+    """A cache that reports every entry absent to the sweep's sizing, so
+    every cell goes to the pool, whose workers still read the entries."""
+
+    def __contains__(self, key: str) -> bool:
+        return False
+
+
+def _refuse_pools(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", refuse)
+
+
+def _payloads(spec, result) -> list[str]:
+    return [canonical_json(cell_payload(spec, c)) for c in result.cells]
+
+
+def _journal_rows(path) -> list[dict]:
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    for row in rows:
+        row.pop("wall_s")  # the one wall-clock diagnostic in a row
+    return rows
+
+
+class TestPoolSizing:
+    """The pool is sized by the cells that need computing."""
+
+    SPEC = small_spec(policies=(PolicySpec("static"), PolicySpec("lp")),
+                      caps=(35.0, 45.0, 55.0))
+
+    def _cold(self, root, **kwargs):
+        metrics = Metrics()
+        with use_metrics(metrics):
+            result = run_scenarios(
+                self.SPEC, workers=2, cache=SolverCache(root), **kwargs
+            )
+        assert metrics.counter("pool.started") == 1
+        return result
+
+    def test_warm_sweep_settles_in_process(self, tmp_path, monkeypatch):
+        cold = self._cold(tmp_path)
+        _refuse_pools(monkeypatch)
+        metrics = Metrics()
+        with use_metrics(metrics):
+            warm = run_scenarios(self.SPEC, workers=2, cache=SolverCache(tmp_path))
+        assert _payloads(self.SPEC, warm) == _payloads(self.SPEC, cold)
+        assert metrics.counter("cells.cached") == 3
+        assert metrics.counter("cells.computed") == 0
+
+    def test_warm_metrics_and_journal_match_the_pool(self, tmp_path,
+                                                     monkeypatch):
+        root = tmp_path / "cache"
+        self._cold(root)
+        pooled, inline = Metrics(), Metrics()
+        with use_metrics(pooled):
+            run_scenarios(self.SPEC, workers=2, cache=_BlindCache(root),
+                          journal=tmp_path / "pooled.jsonl")
+        assert pooled.counter("pool.started") == 1
+        _refuse_pools(monkeypatch)
+        with use_metrics(inline):
+            run_scenarios(self.SPEC, workers=2, cache=SolverCache(root),
+                          journal=tmp_path / "inline.jsonl")
+        assert inline.to_dict(deterministic_only=True) == pooled.to_dict(
+            deterministic_only=True
+        )
+        assert _journal_rows(tmp_path / "inline.jsonl") == _journal_rows(
+            tmp_path / "pooled.jsonl"
+        )
+
+    def test_one_miss_keeps_the_pool_deadline(self, tmp_path):
+        # A lone miss among cached cells still runs in a worker, where
+        # --task-timeout applies: the delayed cell times out.
+        self._cold(tmp_path)
+        wider = small_spec(policies=self.SPEC.policies,
+                           caps=(35.0, 45.0, 55.0, 65.0))
+        hang = FaultInjector(FaultSpec(mode="delay", match="cap=65",
+                                       delay_s=3.0))
+        metrics = Metrics()
+        with execution_options(task_timeout_s=0.5, task_retries=0):
+            with use_metrics(metrics):
+                result = run_scenarios(wider, workers=2,
+                                       cache=SolverCache(tmp_path),
+                                       faults=hang, keep_going=True)
+        assert metrics.counter("pool.started") == 1
+        assert metrics.counter("cells.cached") == 3
+        failure = result.cells[-1].failure
+        assert failure is not None and failure.error_type == "TimeoutError"
+
+    def test_the_pool_is_sized_by_the_misses(self, tmp_path, monkeypatch):
+        self._cold(tmp_path)
+        wider = small_spec(policies=self.SPEC.policies,
+                           caps=(35.0, 45.0, 55.0, 65.0, 75.0))
+        want = run_scenarios(small_spec(policies=self.SPEC.policies,
+                                        caps=(65.0, 75.0)))
+        widths = []
+        pool = parallel_mod.ProcessPoolExecutor
+
+        def sized(max_workers):
+            widths.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(parallel_mod, "ProcessPoolExecutor", sized)
+        metrics = Metrics()
+        with use_metrics(metrics):
+            got = run_scenarios(wider, workers=4, cache=SolverCache(tmp_path))
+        assert widths == [2]
+        assert metrics.counter("cells.cached") == 3
+        assert metrics.counter("cells.computed") == 2
+        assert _payloads(wider, got)[3:] == _payloads(wider, want)
+
+    def test_damaged_entries_are_recomputed(self, tmp_path, monkeypatch):
+        # Every entry is torn after its cell, so all three are present
+        # (no pool) and none can be read (all recomputed).
+        tear = FaultInjector(FaultSpec(mode="corrupt", rate=1.0))
+        cold = self._cold(tmp_path, faults=tear)
+        _refuse_pools(monkeypatch)
+        metrics = Metrics()
+        with use_metrics(metrics):
+            warm = run_scenarios(self.SPEC, workers=2, cache=SolverCache(tmp_path))
+        assert metrics.counter("cells.computed") == 3
+        assert _payloads(self.SPEC, warm) == _payloads(self.SPEC, cold)
