@@ -6,13 +6,6 @@ All formulations compile from the shared :mod:`.model` IR: build a
 :func:`extract_schedule`.
 """
 
-from .device_split import (
-    SPLIT_ROW_TAG,
-    DeviceSplitResult,
-    best_static_split,
-    compile_device_split,
-    solve_device_split_lp,
-)
 from .energy_lp import EnergyLpResult, compile_energy, solve_energy_lp
 from .events import EventStructure, build_event_structure
 from .fixed_order_lp import (
@@ -58,7 +51,6 @@ __all__ = [
     "CAP_ROW_TAG",
     "CapSweepResult",
     "CompiledModel",
-    "DeviceSplitResult",
     "EnergyLpResult",
     "EventStructure",
     "FixedOrderLpResult",
@@ -73,21 +65,17 @@ __all__ = [
     "ParametricCapSolver",
     "PowerSchedule",
     "ProblemInstance",
-    "SPLIT_ROW_TAG",
     "TaskArrays",
     "TaskAssignment",
     "TaskFrontier",
     "ValidationReport",
     "base_model",
-    "best_static_split",
     "build_event_structure",
     "build_problem_instance",
-    "compile_device_split",
     "compile_energy",
     "compile_fixed_order",
     "compile_flow_ilp",
     "extract_schedule",
-    "solve_device_split_lp",
     "round_schedule",
     "schedule_from_dict",
     "schedule_to_dict",

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dag.analysis import frontier_unconstrained_schedule
 from ..dag.graph import VertexKind
 from ..machine.configuration import ConfigPoint
 from ..machine.cpu import XEON_E5_2670
@@ -54,9 +53,9 @@ __all__ = [
 #: keys (see :func:`repro.exec.keys.solver_key`): any change to how
 #: formulations compile from the IR must bump this so previously cached
 #: solutions can never be served against the new model.
-#: v3: device-qualified operating points (heterogeneous nodes) — frontier
-#: documents gained a device column and the initial schedule of a
-#: device-qualified trace is frontier-driven.
+#: v3: device-qualified operating points (typed-device nodes, since
+#: retired) — frontier documents gained a device column, which stays,
+#: always empty, so existing keys keep hitting.
 #: v4: the energy LP gained optional event-power cap rows (min-energy
 #: subject to deadline *and* cap), so energy-lp cache entries keyed
 #: against the capless compilation must never satisfy capped solves.
@@ -155,21 +154,12 @@ def build_problem_instance(
 
     ``events`` lets callers that already derived the (trace-only) event
     structure share it; otherwise it is computed from the paper's default
-    power-unconstrained initial schedule.  Device-qualified traces (from
-    heterogeneous nodes) derive that schedule from the traced frontiers —
-    their fastest operating point is a per-task device choice that no
-    single CPU time model can express; homogeneous traces keep the
-    legacy time-model path bit for bit.
+    power-unconstrained initial schedule.
     """
     graph = trace.graph
     if events is None:
-        if time_model is None and trace.uses_devices:
-            events = build_event_structure(
-                graph, initial=frontier_unconstrained_schedule(graph, trace.frontiers)
-            )
-        else:
-            tm = time_model if time_model is not None else TaskTimeModel(XEON_E5_2670)
-            events = build_event_structure(graph, tm)
+        tm = time_model if time_model is not None else TaskTimeModel(XEON_E5_2670)
+        events = build_event_structure(graph, tm)
     return ProblemInstance(
         trace=trace,
         events=events,

@@ -22,13 +22,10 @@ _FORMAT_VERSION = 1
 
 
 def _point_doc(p: ConfigPoint, fraction: float) -> dict:
-    # Legacy (homogeneous) points omit the device key so the serialized
-    # document is byte-identical to format v1 files.
     return {
         "freq_ghz": p.config.freq_ghz,
         "threads": p.config.threads,
         "duty": p.config.duty,
-        **({"device": p.config.device} if p.config.device else {}),
         "duration_s": p.duration_s,
         "power_w": p.power_w,
         "fraction": fraction,
@@ -89,9 +86,7 @@ def schedule_from_dict(data: dict) -> PowerSchedule:
         for m in entry["mixture"]:
             pool.append(
                 ConfigPoint(
-                    Configuration(
-                        m["freq_ghz"], m["threads"], m["duty"], m.get("device", "")
-                    ),
+                    Configuration(m["freq_ghz"], m["threads"], m["duty"]),
                     m["duration_s"],
                     m["power_w"],
                 )

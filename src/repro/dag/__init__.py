@@ -6,9 +6,6 @@ from .analysis import (
     edge_slack,
     fastest_configurations,
     fastest_durations,
-    frontier_fastest_configurations,
-    frontier_fastest_durations,
-    frontier_unconstrained_schedule,
     schedule_fixed_durations,
     unconstrained_schedule,
 )
@@ -37,9 +34,6 @@ __all__ = [
     "edge_slack",
     "fastest_configurations",
     "fastest_durations",
-    "frontier_fastest_configurations",
-    "frontier_fastest_durations",
-    "frontier_unconstrained_schedule",
     "schedule_fixed_durations",
     "unconstrained_schedule",
 ]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..machine.configuration import ConfigPoint, Configuration
+from ..machine.configuration import Configuration
 from ..machine.performance import TaskTimeModel
 from .graph import TaskGraph, VertexKind
 
@@ -27,9 +27,6 @@ __all__ = [
     "schedule_fixed_durations",
     "fastest_durations",
     "fastest_configurations",
-    "frontier_fastest_configurations",
-    "frontier_fastest_durations",
-    "frontier_unconstrained_schedule",
     "unconstrained_schedule",
     "critical_path_edges",
     "edge_slack",
@@ -118,50 +115,6 @@ def unconstrained_schedule(
 ) -> DagSchedule:
     """The power-unconstrained initial schedule used to fix event order."""
     return schedule_fixed_durations(graph, fastest_durations(graph, time_model))
-
-
-def _fastest_point(points: list[ConfigPoint]) -> ConfigPoint:
-    """Duration-minimizing measured point (ties: cheaper, then by config)."""
-    return min(points, key=lambda p: (p.duration_s, p.power_w, p.config))
-
-
-def frontier_fastest_configurations(
-    graph: TaskGraph, frontiers: dict[int, list[ConfigPoint]]
-) -> dict[int, Configuration]:
-    """Per compute edge, the config of the fastest *measured* point.
-
-    The device-aware counterpart of :func:`fastest_configurations`: on a
-    heterogeneous node the fastest operating point may live on any device
-    (and differ per task), so it must come from the traced frontier
-    rather than from one CPU time model.
-    """
-    return {
-        e.id: _fastest_point(frontiers[e.id]).config for e in graph.compute_edges()
-    }
-
-
-def frontier_fastest_durations(
-    graph: TaskGraph, frontiers: dict[int, list[ConfigPoint]]
-) -> np.ndarray:
-    """Per-edge durations with every task at its fastest frontier point."""
-    d = np.zeros(graph.n_edges)
-    for e in graph.edges:
-        if e.is_compute:
-            d[e.id] = _fastest_point(frontiers[e.id]).duration_s
-        else:
-            d[e.id] = e.duration_s
-    return d
-
-
-def frontier_unconstrained_schedule(
-    graph: TaskGraph, frontiers: dict[int, list[ConfigPoint]]
-) -> DagSchedule:
-    """Power-unconstrained initial schedule from traced frontiers.
-
-    Fixes the LP's event order on heterogeneous nodes, where "fastest"
-    is a per-task device choice the CPU time model cannot express.
-    """
-    return schedule_fixed_durations(graph, frontier_fastest_durations(graph, frontiers))
 
 
 def edge_slack(graph: TaskGraph, schedule: DagSchedule) -> np.ndarray:

@@ -71,17 +71,20 @@ def _kernel_doc(kernel: TaskKernel | None) -> list | None:
     ]
 
 
+#: The device column of every fingerprinted point.  Operating points once
+#: carried a device id, the empty string naming the one homogeneous
+#: socket; the column stays, always empty, so the keys of caches filled
+#: before keep hitting.
+_SOCKET_DEVICE_ID = ""
+
+
 def _frontier_doc(points: list[ConfigPoint]) -> list[list]:
-    # The device id is part of every point: operating points that agree
-    # numerically but live on different devices (heterogeneous nodes) must
-    # never share a fingerprint, or a cached solution from one machine
-    # shape could be served against another.
     return [
         [
             p.config.freq_ghz,
             p.config.threads,
             p.config.duty,
-            p.config.device,
+            _SOCKET_DEVICE_ID,
             p.duration_s,
             p.power_w,
         ]

@@ -120,33 +120,27 @@ EXHIBITS = {
     ),
     "sensitivity": lambda q, n: _sensitivity(q),
     "headline": lambda q, n: figures.headline_summary(n),
-    "powershift": lambda q, n: figures.powershift_figure(
-        n_ranks=min(n, 8), quick=q
-    ),
 }
 
-def _run_config(args) -> ExperimentConfig:
+def _run_config(args, parser) -> ExperimentConfig:
     """The comparison config for ``run``/``audit`` from the CLI flags.
 
     ``--quick`` shrinks the comparison to 4 ranks and a 12-iteration run
     (steady window 6) — small enough for CI smoke, large enough that the
-    Conductor exits exploration and reallocates at least once.
+    Conductor exits exploration and reallocates at least once.  A flag
+    the config rejects (an unknown ``--benchmark``) is a usage error.
     """
-    if args.quick:
-        ranks = 4 if args.ranks == 32 else args.ranks
-        return ExperimentConfig(
-            benchmark=args.benchmark, n_ranks=ranks,
-            run_iterations=12, lp_iterations=2, steady_window=6,
-        )
-    return ExperimentConfig(benchmark=args.benchmark, n_ranks=args.ranks)
+    protocol = _scenario_protocol(args)
+    try:
+        return ExperimentConfig(benchmark=args.benchmark, **protocol)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _scenario_protocol(args) -> dict:
-    """Measurement-protocol fields of a scenario built from CLI flags.
-
-    Mirrors :func:`_run_config`'s ``--quick`` shrink so the N-way path
-    and the legacy three-way path measure the same windows.
-    """
+    """Measurement-protocol fields built from CLI flags, shared by the
+    N-way scenario and the legacy three-way config so both measure the
+    same windows."""
     if args.quick:
         ranks = 4 if args.ranks == 32 else args.ranks
         return {
@@ -196,22 +190,15 @@ def _scenario_spec(args, caps: tuple[float, ...] | None, parser) -> ScenarioSpec
                 parser.error(
                     f"unknown policy {name!r}; registered: {registry.names()}"
                 )
-        spec = ScenarioSpec(
-            benchmark=args.benchmark,
-            caps_per_socket_w=caps,
-            policies=tuple(PolicySpec(n) for n in names),
-            **_scenario_protocol(args),
-        )
-    if args.node is not None:
-        from ..machine.device import node_names
-
-        if args.node not in node_names():
-            parser.error(
-                f"unknown node {args.node!r}; choose from {node_names()}"
+        try:
+            spec = ScenarioSpec(
+                benchmark=args.benchmark,
+                caps_per_socket_w=caps,
+                policies=tuple(PolicySpec(n) for n in names),
+                **_scenario_protocol(args),
             )
-        doc = spec.to_doc()
-        doc["node"] = args.node
-        spec = ScenarioSpec.from_doc(doc)
+        except ValueError as exc:
+            parser.error(str(exc))
     if args.baseline is not None and args.baseline not in spec.policy_labels():
         parser.error(
             f"--baseline {args.baseline!r} is not in the scenario; "
@@ -317,10 +304,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--caps", metavar="LIST", default=None,
                         help="comma-separated per-socket caps (W) for the "
                              "sweep subcommand (default: the paper's grid)")
-    parser.add_argument("--node", metavar="NAME", default=None,
-                        help="typed-device node for an N-way run/sweep "
-                             "(e.g. cpu-gpu, big-little; default: the "
-                             "legacy homogeneous socket — docs/machine.md)")
     parser.add_argument("--baseline", metavar="POLICY", default=None,
                         help="policy the N-way improvement columns compare "
                              "against (default: the first policy)")
@@ -411,8 +394,6 @@ def main(argv: list[str] | None = None) -> int:
     ):
         parser.error("--progress/--quiet/--progress-file only apply to "
                      "the run and sweep subcommands")
-    if args.node and command not in ("run", "sweep"):
-        parser.error("--node only applies to the run and sweep subcommands")
     faults = None
     if args.inject_faults:
         try:
@@ -575,12 +556,9 @@ def main(argv: list[str] | None = None) -> int:
         if resilience_flags and not n_way:
             parser.error("--keep-going/--journal/--inject-faults require an "
                          "N-way run (--policies or --scenario)")
-        if args.node and not n_way:
-            parser.error("--node requires an N-way run "
-                         "(--policies or --scenario)")
         if not n_way:
             # Historical three-way output (byte-stable for CI greps).
-            cfg = _run_config(args)
+            cfg = _run_config(args, parser)
             t0 = time.time()
             with sinks.active():
                 result = run_comparison(cfg, args.cap)
@@ -678,7 +656,7 @@ def main(argv: list[str] | None = None) -> int:
                 for name in names:
                     EXHIBITS[name](args.quick, ranks)
             else:
-                run_comparison(_run_config(args), args.cap)
+                run_comparison(_run_config(args, parser), args.cap)
         print(audit.table(metrics.counters))
         export_obs()
         return 0

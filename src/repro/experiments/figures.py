@@ -29,8 +29,7 @@ from ..simulator.engine import Engine
 from ..simulator.trace import trace_application
 from ..workloads import WorkloadSpec, make_comd, two_rank_exchange
 from ..workloads.comd import FORCE_KERNEL
-from ..scenarios.run import ScenarioResult, run_scenarios
-from ..scenarios.spec import PolicySpec, ScenarioSpec
+from ..scenarios.run import ScenarioResult
 from .report import render_kv, render_series, render_table
 from .runner import (
     DEFAULT_CAPS_W,
@@ -52,7 +51,6 @@ __all__ = [
     "figure14_sp",
     "figure15_lulesh",
     "headline_summary",
-    "powershift_figure",
     "benchmark_config",
     "scenario_sweep_figure",
     "ScenarioSweepFigure",
@@ -409,47 +407,6 @@ def scenario_sweep_figure(
             f"{len(spec.policies)}-way {{{', '.join(spec.policy_labels())}}}"
         )
     return ScenarioSweepFigure(title=title, result=result, baseline=baseline)
-
-
-def powershift_figure(
-    n_ranks: int = 4,
-    quick: bool = False,
-    node: str = "cpu-gpu",
-) -> ScenarioSweepFigure:
-    """CPU<->GPU power shifting: aggregate node cap vs best static split.
-
-    Runs the phased-offload workload on a heterogeneous node three ways:
-    ``static`` (the CPU-only uniform runtime), ``lp-split`` (the LP under
-    the *best* fixed per-device cap partition — the EcoShift-style
-    baseline a firmware split can achieve), and ``lp`` (the LP under one
-    aggregate node cap, free to move watts between devices per event).
-    The lp-over-lp-split column is the measured value of dynamic
-    cross-device power shifting.
-    """
-    caps = (40.0, 60.0, 80.0) if quick else (30.0, 40.0, 50.0, 60.0, 70.0, 80.0)
-    spec = ScenarioSpec(
-        benchmark="phased-offload",
-        caps_per_socket_w=caps,
-        policies=(
-            PolicySpec("static"),
-            PolicySpec("lp-split"),
-            PolicySpec("lp"),
-        ),
-        n_ranks=n_ranks,
-        run_iterations=12,
-        lp_iterations=2,
-        steady_window=6,
-        node=node,
-    )
-    result = run_scenarios(spec)
-    return scenario_sweep_figure(
-        result,
-        baseline="lp-split",
-        title=(
-            f"Power shifting: aggregate node cap (lp) vs best static "
-            f"CPU/GPU split (lp-split) on {node!r}, {n_ranks} ranks"
-        ),
-    )
 
 
 def _sweep(benchmark: str, n_ranks: int = 32) -> list[ComparisonResult]:

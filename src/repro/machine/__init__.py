@@ -18,26 +18,7 @@ from .configuration import (
     task_spaces,
 )
 from .cpu import XEON_E5_2670, CpuSpec, effective_frequency
-from .device import (
-    LEGACY_DEVICE_ID,
-    LEGACY_NODE,
-    AcceleratorDevice,
-    CpuDevice,
-    DeviceKind,
-    DeviceSpec,
-    GpuDevice,
-    NodeSpec,
-    device_power_groups,
-    device_task_space,
-    device_task_spaces,
-    get_node,
-    measure_device_task_space,
-    node_names,
-    node_registry,
-    rank_nodes,
-    single_socket_node,
-)
-from .frontiers import FrontierProfile, FrontierStore, NodeFrontierStore
+from .frontiers import FrontierProfile, FrontierStore
 from .pareto import (
     convex_frontier,
     frontier_rows,
@@ -50,22 +31,13 @@ from .rapl import RaplController, RaplDecision, RaplSettlement
 from .variability import make_power_models, sample_socket_efficiencies
 
 __all__ = [
-    "AcceleratorDevice",
     "ConfigPoint",
     "Configuration",
-    "CpuDevice",
     "CpuSpec",
     "DEFAULT_POWER_PARAMS",
-    "DeviceKind",
-    "DeviceSpec",
     "FrontierProfile",
     "FrontierStore",
-    "GpuDevice",
     "KernelArrays",
-    "LEGACY_DEVICE_ID",
-    "LEGACY_NODE",
-    "NodeFrontierStore",
-    "NodeSpec",
     "PowerModelParams",
     "RaplController",
     "RaplDecision",
@@ -76,25 +48,16 @@ __all__ = [
     "TaskTimeModel",
     "XEON_E5_2670",
     "convex_frontier",
-    "device_power_groups",
-    "device_task_space",
-    "device_task_spaces",
     "effective_frequency",
     "enumerate_configurations",
     "frontier_rows",
-    "get_node",
     "lower_hull",
     "make_power_models",
-    "measure_device_task_space",
     "measure_task",
     "measure_task_space",
-    "node_names",
-    "node_registry",
     "pareto_frontier",
     "rank_kernel_arrays",
-    "rank_nodes",
     "sample_socket_efficiencies",
-    "single_socket_node",
     "task_space",
     "task_spaces",
 ]

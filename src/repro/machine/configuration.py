@@ -6,7 +6,7 @@ module enumerates the full configuration space of a socket and evaluates a
 task's (duration, power) at each point, producing the raw scatter of the
 paper's Figure 1.
 
-The grid of a socket is built once per (spec, modulation, device tag) and
+The grid of a socket is built once per (spec, modulation) and
 shared; :func:`task_spaces` evaluates K tasks over the whole grid in one
 numpy pass whose floats are bit-identical to per-point
 :func:`measure_task` calls.
@@ -42,20 +42,11 @@ class Configuration:
     ``duty`` is 1.0 except when RAPL falls back to clock modulation; the LP
     never schedules modulated configurations (they are strictly dominated),
     but the Static baseline can be forced into them.
-
-    ``device`` qualifies the operating point with the device it belongs to
-    on a heterogeneous node (see :mod:`repro.machine.device`).  The empty
-    string is the legacy homogeneous socket, so every pre-existing
-    ``Configuration(f, n)`` literal keeps its meaning, ordering, and
-    equality.  ``device`` sorts last, which keeps ordering stable across
-    device kinds: points that tie on (freq, threads, duty) break the tie
-    on the device id rather than on construction order.
     """
 
     freq_ghz: float
     threads: int
     duty: float = 1.0
-    device: str = ""
 
     def __post_init__(self) -> None:
         if self.freq_ghz <= 0:
@@ -70,10 +61,9 @@ class Configuration:
         return self.freq_ghz * self.duty
 
     def describe(self) -> str:
-        """Human-readable form, device-tagged when not the legacy CPU."""
+        """Human-readable form."""
         mod = "" if self.duty == 1.0 else f" @ {self.duty:.0%} duty"
-        tag = f"[{self.device}] " if self.device else ""
-        return f"{tag}{self.freq_ghz:.1f} GHz x {self.threads}t{mod}"
+        return f"{self.freq_ghz:.1f} GHz x {self.threads}t{mod}"
 
 
 @dataclass(frozen=True)
@@ -123,15 +113,15 @@ class _Grid:
 
 
 @lru_cache(maxsize=64)
-def _grid(spec: CpuSpec, include_modulation: bool, device: str) -> _Grid:
+def _grid(spec: CpuSpec, include_modulation: bool) -> _Grid:
     configs = [
-        Configuration(f, n, device=device)
+        Configuration(f, n)
         for f in spec.pstates
         for n in reversed(spec.thread_counts())
     ]
     if include_modulation:
         configs.extend(
-            Configuration(spec.fmin_ghz, spec.cores, duty, device)
+            Configuration(spec.fmin_ghz, spec.cores, duty)
             for duty in spec.duty_cycles
         )
     freqs = dict.fromkeys(c.freq_ghz for c in configs)
@@ -148,17 +138,16 @@ def _grid(spec: CpuSpec, include_modulation: bool, device: str) -> _Grid:
 
 
 def enumerate_configurations(
-    spec: CpuSpec = XEON_E5_2670, include_modulation: bool = False, device: str = ""
+    spec: CpuSpec = XEON_E5_2670, include_modulation: bool = False
 ) -> list[Configuration]:
     """All admissible configurations of a socket.
 
     Ordered by descending frequency then descending threads, mirroring the
     paper's Table 1 listing.  Clock-modulated points (below the lowest
-    P-state, max threads only) are appended when requested.  Every point
-    carries the ``device`` tag (empty: the legacy socket).  The list is
+    P-state, max threads only) are appended when requested.  The list is
     fresh; its (frozen) configurations are shared with the memoized grid.
     """
-    return list(_grid(spec, include_modulation, device).configs)
+    return list(_grid(spec, include_modulation).configs)
 
 
 def measure_task(
@@ -226,15 +215,13 @@ def task_spaces(
     power_model: SocketPowerModel,
     spec: CpuSpec | None = None,
     include_modulation: bool = False,
-    device: str = "",
-    time_scale: float = 1.0,
     efficiency: np.ndarray | None = None,
 ) -> tuple[tuple[Configuration, ...], np.ndarray, np.ndarray]:
     """Measure K kernels over a socket's whole configuration grid at once.
 
     Returns the grid's configurations and (K, N) duration and power
     arrays, row ``i`` measuring ``kernels.kernels[i]``.  Durations follow
-    ``TaskTimeModel(spec)`` scaled by ``time_scale``; powers follow
+    ``TaskTimeModel(spec)``; powers follow
     ``power_model`` with row ``i`` scaled by ``efficiency[i]`` (default:
     the model's own), so sockets differing only in efficiency share one
     pass.  The per-thread Amdahl/memory factors and the per-frequency
@@ -247,7 +234,7 @@ def task_spaces(
         raise ValueError(
             f"threads must be in [1, {power_model.spec.cores}], got {cpu.cores}"
         )
-    grid = _grid(cpu, include_modulation, device)
+    grid = _grid(cpu, include_modulation)
     ka = kernels
     n = np.array(cpu.thread_counts(), dtype=np.int64)
     g = (1.0 - ka.pf[:, None]) + ka.pf[:, None] / n
@@ -261,7 +248,7 @@ def task_spaces(
     rel_pow = np.array([(f / fmax) ** p.freq_exponent for f in grid.freqs])
     dyn = (ka.activity * p.p_core_dyn_max)[:, None] * rel_pow
     t, fi, duty = grid.thread_idx, grid.freq_idx, grid.duty
-    durations = (cpu_t[:, t] * slowdown[fi] + mem_t[:, t]) / duty * time_scale
+    durations = (cpu_t[:, t] * slowdown[fi] + mem_t[:, t]) / duty
     uncore = p.p_uncore_idle + (p.p_uncore_mem * ka.mem_int)[:, None] * duty
     per_core = p.p_core_leak + dyn[:, fi] * duty
     eff = (
@@ -278,15 +265,12 @@ def task_space(
     power_model: SocketPowerModel,
     spec: CpuSpec | None = None,
     include_modulation: bool = False,
-    device: str = "",
-    time_scale: float = 1.0,
 ) -> TaskSpace:
     """Measure one task over a socket's whole configuration grid: the
     K=1 case of :func:`task_spaces`, with the same floats as per-point
     :func:`measure_task` calls."""
     configs, durations, powers = task_spaces(
-        KernelArrays.of([kernel]), power_model, spec, include_modulation,
-        device, time_scale,
+        KernelArrays.of([kernel]), power_model, spec, include_modulation
     )
     return TaskSpace(configs, durations[0], powers[0])
 

@@ -28,12 +28,11 @@ from functools import cached_property
 import numpy as np
 
 from .configuration import ConfigPoint, Configuration, TaskSpace, task_spaces
-from .device import NodeSpec, device_task_spaces
 from .pareto import frontier_rows, lower_hull, pareto_frontier
 from .performance import KernelArrays, TaskKernel
 from .power import SocketPowerModel
 
-__all__ = ["FrontierProfile", "FrontierStore", "NodeFrontierStore"]
+__all__ = ["FrontierProfile", "FrontierStore"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,33 +108,53 @@ def _reduce(
     return profiles
 
 
-class _ProfileViews:
-    """What both stores share around their batch measurement ``_measure``.
+class FrontierStore:
+    """Memoized per-(kernel, power model) configuration profiles.
 
-    Each store defines its own ``profile`` (a one-line call of
-    :meth:`_lookup`), so the benchmark's layer tracer, which wraps the
-    method on the class that defines it, sees both."""
+    Parameters
+    ----------
+    power_models:
+        One :class:`SocketPowerModel` per rank.  Noiseless profiles are
+        keyed on the *model* — ranks sharing identical silicon share one
+        entry — while noisy profiles stay keyed per rank so the draw
+        sequence matches a per-rank profiling pass exactly.
+    measurement_noise:
+        Multiplicative lognormal sigma applied to every measured
+        (duration, power) — 0.0 for the oracle path.
+    rng:
+        Source of the noise draws; defaults to a fresh seed-0 generator.
+        Pass the tracing seed's generator to reproduce traced noise.
+    """
 
-    def _setup(
-        self, machines: list, measurement_noise: float, rng: np.random.Generator | None
+    def __init__(
+        self,
+        power_models: list[SocketPowerModel],
+        measurement_noise: float = 0.0,
+        rng: np.random.Generator | None = None,
     ) -> None:
-        """Check the arguments and map each rank to its profile slot: the
-        first rank with an equal machine when noiseless, its own when noisy
-        (so noise draws follow a per-rank profiling order)."""
+        if not power_models:
+            raise ValueError("need at least one power model")
         if measurement_noise < 0:
             raise ValueError("measurement_noise must be >= 0")
+        self.power_models = list(power_models)
         self.measurement_noise = float(measurement_noise)
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._profiles: dict[tuple[TaskKernel, int], FrontierProfile] = {}
+        # Each rank's profile slot: the first rank with an equal socket
+        # when noiseless, its own when noisy (so noise draws follow a
+        # per-rank profiling order).
         first: dict = {}
         self._canon = (
-            list(range(len(machines)))
+            list(range(len(self.power_models)))
             if self.measurement_noise > 0
-            else [first.setdefault(m, r) for r, m in enumerate(machines)]
+            else [
+                first.setdefault((pm.spec, pm.params, pm.efficiency), r)
+                for r, pm in enumerate(self.power_models)
+            ]
         )
 
-    def _lookup(self, rank: int, kernel: TaskKernel) -> FrontierProfile:
-        """The profile of a kernel on a rank's machine, filled on a miss."""
+    def profile(self, rank: int, kernel: TaskKernel) -> FrontierProfile:
+        """The (points, pareto, convex) profile of a kernel on a rank's socket."""
         key = (kernel, self._canon[rank])
         prof = self._profiles.get(key)
         if prof is None:
@@ -192,6 +211,24 @@ class _ProfileViews:
             for i, prof in zip(idx, _reduce(configs, d, p)):
                 self._profiles[keys[i]] = prof
 
+    def _measure(self, keys: list[tuple[TaskKernel, int]]) -> list:
+        """(configs, key positions, durations, powers) per socket family:
+        sockets differing only in efficiency share one pass."""
+        families: dict = {}
+        for i, (_, slot) in enumerate(keys):
+            pm = self.power_models[slot]
+            families.setdefault((pm.spec, pm.params), []).append(i)
+        groups = []
+        for idx in families.values():
+            slots = [keys[i][1] for i in idx]
+            configs, d, p = task_spaces(
+                KernelArrays.of([keys[i][0] for i in idx]),
+                self.power_models[slots[0]],
+                efficiency=[self.power_models[s].efficiency for s in slots],
+            )
+            groups.append((configs, idx, d, p))
+        return groups
+
     def convex(self, rank: int, kernel: TaskKernel) -> list[ConfigPoint]:
         return self.profile(rank, kernel).convex
 
@@ -211,122 +248,10 @@ class _ProfileViews:
         return len(self._profiles)
 
 
-class FrontierStore(_ProfileViews):
-    """Memoized per-(kernel, power model) configuration profiles.
+class NodeFrontierStore(FrontierStore):  # named by perfbench's layer table only
+    """Name-only stub: ``perfbench/layer_trace.py`` wraps
+    ``NodeFrontierStore.profile`` and fails to install on a missing name.
+    The ROADMAP's ``[benchmark]`` change drops this stub together with that
+    table entry."""
 
-    Parameters
-    ----------
-    power_models:
-        One :class:`SocketPowerModel` per rank.  Noiseless profiles are
-        keyed on the *model* — ranks sharing identical silicon share one
-        entry — while noisy profiles stay keyed per rank so the draw
-        sequence matches a per-rank profiling pass exactly.
-    measurement_noise:
-        Multiplicative lognormal sigma applied to every measured
-        (duration, power) — 0.0 for the oracle path.
-    rng:
-        Source of the noise draws; defaults to a fresh seed-0 generator.
-        Pass the tracing seed's generator to reproduce traced noise.
-    """
-
-    def __init__(
-        self,
-        power_models: list[SocketPowerModel],
-        measurement_noise: float = 0.0,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        if not power_models:
-            raise ValueError("need at least one power model")
-        self.power_models = list(power_models)
-        machines = [(pm.spec, pm.params, pm.efficiency) for pm in self.power_models]
-        self._setup(machines, measurement_noise, rng)
-
-    def profile(self, rank: int, kernel: TaskKernel) -> FrontierProfile:
-        """The (points, pareto, convex) profile of a kernel on a rank's socket."""
-        return self._lookup(rank, kernel)
-
-    def _measure(self, keys: list[tuple[TaskKernel, int]]) -> list:
-        """(configs, key positions, durations, powers) per socket family:
-        sockets differing only in efficiency share one pass."""
-        families: dict = {}
-        for i, (_, slot) in enumerate(keys):
-            pm = self.power_models[slot]
-            families.setdefault((pm.spec, pm.params), []).append(i)
-        groups = []
-        for idx in families.values():
-            slots = [keys[i][1] for i in idx]
-            configs, d, p = task_spaces(
-                KernelArrays.of([keys[i][0] for i in idx]),
-                self.power_models[slots[0]],
-                efficiency=[self.power_models[s].efficiency for s in slots],
-            )
-            groups.append((configs, idx, d, p))
-        return groups
-
-
-class NodeFrontierStore(_ProfileViews):
-    """Per-device frontier store for heterogeneous nodes.
-
-    The node-level profile of a (rank, kernel) pair is the union of the
-    kernel's measured operating-point scatters across every device of that
-    rank's node that supports the kernel, reduced by the same
-    Pareto/convex pipeline as the homogeneous store.  It shares
-    :class:`FrontierStore`'s accessors, so the tracer, the LP, and every
-    runtime policy consume either store unchanged.
-
-    On a one-device node built by
-    :func:`repro.machine.device.single_socket_node` the measured points,
-    their order, and both reductions are exactly the legacy
-    :class:`FrontierStore` output: the device delegates to the same
-    analytic models and tags its configurations with the reserved legacy
-    device id.
-
-    Noise draws follow the same discipline as :class:`FrontierStore`:
-    per (kernel, node) on first touch, in call order, duration then power
-    per point, with devices visited in node order.
-    """
-
-    def __init__(
-        self,
-        nodes: list[NodeSpec],
-        measurement_noise: float = 0.0,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        if not nodes:
-            raise ValueError("need at least one node")
-        self.nodes = list(nodes)
-        self._setup(self.nodes, measurement_noise, rng)
-
-    def profile(self, rank: int, kernel: TaskKernel) -> FrontierProfile:
-        """The merged (points, pareto, convex) profile on a rank's node."""
-        return self._lookup(rank, kernel)
-
-    def _measure(self, keys: list[tuple[TaskKernel, int]]) -> list:
-        """(configs, key positions, durations, powers) per (node, set of
-        supporting devices): each device's rows measured in one pass and
-        stacked in node order."""
-        families: dict = {}
-        for i, (kernel, slot) in enumerate(keys):
-            node = self.nodes[slot]
-            devices = tuple(
-                d for d, dev in enumerate(node.devices) if dev.supports(kernel)
-            )
-            if not devices:
-                raise ValueError(
-                    f"no device on node {node.name!r} supports kernel "
-                    f"{kernel.name or kernel!r}"
-                )
-            families.setdefault((slot, devices), []).append(i)
-        groups = []
-        for (slot, devices), idx in families.items():
-            ka = KernelArrays.of([keys[i][0] for i in idx])
-            spaces = [
-                device_task_spaces(ka, self.nodes[slot].devices[d]) for d in devices
-            ]
-            groups.append((
-                sum((sp[0] for sp in spaces), ()),
-                idx,
-                np.concatenate([sp[1] for sp in spaces], axis=1),
-                np.concatenate([sp[2] for sp in spaces], axis=1),
-            ))
-        return groups
+    profile = FrontierStore.profile

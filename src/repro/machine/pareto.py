@@ -83,8 +83,7 @@ def frontier_rows(
     duration is strictly below every duration before it.  Points tying
     exactly on (power, duration) collapse to the one with the smallest
     configuration — the first listed among equal ones — so the
-    representative does not depend on column order (the scatter of a
-    heterogeneous node mixes points from several devices).
+    representative does not depend on column order.
     """
     k, n = powers.shape
     if n == 0:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..machine.configuration import ConfigPoint
-from ..machine.frontiers import FrontierProfile, FrontierStore, NodeFrontierStore
+from ..machine.frontiers import FrontierProfile, FrontierStore
 from ..machine.performance import TaskKernel, rank_kernel_arrays
 from ..simulator.engine import TaskRecord
 from ..simulator.program import Application, TaskRef
@@ -154,7 +154,7 @@ class FrontierTable:
     (``hull_powers``, ``hull_durations``, ``hull_configs``).
     """
 
-    def __init__(self, store: FrontierStore | NodeFrontierStore, app: Application):
+    def __init__(self, store: FrontierStore, app: Application):
         arrays = rank_kernel_arrays(app)
         self._kernels = [ka.kernels for ka in arrays]
         self._profiles = store.profile_table(arrays)

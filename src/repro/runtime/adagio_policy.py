@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from ..machine.configuration import Configuration
 from ..machine.cpu import CpuSpec, XEON_E5_2670
-from ..machine.frontiers import FrontierStore, NodeFrontierStore
+from ..machine.frontiers import FrontierStore
 from ..machine.performance import TaskKernel
 from ..machine.power import SocketPowerModel
 from ..simulator.engine import TaskRecord
@@ -35,7 +35,7 @@ class AdagioPolicy:
         safety: float = 0.9,
         switch_overhead_s: float = 145e-6,
         min_switch_duration_s: float = 1e-3,
-        frontier_store: FrontierStore | NodeFrontierStore | None = None,
+        frontier_store: FrontierStore | None = None,
     ) -> None:
         if not (0.0 <= safety <= 1.0):
             raise ValueError(f"safety must be in [0,1], got {safety}")

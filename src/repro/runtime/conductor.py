@@ -31,7 +31,7 @@ import numpy as np
 
 from ..machine.configuration import Configuration
 from ..machine.cpu import CpuSpec, XEON_E5_2670
-from ..machine.frontiers import FrontierStore, NodeFrontierStore
+from ..machine.frontiers import FrontierStore
 from ..machine.performance import TaskKernel, TaskTimeModel
 from ..machine.power import SocketPowerModel
 from ..machine.rapl import RaplController
@@ -112,7 +112,7 @@ class ConductorPolicy:
         app: Application,
         spec: CpuSpec = XEON_E5_2670,
         config: ConductorConfig = ConductorConfig(),
-        frontier_store: FrontierStore | NodeFrontierStore | None = None,
+        frontier_store: FrontierStore | None = None,
     ) -> None:
         if job_cap_w <= 0:
             raise ValueError(f"job cap must be positive, got {job_cap_w}")

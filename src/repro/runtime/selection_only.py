@@ -18,7 +18,7 @@ from bisect import bisect_right
 
 from ..machine.configuration import Configuration
 from ..machine.cpu import CpuSpec, XEON_E5_2670
-from ..machine.frontiers import FrontierStore, NodeFrontierStore
+from ..machine.frontiers import FrontierStore
 from ..machine.performance import TaskKernel
 from ..machine.power import SocketPowerModel
 from ..machine.rapl import RaplController
@@ -42,7 +42,7 @@ class SelectionOnlyPolicy:
         adagio_safety: float = 0.9,
         switch_overhead_s: float = 145e-6,
         min_switch_duration_s: float = 1e-3,
-        frontier_store: FrontierStore | NodeFrontierStore | None = None,
+        frontier_store: FrontierStore | None = None,
     ) -> None:
         if job_cap_w <= 0:
             raise ValueError(f"job cap must be positive, got {job_cap_w}")

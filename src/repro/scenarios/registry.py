@@ -31,15 +31,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
-from ..core.device_split import best_static_split
 from ..core.fixed_order_lp import FixedOrderLpResult
 from ..core.flow_ilp import solve_flow_ilp
 from ..core.model import ProblemInstance
 from ..core.rounding import round_schedule
 from ..core.sweep import ParametricCapSolver
 from ..exec.cache import SolverCache, cached_solve_energy_lp
-from ..machine.device import NodeSpec, device_power_groups
-from ..machine.frontiers import FrontierStore, NodeFrontierStore
+from ..machine.frontiers import FrontierStore
 from ..machine.power import SocketPowerModel
 from ..runtime.adagio_policy import AdagioPolicy
 from ..runtime.conductor import ConductorConfig, ConductorPolicy
@@ -73,10 +71,8 @@ class PolicyContext:
     power_models: list[SocketPowerModel]
     job_cap_w: float
     app: Application
-    frontier_store: FrontierStore | NodeFrontierStore
+    frontier_store: FrontierStore
     trace: Trace
-    #: Per-rank typed-device nodes; None on the legacy homogeneous machine.
-    nodes: list[NodeSpec] | None
     instance: ProblemInstance
     cache: SolverCache | None
     lp_iterations: int
@@ -357,44 +353,6 @@ def _solve_energy_lp(
     )
 
 
-def _solve_lp_split(
-    ctx: PolicyContext, cfg: dict, scope: Callable[[], Any]
-) -> BoundResult:
-    if not ctx.nodes or not ctx.nodes[0].is_heterogeneous:
-        raise ValueError(
-            "lp-split models a fixed per-device cap partition; it needs a "
-            "heterogeneous node (run with --node cpu-gpu or similar)"
-        )
-    groups = device_power_groups(ctx.nodes[0])
-    if not groups["offload"]:
-        raise ValueError(
-            f"node {ctx.nodes[0].name!r} has no offload device to split against"
-        )
-    with scope():
-        result = best_static_split(
-            ctx.instance,
-            ctx.job_cap_w,
-            groups,
-            cpu_shares=tuple(float(s) for s in cfg["cpu_shares"]),
-            power_tiebreak=cfg["power_tiebreak"],
-            time_limit_s=cfg["time_limit_s"],
-        )
-    if not result.feasible:
-        return BoundResult(time_s=None, extra={"feasible": False})
-    per_share = {
-        f"{share:g}": None if t is None else t / ctx.lp_iterations
-        for share, t in result.per_share.items()
-    }
-    return BoundResult(
-        time_s=result.makespan_s / ctx.lp_iterations,
-        extra={
-            "feasible": True,
-            "best_cpu_share": result.best_share,
-            "per_share_s": per_share,
-        },
-    )
-
-
 def _solve_flow_ilp(
     ctx: PolicyContext, cfg: dict, scope: Callable[[], Any]
 ) -> BoundResult:
@@ -504,17 +462,6 @@ def _build_default_registry() -> PolicyRegistry:
         },
         solve=_solve_energy_lp,
         cap_lps=_energy_lp_cap_lps,
-    ))
-    reg.register(PolicyEntry(
-        name="lp-split",
-        kind="bound",
-        summary="best static CPU/offload cap split (EcoShift-style baseline)",
-        default_config={
-            "cpu_shares": [0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
-            "power_tiebreak": 1e-9,
-            "time_limit_s": None,
-        },
-        solve=_solve_lp_split,
     ))
     reg.register(PolicyEntry(
         name="flow-ilp",

@@ -48,8 +48,7 @@ from ..exec.parallel import (
     pool_width,
     resolve_workers,
 )
-from ..machine.device import LEGACY_NODE, NodeSpec, get_node, rank_nodes
-from ..machine.frontiers import FrontierStore, NodeFrontierStore
+from ..machine.frontiers import FrontierStore
 from ..machine.power import SocketPowerModel
 from ..machine.variability import make_power_models
 from ..obs.events import CellFailureEvent, CounterEvent
@@ -227,11 +226,8 @@ class _Shared:
     power_models: list[SocketPowerModel]
     engine: Engine
     trace: Trace
-    frontiers: FrontierStore | NodeFrontierStore
+    frontiers: FrontierStore
     instance: ProblemInstance
-    # Per-rank typed-device nodes; None on the legacy homogeneous machine
-    # (that path stays byte-for-byte identical to the pre-node layer).
-    nodes: list[NodeSpec] | None = None
     # power_tiebreak -> ParametricCapSolver: the fixed-order LP frozen
     # once per benchmark and re-solved across the whole cap grid (and
     # every cell of it) on the thread's persistent HiGHS handle.  Lazily
@@ -249,7 +245,7 @@ _shared_cache: dict[tuple, _Shared] = {}
 def _shared_key(spec: ScenarioSpec) -> tuple:
     return (
         spec.benchmark, spec.n_ranks, spec.run_iterations, spec.lp_iterations,
-        spec.seed, spec.efficiency_seed, spec.efficiency_sigma, spec.node,
+        spec.seed, spec.efficiency_seed, spec.efficiency_sigma,
     )
 
 
@@ -279,25 +275,17 @@ def _shared_for(spec: ScenarioSpec) -> _Shared:
             spec.n_ranks, spec.efficiency_seed, sigma=spec.efficiency_sigma
         )
         # One frontier store per machine: the tracer fills it, every
-        # runtime policy in the scenario reads it back.  Heterogeneous
-        # nodes swap in the typed-device store (and device-aware engine);
-        # the legacy node keeps the original code path untouched.
-        nodes: list[NodeSpec] | None = None
-        if spec.node != LEGACY_NODE:
-            nodes = rank_nodes(get_node(spec.node), pm)
-            store: FrontierStore | NodeFrontierStore = NodeFrontierStore(nodes)
-        else:
-            store = FrontierStore(pm)
+        # runtime policy in the scenario reads it back.
+        store = FrontierStore(pm)
         trace = trace_application(app_lp, pm, frontier_store=store)
         _shared_cache[key] = _Shared(
             app_run=app_run,
             app_lp=app_lp,
             power_models=pm,
-            engine=Engine(pm, nodes=nodes),
+            engine=Engine(pm),
             trace=trace,
             frontiers=store,
             instance=build_problem_instance(trace),
-            nodes=nodes,
         )
     return _shared_cache[key]
 
@@ -481,7 +469,6 @@ def _policy_context(
         cache=cache,
         lp_iterations=spec.lp_iterations,
         cap_solvers=shared.cap_solvers,
-        nodes=shared.nodes,
     )
 
 

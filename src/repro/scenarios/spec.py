@@ -28,23 +28,23 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..exec.keys import canonical_json, digest
-from ..machine.device import LEGACY_NODE, node_registry
 from ..simulator.program import Application
 from ..workloads import BENCHMARKS, WorkloadSpec
-from ..workloads.synthetic import imbalanced_collective_app, phased_offload_app
+from ..workloads.synthetic import imbalanced_collective_app
 
 __all__ = [
     "SCENARIO_LAYER_VERSION",
     "SCENARIO_BENCHMARKS",
     "make_synthetic",
-    "make_phased_offload",
     "PolicySpec",
     "ScenarioSpec",
 ]
 
 #: Bump whenever the scenario cell semantics or payload layout change;
 #: every existing scenario cache cell then misses (never mis-maps).
-#: v2: scenarios gained the ``node`` field (typed-device machine layer).
+#: v2: scenarios gained a ``node`` field (typed-device nodes, since
+#: retired; documents never wrote it for the homogeneous socket, so
+#: retiring it moved no hash).
 #: v3: cell outcomes carry per-iteration ``energy_j`` (energy-objective
 #: policies and performance-per-watt frontiers).
 SCENARIO_LAYER_VERSION = 3
@@ -62,25 +62,9 @@ def make_synthetic(spec: WorkloadSpec) -> Application:
     )
 
 
-def make_phased_offload(spec: WorkloadSpec) -> Application:
-    """The CPU<->GPU power-shifting workload as a standard benchmark.
-
-    Alternating serial-heavy and offload-friendly phases (see
-    :func:`~repro.workloads.synthetic.phased_offload_app`); pair it with
-    a heterogeneous ``node`` to expose cross-device power shifting.
-    """
-    return phased_offload_app(
-        n_ranks=spec.n_ranks, iterations=spec.iterations, seed=spec.seed
-    )
-
-
 #: Benchmarks addressable from a scenario: the paper's four evaluated
-#: proxies plus the synthetic smoke and power-shifting workloads.
-SCENARIO_BENCHMARKS = {
-    **BENCHMARKS,
-    "synthetic": make_synthetic,
-    "phased-offload": make_phased_offload,
-}
+#: proxies plus the synthetic smoke workload.
+SCENARIO_BENCHMARKS = {**BENCHMARKS, "synthetic": make_synthetic}
 
 
 @dataclass(frozen=True)
@@ -150,10 +134,6 @@ class ScenarioSpec:
     seed: int = 2015
     efficiency_seed: int = 42
     efficiency_sigma: float = 0.04
-    #: Named node from :func:`repro.machine.device.node_registry`.  The
-    #: default is the legacy homogeneous socket; heterogeneous nodes give
-    #: every rank the named device mix (CLI: ``--node``).
-    node: str = LEGACY_NODE
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -192,11 +172,6 @@ class ScenarioSpec:
             raise ValueError("steady_window must be >= 1")
         if self.efficiency_sigma < 0:
             raise ValueError("efficiency_sigma must be >= 0")
-        if self.node not in node_registry():
-            raise ValueError(
-                f"unknown node {self.node!r}; "
-                f"choose from {sorted(node_registry())}"
-            )
 
     # ------------------------------------------------------------------
     def policy_labels(self) -> list[str]:
@@ -204,13 +179,8 @@ class ScenarioSpec:
         return [p.label for p in self.policies]
 
     def to_doc(self) -> dict:
-        """Canonical JSON-safe document of the full scenario.
-
-        The ``node`` key is omitted for the legacy homogeneous node so
-        pre-node documents, spec hashes, cell hashes, and manifests are
-        reproduced byte for byte.
-        """
-        doc = {
+        """Canonical JSON-safe document of the full scenario."""
+        return {
             "benchmark": self.benchmark,
             "caps_per_socket_w": list(self.caps_per_socket_w),
             "policies": [p.to_doc() for p in self.policies],
@@ -223,9 +193,6 @@ class ScenarioSpec:
             "efficiency_seed": self.efficiency_seed,
             "efficiency_sigma": self.efficiency_sigma,
         }
-        if self.node != LEGACY_NODE:
-            doc["node"] = self.node
-        return doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ScenarioSpec":
@@ -234,7 +201,6 @@ class ScenarioSpec:
             "benchmark", "caps_per_socket_w", "policies", "n_ranks",
             "run_iterations", "lp_iterations", "discard_iterations",
             "steady_window", "seed", "efficiency_seed", "efficiency_sigma",
-            "node",
         }
         unknown = sorted(set(doc) - known)
         if unknown:

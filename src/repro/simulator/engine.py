@@ -26,7 +26,6 @@ import numpy as np
 
 from ..machine.configuration import Configuration
 from ..machine.cpu import CpuSpec, XEON_E5_2670
-from ..machine.device import NodeSpec
 from ..machine.performance import (
     KernelArrays,
     TaskKernel,
@@ -243,34 +242,7 @@ def plan_from_configs(app: Application, engine: "Engine", per_rank_configs: list
     plans = []
     for rank, configs in enumerate(per_rank_configs):
         ka = arrays[rank]
-        if configs and engine.nodes is not None and any(c.device for c in configs):
-            # Device-qualified configurations: the batch evaluators only
-            # know CPU math, so evaluate per task through the node's
-            # devices (untagged entries keep the legacy socket models).
-            node = engine.nodes[rank]
-            durations = []
-            powers = []
-            for cfg, kernel in zip(configs, ka.kernels):
-                if cfg.device:
-                    dev = node.device(cfg.device)
-                    durations.append(dev.duration(kernel, cfg))
-                    powers.append(dev.power(kernel, cfg))
-                else:
-                    durations.append(
-                        engine.time_models[rank].duration(
-                            kernel, cfg.freq_ghz, cfg.threads, cfg.duty
-                        )
-                    )
-                    powers.append(
-                        engine.power_models[rank].power(
-                            cfg.freq_ghz,
-                            cfg.threads,
-                            activity=kernel.activity,
-                            mem_intensity=kernel.mem_intensity,
-                            duty=cfg.duty,
-                        )
-                    )
-        elif configs:
+        if configs:
             f, n, d = _config_arrays(configs)
             durations = batch_task_durations(
                 engine.time_models[rank], ka, f, n, d
@@ -584,14 +556,9 @@ class Engine:
         spec: CpuSpec = XEON_E5_2670,
         mpi_call_overhead_s: float = 2e-6,
         tracing_overhead_s: float = 0.0,
-        nodes: list[NodeSpec] | None = None,
     ) -> None:
         if not power_models:
             raise ValueError("need at least one power model")
-        if nodes is not None and len(nodes) != len(power_models):
-            raise ValueError(
-                f"got {len(nodes)} nodes for {len(power_models)} power models"
-            )
         self.power_models = power_models
         self.network = network
         self.spec = spec
@@ -599,11 +566,6 @@ class Engine:
         # socket's CpuSpec (identical to `spec` on homogeneous clusters).
         self.time_models = [TaskTimeModel(pm.spec) for pm in power_models]
         self.time_model = TaskTimeModel(spec)  # engine-level fallback
-        # Typed-device nodes: configurations carrying a device id are
-        # dispatched to that device's models; untagged configurations keep
-        # the per-rank socket path above, so legacy runs are bit-identical
-        # whether or not nodes are attached.
-        self.nodes = list(nodes) if nodes is not None else None
         self.call_cost = mpi_call_overhead_s + tracing_overhead_s
 
     def _check_app(self, app: Application) -> None:
@@ -646,21 +608,16 @@ class Engine:
                     cfg = policy.configure(
                         ref, op.kernel, op.iteration, current[rank]
                     )
-                    if cfg.device and self.nodes is not None:
-                        dev = self.nodes[rank].device(cfg.device)
-                        duration = dev.duration(op.kernel, cfg)
-                        power = dev.power(op.kernel, cfg)
-                    else:
-                        duration = self.time_models[rank].duration(
-                            op.kernel, cfg.freq_ghz, cfg.threads, cfg.duty
-                        )
-                        power = self.power_models[rank].power(
-                            cfg.freq_ghz,
-                            cfg.threads,
-                            activity=op.kernel.activity,
-                            mem_intensity=op.kernel.mem_intensity,
-                            duty=cfg.duty,
-                        )
+                    duration = self.time_models[rank].duration(
+                        op.kernel, cfg.freq_ghz, cfg.threads, cfg.duty
+                    )
+                    power = self.power_models[rank].power(
+                        cfg.freq_ghz,
+                        cfg.threads,
+                        activity=op.kernel.activity,
+                        mem_intensity=op.kernel.mem_intensity,
+                        duty=cfg.duty,
+                    )
                 prev = current[rank]
                 if prev is not None and cfg != prev:
                     clock += switch_cost

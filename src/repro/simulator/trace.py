@@ -28,7 +28,7 @@ from ..dag.graph import TaskGraph, VertexKind
 from ..obs.metrics import timed
 from ..machine.configuration import ConfigPoint
 from ..machine.cpu import CpuSpec, XEON_E5_2670
-from ..machine.frontiers import FrontierProfile, FrontierStore, NodeFrontierStore
+from ..machine.frontiers import FrontierProfile, FrontierStore
 from ..machine.performance import rank_kernel_arrays
 from ..machine.power import SocketPowerModel
 from .network import IB_QDR, NetworkModel
@@ -89,21 +89,6 @@ class Trace:
 
     def frontier_for(self, ref: TaskRef) -> list[ConfigPoint]:
         return self.frontiers[self.task_edges[ref]]
-
-    @property
-    def uses_devices(self) -> bool:
-        """True when any frontier point is device-qualified.
-
-        Traces from heterogeneous nodes carry per-device configurations;
-        consumers that assume the homogeneous CPU time model (the default
-        initial schedule, the batch evaluators) check this and switch to
-        frontier-driven paths.  The convex frontiers are read: a node never
-        mixes the legacy untagged device with tagged ones, so they answer
-        as the Pareto sets would, without building those.
-        """
-        return any(
-            p.config.device for points in self.frontiers.values() for p in points
-        )
 
     def describe(self) -> str:
         """One-line human-readable summary."""
@@ -247,7 +232,7 @@ def trace_application(
     spec: CpuSpec = XEON_E5_2670,
     measurement_noise: float = 0.0,
     seed: int = 0,
-    frontier_store: FrontierStore | NodeFrontierStore | None = None,
+    frontier_store: FrontierStore | None = None,
 ) -> Trace:
     """Trace an application and profile every task across all configurations.
 
@@ -276,7 +261,7 @@ def _trace_application(
     spec: CpuSpec,
     measurement_noise: float,
     seed: int,
-    frontier_store: FrontierStore | NodeFrontierStore | None = None,
+    frontier_store: FrontierStore | None = None,
 ) -> Trace:
     if len(power_models) != app.n_ranks:
         raise ValueError(

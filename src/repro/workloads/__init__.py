@@ -12,7 +12,6 @@ from .lulesh import (
 from .nasmz import BT_KERNEL, SP_KERNEL, make_bt, make_sp
 from .synthetic import (
     imbalanced_collective_app,
-    phased_offload_app,
     random_application,
     two_rank_exchange,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "make_lulesh",
     "make_sp",
     "neighbors_3d",
-    "phased_offload_app",
     "random_application",
     "static_imbalance",
     "two_rank_exchange",

@@ -28,7 +28,6 @@ __all__ = [
     "two_rank_exchange",
     "random_application",
     "imbalanced_collective_app",
-    "phased_offload_app",
 ]
 
 
@@ -95,53 +94,6 @@ def imbalanced_collective_app(
     for it in range(iterations):
         for r in range(n_ranks):
             b.add(r, ComputeOp(kernel.scaled(float(factors[r])), it))
-            b.add(r, CollectiveOp("allreduce", 8, iteration=it))
-            b.add(r, PcontrolOp(it))
-    return b.finish(iterations)
-
-
-def phased_offload_app(
-    n_ranks: int = 4,
-    iterations: int = 2,
-    spread: float = 1.4,
-    cpu_seconds: float = 0.6,
-    seed: int = 11,
-) -> Application:
-    """Alternating serial-heavy and offload-friendly phases per iteration.
-
-    The headline workload for CPU<->GPU power shifting: each iteration is
-    a serial-heavy phase (low Amdahl fraction — CPU territory) and a
-    massively parallel phase (GPU territory on a heterogeneous node),
-    separated by allreduces so the phases never overlap across ranks.
-    During the serial phase every useful watt belongs on the CPUs; during
-    the offload phase, on the GPUs.  A static per-device cap split wastes
-    the idle side's budget in both phases, while an aggregate node cap
-    lets the LP move the whole budget back and forth — the gap between
-    the two is the value of dynamic cross-device shifting.  On the legacy
-    homogeneous node the workload still runs (both phases are plain CPU
-    kernels), so the same scenario is comparable across nodes.
-    """
-    rng = np.random.default_rng(seed)
-    factors = np.linspace(1.0, spread, n_ranks)
-    rng.shuffle(factors)
-    serial = TaskKernel(
-        cpu_seconds=cpu_seconds, mem_seconds=0.3 * cpu_seconds,
-        parallel_fraction=0.4, mem_intensity=0.4, name="serial-phase",
-    )
-    offload = TaskKernel(
-        cpu_seconds=2.5 * cpu_seconds, mem_seconds=0.1 * cpu_seconds,
-        parallel_fraction=0.995, mem_intensity=0.2, name="offload-phase",
-    )
-    b = WorkloadBuilder(name="phased-offload", n_ranks=n_ranks)
-    for it in range(iterations):
-        for r in range(n_ranks):
-            b.add(r, ComputeOp(serial.scaled(float(factors[r])), it,
-                               label="serial"))
-            b.add(r, CollectiveOp("allreduce", 8, iteration=it))
-            b.add(r, ComputeOp(
-                offload.scaled(float(factors[(r + 1) % n_ranks])), it,
-                label="offload",
-            ))
             b.add(r, CollectiveOp("allreduce", 8, iteration=it))
             b.add(r, PcontrolOp(it))
     return b.finish(iterations)

@@ -13,8 +13,6 @@ schedule:
   rows and precedence rows;
 * :func:`compile_fixed_order_reference` — plus the event-power, tie and
   order rows and the objective;
-* :func:`compile_device_split_reference` — the fixed-order oracle plus
-  the per-device-group split rows;
 * :func:`extract_assignments_reference` and
   :func:`solve_fixed_order_lp_reference` — the per-task decode and the
   whole reference solve path: a model rebuilt and solved at one cap,
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.device_split import _add_split_rows
 from repro.core.fixed_order_lp import FixedOrderLpResult
 from repro.core.model import (
     CAP_ROW_TAG,
@@ -50,7 +47,6 @@ __all__ = [
     "frontier_family",
     "base_model_reference",
     "compile_fixed_order_reference",
-    "compile_device_split_reference",
     "extract_assignments_reference",
     "solve_fixed_order_lp_reference",
 ]
@@ -178,21 +174,6 @@ def compile_fixed_order_reference(
         kind="discrete" if discrete else "continuous",
         cap_w=float(cap_w),
     )
-
-
-def compile_device_split_reference(
-    instance: ProblemInstance,
-    cap_w: float,
-    shares: dict[str, float],
-    groups: dict[str, tuple[str, ...]],
-    power_tiebreak: float = 1e-9,
-) -> CompiledModel:
-    """:func:`repro.core.compile_device_split` over the row-by-row base."""
-    compiled = compile_fixed_order_reference(
-        instance, cap_w, power_tiebreak=power_tiebreak
-    )
-    _add_split_rows(compiled, cap_w, shares, groups)
-    return compiled
 
 
 def extract_assignments_reference(

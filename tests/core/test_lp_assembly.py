@@ -1,8 +1,8 @@
 """Bulk LP assembly and vectorized decode against their row-by-row oracles.
 
-``base_model``, ``compile_fixed_order`` and ``compile_device_split``
-append constraint rows as CSR blocks, and ``extract_schedule`` decodes
-all tasks with whole-solution gathers.  The oracles in
+``base_model`` and ``compile_fixed_order`` append constraint rows as CSR
+blocks, and ``extract_schedule`` decodes all tasks with whole-solution
+gathers.  The oracles in
 ``tests/core/lp_oracles.py`` build and decode the same model one row and
 one task at a time.  Every comparison here is exact: the same column
 names and bounds, the same rows in the same order with the same tags,
@@ -19,21 +19,16 @@ from hypothesis import example, given, settings
 from repro.core import (
     base_model,
     build_problem_instance,
-    compile_device_split,
     compile_fixed_order,
     extract_schedule,
     solve_fixed_order_lp,
 )
 from repro.core.solver import LpSolution, LpStatus
 from repro.experiments.runner import make_power_models
-from repro.machine.device import device_power_groups, get_node, rank_nodes
-from repro.machine.frontiers import NodeFrontierStore
 from repro.simulator import trace_application
 from repro.workloads import BENCHMARKS, WorkloadSpec, random_application
-from repro.workloads.synthetic import phased_offload_app
 from tests.core.lp_oracles import (
     base_model_reference,
-    compile_device_split_reference,
     compile_fixed_order_reference,
     extract_assignments_reference,
     frontier_family,
@@ -184,20 +179,6 @@ def test_solve_path_matches_oracle_path():
         assert_same_assignments(
             got.schedule.assignments, want.schedule.assignments
         )
-
-
-def test_device_split_matches():
-    app = phased_offload_app(n_ranks=2, iterations=2)
-    pm = make_power_models(2, efficiency_seed=42)
-    nodes = rank_nodes(get_node("cpu-gpu"), pm)
-    trace = trace_application(app, pm, frontier_store=NodeFrontierStore(nodes))
-    instance = build_problem_instance(trace)
-    groups = device_power_groups(nodes[0])
-    shares = {"cpu": 0.6, "offload": 0.4}
-    assert_same_compiled(
-        compile_device_split(instance, 120.0, shares, groups),
-        compile_device_split_reference(instance, 120.0, shares, groups),
-    )
 
 
 @given(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -88,6 +89,18 @@ class TestKeys:
             "02329635850a6c47ea801613dee89a3c136960c01d485af4cb6035517731bc07",
             "55062dbddab4a9f3cf70674bf8af142c28f757de9815ec3cc6cf3c2da83d6aa2",
         ]
+
+    def test_solved_schedule_document_is_pinned(self, trace):
+        """Digest of a solved schedule's document, pinned from the layout
+        caches and journals were written under: a legacy operating point
+        serializes as freq/threads/duty and nothing more."""
+        doc = json.dumps(
+            schedule_to_dict(solve_fixed_order_lp(trace, 50.0).schedule),
+            sort_keys=True,
+        )
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "3ab49f629e23e2d224390eb1fcecedbf1f78efc84bedfb574a502d09863a301d"
+        )
 
     def test_key_stable_across_processes(self, trace):
         """The same model hashes identically in a fresh interpreter with a

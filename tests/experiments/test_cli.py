@@ -166,6 +166,40 @@ class TestScenarioRuns:
         assert len(errors) == 1 and says in errors[0]
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, says", [
+        (["sweep", "--scenario", "NODE_SPEC"], "unknown scenario fields: ['node']"),
+        (["sweep", "--quick", "--policies", "static", "--node", "cpu-gpu"],
+         "unrecognized arguments: --node cpu-gpu"),
+        (["sweep", "--quick", "--benchmark", "phased-offload",
+          "--policies", "static"], "unknown benchmark 'phased-offload'"),
+        (["run", "--quick", "--benchmark", "phased-offload"],
+         "unknown benchmark 'phased-offload'"),
+        (["sweep", "--quick", "--policies", "static,lp-split"],
+         "unknown policy 'lp-split'"),
+        (["powershift"], "unknown exhibits: ['powershift']"),
+    ])
+    def test_retired_device_inputs_are_usage_errors(
+        self, capsys, tmp_path, argv, says
+    ):
+        """The typed-device layer's inputs (a scenario's ``node``,
+        ``--node``, the phased-offload workload, the lp-split bound and the
+        powershift exhibit) fail as one usage error, not a traceback."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "benchmark": "synthetic", "caps_per_socket_w": [50.0],
+            "policies": [{"policy": "static"}], "n_ranks": 4,
+            "run_iterations": 8, "lp_iterations": 2,
+            "discard_iterations": 2, "steady_window": 4, "node": "cpu-gpu",
+        }))
+        argv = [str(path) if a == "NODE_SPEC" else a for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and says in errors[0]
+        assert "Traceback" not in err
+
     def test_run_save_embeds_scenario_in_manifest(self, capsys, tmp_path):
         argv = ["run", *self.QUICK, "--cap", "50",
                 "--policies", "static,adagio,lp", "--save", str(tmp_path)]
@@ -247,19 +281,21 @@ class TestResilienceFlags:
         assert main(argv) == 1
         assert "error: cell cap=50" in capsys.readouterr().err
 
-    LP_SPLIT = ["sweep", "--benchmark", "comd", "--ranks", "4", "--quick",
-                "--policies", "static,lp-split", "--caps", "40,50"]
+    # comd's 4-rank DAG is past the flow ILP's edge guard: every cell of
+    # the bound raises ValueError.
+    FLOW_ILP = ["sweep", "--benchmark", "comd", "--ranks", "4", "--quick",
+                "--policies", "static,flow-ilp", "--caps", "40,50"]
 
     def test_failed_cell_is_one_error_line(self, capsys):
         # Without a TTY the CLI attaches no progress reporter; the failure
         # still settles every cell and ends in one line, not a traceback.
-        assert main(self.LP_SPLIT) == 1
+        assert main(self.FLOW_ILP) == 1
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1
         assert errors[0].startswith(
             "error: cell cap=40 ValueError on all 2 attempt(s): "
-            "lp-split models a fixed per-device cap partition"
+            "flow ILP limited to 40 DAG edges"
         )
         assert "Traceback" not in err
 
@@ -283,7 +319,7 @@ class TestResilienceFlags:
         assert messages == ["no result within the 0.5 s deadline from submission"]
 
     def test_task_retries_zero_is_one_attempt(self, capsys):
-        assert main([*self.LP_SPLIT, "--task-retries", "0"]) == 1
+        assert main([*self.FLOW_ILP, "--task-retries", "0"]) == 1
         assert "error: cell cap=40 ValueError on all 1 attempt(s)" in (
             capsys.readouterr().err
         )

@@ -8,29 +8,18 @@ scalar Pareto and hull loops of :mod:`.frontier_oracles`, and the same
 noise draws in the same order.
 """
 
-from dataclasses import replace
-
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.machine import (
-    AcceleratorDevice,
     Configuration,
-    CpuDevice,
-    DeviceKind,
     FrontierStore,
-    GpuDevice,
     KernelArrays,
-    NodeFrontierStore,
-    NodeSpec,
     SocketPowerModel,
     TaskKernel,
-    TaskSpace,
     frontier_rows,
-    get_node,
-    rank_nodes,
     task_space,
     task_spaces,
 )
@@ -154,8 +143,8 @@ tied_rows = st.integers(1, 12).flatmap(
         ),
         st.lists(
             st.sampled_from([
-                Configuration(f, t, device=dev)
-                for dev in ("cpu0", "cpu1", "gpu0")
+                Configuration(f, t, duty)
+                for duty in (1.0, 0.5, 0.25)
                 for f in (1.0, 2.0)
                 for t in (1, 4)
             ]),
@@ -172,62 +161,6 @@ class TestReductionRows:
         p_rows, d_rows, configs = rows
         k = min(len(p_rows), len(d_rows))
         assert_rows_are_scalar(np.array(p_rows[:k]), np.array(d_rows[:k]), configs)
-
-
-def twin_cpu_node(name="twins"):
-    """Two identical CPUs listed larger id first, a GPU, and an
-    accelerator that only runs kernels named "fft": every CPU point ties
-    exactly with its twin."""
-    return NodeSpec(name, (
-        CpuDevice(device_id="cpu1", kind=DeviceKind.CPU_BIG),
-        CpuDevice(device_id="cpu0", kind=DeviceKind.CPU_BIG),
-        GpuDevice(device_id="gpu0"),
-        AcceleratorDevice(device_id="acc0", supported=("fft",)),
-    ))
-
-
-def node_oracle(kernel, node, sigma=0.0, rng=None):
-    """The node scatter from each device's scalar models, in node order,
-    reduced by the scalar loops."""
-    configs = tuple(
-        c for d in node.devices if d.supports(kernel) for c in d.operating_points()
-    )
-    devices = [node.device(c.device) for c in configs]
-    space = TaskSpace(
-        configs,
-        np.array([d.duration(kernel, c) for d, c in zip(devices, configs)]),
-        np.array([d.power(kernel, c) for d, c in zip(devices, configs)]),
-    )
-    return reduce_space(space, sigma, rng)
-
-
-class TestNodeTable:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        per_rank=st.lists(kernel_lists, min_size=1, max_size=2),
-        names=st.lists(st.sampled_from(["fft", "stencil"]), min_size=6, max_size=6),
-        efficiency=st.floats(0.8, 1.25),
-    )
-    def test_twin_device_ties_keep_the_smallest_config(
-        self, per_rank, names, efficiency
-    ):
-        per_rank = [
-            [replace(k, name=n) for k, n in zip(ks, names)]
-            for ks in per_rank
-        ]
-        node = twin_cpu_node()
-        pms = [SocketPowerModel(efficiency=efficiency)] * len(per_rank)
-        nodes = rank_nodes(node, pms)
-        store = NodeFrontierStore(nodes)
-        try:
-            table = store.profile_table([KernelArrays.of(ks) for ks in per_rank])
-        except ValueError as exc:
-            assert "power must be positive" in str(exc)
-            return
-        for rank, ks in enumerate(per_rank):
-            for kernel, prof in zip(ks, table[rank]):
-                assert_profile_is(prof, *node_oracle(kernel, nodes[rank]))
-                assert "cpu1" not in {c.device for c in prof.hull_configs}
 
 
 class TestNoisyTable:
@@ -247,18 +180,6 @@ class TestNoisyTable:
             for kernel, prof in zip(row, table[rank]):
                 want = reduce_space(task_space(kernel, pms[rank]), 0.05, rng)
                 assert_profile_is(prof, *want)
-
-    def test_noisy_node_table_draws_in_listed_order(self):
-        pms = [SocketPowerModel(efficiency=e) for e in (1.0, 1.07)]
-        nodes = rank_nodes(get_node("cpu-gpu-acc"), pms)
-        ks = [TaskKernel(cpu_seconds=0.3, name="fft"), TaskKernel(cpu_seconds=0.4)]
-        store = NodeFrontierStore(nodes, measurement_noise=0.05,
-                                  rng=np.random.default_rng(7))
-        table = store.profile_table([KernelArrays.of(ks), KernelArrays.of(ks[::-1])])
-        rng = np.random.default_rng(7)
-        for rank, row in enumerate([ks, ks[::-1]]):
-            for kernel, prof in zip(row, table[rank]):
-                assert_profile_is(prof, *node_oracle(kernel, nodes[rank], 0.05, rng))
 
     @pytest.mark.parametrize("noise", [0.0, 0.03])
     def test_trace_is_the_per_edge_pipeline(self, noise):

@@ -17,12 +17,8 @@ from hypothesis import given, settings
 from repro.machine import (
     ConfigPoint,
     Configuration,
-    CpuDevice,
     CpuSpec,
-    DeviceKind,
     FrontierStore,
-    GpuDevice,
-    NodeFrontierStore,
     PowerModelParams,
     SocketPowerModel,
     TaskKernel,
@@ -30,14 +26,10 @@ from repro.machine import (
     XEON_E5_2670,
     convex_frontier,
     enumerate_configurations,
-    get_node,
     lower_hull,
-    measure_device_task_space,
     measure_task,
     measure_task_space,
     pareto_frontier,
-    rank_nodes,
-    single_socket_node,
     task_space,
 )
 
@@ -147,30 +139,6 @@ class TestTaskSpace:
         want = outcome(space_points, kernel, pm, include_modulation)
         assert got == want  # dataclass ==: exact floats, same configs
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        kernel=kernels,
-        spec=specs,
-        efficiency=st.floats(0.5, 2.0),
-        time_scale=st.floats(0.5, 3.0),
-    )
-    def test_cpu_device_matches_its_scalar_models(
-        self, kernel, spec, efficiency, time_scale
-    ):
-        dev = CpuDevice(
-            device_id="cpu7",
-            kind=DeviceKind.CPU_EFFICIENCY,
-            spec=spec,
-            efficiency=efficiency,
-            time_scale=time_scale,
-        )
-        want = [
-            ConfigPoint(c, dev.duration(kernel, c), dev.power(kernel, c))
-            for c in dev.operating_points()
-        ]
-        assert measure_device_task_space(kernel, dev) == want
-        assert {p.config.device for p in want} == {"cpu7"}
-
     def test_spec_with_more_cores_than_the_socket_is_rejected(self, kernel):
         pm = SocketPowerModel(spec=CpuSpec(cores=4))
         with pytest.raises(ValueError, match="threads must be in"):
@@ -205,30 +173,20 @@ class TestGridMemo:
         assert again.configs is space.configs
         assert again.points() == space_points(kernel, pm, False)
 
-    def test_device_tag_does_not_leak_into_the_legacy_grid(self):
-        tagged = enumerate_configurations(XEON_E5_2670, device="cpu0")
-        plain = enumerate_configurations(XEON_E5_2670)
-        assert {c.device for c in tagged} == {"cpu0"}
-        assert {c.device for c in plain} == {""}
-
     def test_pstates_are_cached_and_unchanged(self):
         spec = CpuSpec()
         assert spec.pstates is spec.pstates
         assert spec.pstates == tuple(round(2.6 - 0.1 * k, 6) for k in range(15))
         assert spec.duty_cycles is spec.duty_cycles
         assert spec.duty_cycles == tuple((7 - k) / 8 for k in range(7))
-        gpu = GpuDevice()
-        assert gpu.pstates is gpu.pstates
-        assert gpu.pstates == tuple(round(1.4 - 0.1 * k, 6) for k in range(9))
         assert spec == CpuSpec() and hash(spec) == hash(CpuSpec())
 
 
 # ----------------------------------------------------------------------
 
-_DEVICES = ("", "cpu0", "gpu0")
 _CONFIGS = [
-    Configuration(f, n, device=d)
-    for d in _DEVICES
+    Configuration(f, n, duty)
+    for duty in (1.0, 0.5, 0.25)
     for f in (1.0, 2.0)
     for n in (1, 4)
 ]
@@ -271,14 +229,6 @@ class TestReductions:
         shuffled = data.draw(st.permutations(points))
         assert pareto_frontier(shuffled) == pareto_frontier(points)
 
-    def test_exact_tie_across_devices_keeps_the_smallest_config(self):
-        gpu = ConfigPoint(Configuration(1.0, 1, device="gpu0"), 2.0, 20.0)
-        cpu = ConfigPoint(Configuration(1.0, 1, device="cpu0"), 2.0, 20.0)
-        slow = ConfigPoint(Configuration(2.0, 4, device="gpu0"), 3.0, 25.0)
-        for points in ([gpu, cpu, slow], [slow, cpu, gpu]):
-            assert pareto_frontier(points) == [cpu]
-            assert pareto_frontier(points)[0] is cpu
-
     def test_lower_hull_returns_a_fresh_list(self):
         a = ConfigPoint(Configuration(1.0, 1), 2.0, 10.0)
         b = ConfigPoint(Configuration(2.0, 1), 1.0, 20.0)
@@ -301,9 +251,11 @@ def _fingerprint(profiles) -> str:
     h = hashlib.sha256()
     for prof in profiles:
         for part in (prof.points, prof.pareto, prof.convex):
+            # The empty string stands where the pinned digests were taken
+            # with each point's (always empty) device id.
             rows = [
                 (p.config.freq_ghz, p.config.threads, p.config.duty,
-                 p.config.device, p.duration_s.hex(), p.power_w.hex())
+                 "", p.duration_s.hex(), p.power_w.hex())
                 for p in part
             ]
             h.update(repr(rows).encode())
@@ -321,14 +273,6 @@ class TestStores:
             assert prof.pareto == scan_pareto(want)
             assert prof.convex == scan_convex(want)
 
-    def test_one_device_node_matches_the_socket_store(self):
-        pms = [SocketPowerModel(efficiency=e) for e in (0.93, 1.08)]
-        legacy = FrontierStore(pms)
-        node = NodeFrontierStore(rank_nodes(single_socket_node(), pms))
-        for rank in range(2):
-            for kernel in KERNELS:
-                assert node.profile(rank, kernel) == legacy.profile(rank, kernel)
-
     def test_equal_models_share_the_first_ranks_profile(self):
         a, b = SocketPowerModel(efficiency=1.0), SocketPowerModel(efficiency=1.1)
         twin = SocketPowerModel(efficiency=1.0)  # equal to a, not identical
@@ -337,14 +281,6 @@ class TestStores:
         assert profs[2] is profs[0] and profs[4] is profs[0]
         assert profs[3] is profs[1] and profs[1] is not profs[0]
         assert len(store) == 2
-
-    def test_equal_nodes_share_the_first_ranks_profile(self):
-        nodes = rank_nodes(
-            get_node("cpu-gpu"), [SocketPowerModel(efficiency=e) for e in (1, 1.2, 1)]
-        )
-        store = NodeFrontierStore(nodes)
-        assert store.profile(2, KERNELS[0]) is store.profile(0, KERNELS[0])
-        assert store.profile(1, KERNELS[0]) is not store.profile(0, KERNELS[0])
 
     # Pinned from the per-point implementation (one lognormal draw for the
     # duration, then one for the power, point by point): any change to the
@@ -361,18 +297,4 @@ class TestStores:
         )
         assert store.profile(1, KERNELS[0]).convex[0].duration_s == float.fromhex(
             "0x1.c8e10e6718594p+0"
-        )
-
-    def test_noisy_node_store_is_pinned(self):
-        pms = [SocketPowerModel(efficiency=e) for e in (1.0, 1.07, 1.0)]
-        store = NodeFrontierStore(
-            rank_nodes(get_node("cpu-gpu-acc"), pms),
-            measurement_noise=0.05,
-            rng=np.random.default_rng(2015),
-        )
-        order = [(0, 0), (1, 1), (2, 0)]
-        profiles = [store.profile(r, KERNELS[k]) for r, k in order]
-        assert len(profiles[0].points) == 120 + 9 + 1
-        assert _fingerprint(profiles) == (
-            "888016cc392fb27f2dc2d7c863fbe3c5c5d4bc74074d4406540435244b1d4129"
         )

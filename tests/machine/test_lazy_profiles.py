@@ -15,12 +15,9 @@ from repro.core import build_problem_instance, solve_fixed_order_lp
 from repro.exec.keys import trace_fingerprint
 from repro.machine import (
     FrontierStore,
-    NodeFrontierStore,
     PowerModelParams,
     SocketPowerModel,
     TaskKernel,
-    get_node,
-    rank_nodes,
 )
 from repro.machine import frontiers as frontiers_module
 from repro.machine.variability import make_power_models
@@ -125,7 +122,6 @@ class TestFingerprintsAreUnchanged:
     def test_noiseless_trace(self):
         app = make_comd(WorkloadSpec(**_APP))
         trace = trace_application(app, make_power_models(4, 11))
-        assert not trace.uses_devices
         assert trace_fingerprint(trace) == (
             "0566fbe8891f88d350c6606dc154f8e97c90a4910d3907e52dd2e97c60dbfb59"
         )
@@ -137,14 +133,4 @@ class TestFingerprintsAreUnchanged:
         )
         assert trace_fingerprint(trace) == (
             "d5b6ed0599162d2a68d73ef75d745235a242835e01f7334c3cb5665615485a43"
-        )
-
-    def test_heterogeneous_node_trace(self):
-        app = make_comd(WorkloadSpec(**_APP))
-        pms = make_power_models(4, 11)
-        store = NodeFrontierStore(rank_nodes(get_node("cpu-gpu"), pms))
-        trace = trace_application(app, pms, frontier_store=store)
-        assert trace.uses_devices
-        assert trace_fingerprint(trace) == (
-            "e5af9ca0e66cb7a8c6970e77fd68d674531c62c63c4c486867523740d86c08d5"
         )

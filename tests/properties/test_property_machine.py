@@ -119,35 +119,3 @@ class TestModelProperties:
         f_lo = ctrl.decide(kernel, 8, lo).config.effective_freq_ghz
         f_hi = ctrl.decide(kernel, 8, hi).config.effective_freq_ghz
         assert f_hi >= f_lo - 1e-12
-
-
-class TestDeviceProperties:
-    """Typed-device nodes: merged frontiers and the legacy-wrap identity."""
-
-    @given(kernel=kernels, eff=efficiencies)
-    @settings(max_examples=25, deadline=None)
-    def test_merged_node_pareto_never_dominated(self, kernel, eff):
-        from repro.machine.device import get_node
-        from repro.machine.frontiers import NodeFrontierStore
-
-        node = get_node("cpu-gpu").with_cpu_efficiency(eff)
-        prof = NodeFrontierStore([node]).profile(0, kernel)
-        for a in prof.pareto:
-            assert not any(b.dominates(a) for b in prof.points)
-        # Both device's points participated in the merge.
-        assert {p.config.device for p in prof.points} == {"cpu0", "gpu0"}
-
-    @given(kernel=kernels, eff=efficiencies)
-    @settings(max_examples=25, deadline=None)
-    def test_one_device_node_is_the_legacy_store(self, kernel, eff):
-        from repro.machine.device import rank_nodes, single_socket_node
-        from repro.machine.frontiers import FrontierStore, NodeFrontierStore
-
-        pm = [SocketPowerModel(efficiency=eff)]
-        legacy = FrontierStore(pm).profile(0, kernel)
-        wrapped = NodeFrontierStore(
-            rank_nodes(single_socket_node(), pm)
-        ).profile(0, kernel)
-        assert wrapped.points == legacy.points
-        assert wrapped.pareto == legacy.pareto
-        assert wrapped.convex == legacy.convex

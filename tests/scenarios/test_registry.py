@@ -24,8 +24,7 @@ class TestDefaultRegistry:
         reg = default_registry()
         assert reg.names() == [
             "adagio", "conductor", "config-search", "dvfs-energy",
-            "energy-lp", "flow-ilp", "lp", "lp-split",
-            "selection-only", "static",
+            "energy-lp", "flow-ilp", "lp", "selection-only", "static",
         ]
 
     def test_singleton(self):
@@ -45,7 +44,7 @@ class TestDefaultRegistry:
         for name in ("static", "conductor", "adagio", "selection-only",
                      "dvfs-energy", "config-search"):
             assert reg.get(name).kind == "runtime"
-        for name in ("lp", "lp-split", "flow-ilp", "energy-lp"):
+        for name in ("lp", "flow-ilp", "energy-lp"):
             assert reg.get(name).kind == "bound"
 
     def test_measurement_windows(self):
@@ -70,7 +69,7 @@ class TestDefaultRegistry:
     def test_contains_and_len(self):
         reg = default_registry()
         assert "lp" in reg and "magic" not in reg
-        assert len(reg) == 10
+        assert len(reg) == 9
 
 
 class TestConfigResolution:

@@ -149,5 +149,16 @@ class TestHashing:
             PolicySpec("static"), PolicySpec("lp", config={"time_limit_s": 5}),
         )).cell_hash()
 
+    def test_legacy_hashes_are_pinned(self):
+        """Digests pinned from the manifests and cell caches written
+        before: the homogeneous-socket document must hash the same."""
+        spec = make_spec()
+        assert spec.spec_hash() == (
+            "9325d505392608153a9f1713baec7b573c54b91921cd3376662b187860fa0d90"
+        )
+        assert spec.cell_hash() == (
+            "5248a7a0f5861c2836ae53f003cfff591ac95361291a0e35b067389d05194fd8"
+        )
+
     def test_hashes_stable_across_instances(self):
         assert make_spec().spec_hash() == make_spec().spec_hash()

@@ -111,12 +111,6 @@ class TestIdenticalCells:
         assert payloads(swept(spec)) == alone
         assert sweeps == [3, 3]  # one walk per static instance
 
-    def test_a_heterogeneous_node(self, sweeps, unswept):
-        spec = spec_for("comd", node="cpu-gpu")
-        alone = payloads(unswept(spec))
-        assert payloads(swept(spec)) == alone
-        assert sweeps == [3]
-
     def test_caps_below_the_minimum_are_not_swept(self, sweeps, unswept):
         spec = spec_for("sp", (20.0, 30.0, 45.0))
         alone = unswept(spec)

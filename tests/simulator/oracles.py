@@ -117,21 +117,16 @@ def run_scalar(
                 cfg = policy.configure(
                     ref, op.kernel, op.iteration, st.config
                 )
-                if cfg.device and self.nodes is not None:
-                    dev = self.nodes[rank].device(cfg.device)
-                    duration = dev.duration(op.kernel, cfg)
-                    power = dev.power(op.kernel, cfg)
-                else:
-                    duration = self.time_models[rank].duration(
-                        op.kernel, cfg.freq_ghz, cfg.threads, cfg.duty
-                    )
-                    power = self.power_models[rank].power(
-                        cfg.freq_ghz,
-                        cfg.threads,
-                        activity=op.kernel.activity,
-                        mem_intensity=op.kernel.mem_intensity,
-                        duty=cfg.duty,
-                    )
+                duration = self.time_models[rank].duration(
+                    op.kernel, cfg.freq_ghz, cfg.threads, cfg.duty
+                )
+                power = self.power_models[rank].power(
+                    cfg.freq_ghz,
+                    cfg.threads,
+                    activity=op.kernel.activity,
+                    mem_intensity=op.kernel.mem_intensity,
+                    duty=cfg.duty,
+                )
             if st.config is not None and cfg != st.config:
                 st.clock += policy.switch_cost_s()
                 dvfs_switches += 1

@@ -111,10 +111,10 @@ def test_every_runtime_policy_is_registered():
 
 
 def test_machine_layer_stays_at_the_bottom():
-    """``repro.machine`` (including the typed-device module) is the
-    substrate every layer builds on; it must not import the simulator,
-    formulations, runtimes, or the scenario/experiment layers.  Only the
-    cross-cutting observability package is allowed upward."""
+    """``repro.machine`` is the substrate every layer builds on; it must
+    not import the simulator, formulations, runtimes, or the
+    scenario/experiment layers.  Only the cross-cutting observability
+    package is allowed upward."""
     upper = (
         "simulator", "core", "scenarios", "exec", "experiments",
         "runtime", "workloads", "dag",
