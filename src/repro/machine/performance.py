@@ -206,13 +206,30 @@ class KernelArrays:
             mem_int=np.array([k.mem_intensity for k in kernels], dtype=float),
         )
 
-    def columns(self) -> "KernelArrays":
+    @classmethod
+    def concat(cls, parts: list["KernelArrays"]) -> "KernelArrays":
+        """The rows of ``parts``, one after another."""
+        if not parts:
+            return cls.of([])
+        return cls(
+            [k for part in parts for k in part.kernels],
+            *(
+                np.concatenate([getattr(part, name) for part in parts])
+                for name in _PARAMS
+            ),
+        )
+
+    def columns(self, rows: np.ndarray | None = None) -> "KernelArrays":
         """The same parameters shaped ``[n_tasks, 1]``, so evaluators
         broadcast them against ``[n_tasks, n_points]`` configuration
-        arrays (views; the elementwise expressions, and so the result
-        bits, are unchanged)."""
+        arrays (the elementwise expressions, and so the result bits, are
+        unchanged).  ``rows`` selects those rows only (and no kernels)."""
+        if rows is None:
+            return KernelArrays(
+                self.kernels, *(getattr(self, name)[:, None] for name in _PARAMS)
+            )
         return KernelArrays(
-            self.kernels, *(getattr(self, name)[:, None] for name in _PARAMS)
+            None, *(getattr(self, name)[rows][:, None] for name in _PARAMS)
         )
 
 

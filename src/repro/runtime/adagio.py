@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..machine.configuration import ConfigPoint
 from ..machine.frontiers import FrontierProfile, FrontierStore
 from ..machine.performance import TaskKernel, rank_kernel_arrays
@@ -25,6 +27,8 @@ from ..simulator.program import Application, TaskRef
 
 __all__ = [
     "task_key",
+    "observed_slack",
+    "smooth",
     "SlackEstimator",
     "FrontierTable",
     "first_fitting",
@@ -37,6 +41,39 @@ def task_key(record: TaskRecord, tasks_per_iteration: int) -> tuple[int, int]:
     if tasks_per_iteration <= 0:
         raise ValueError("tasks_per_iteration must be positive")
     return (record.ref.rank, record.ref.seq % tasks_per_iteration)
+
+
+def observed_slack(
+    starts: np.ndarray,
+    durations: np.ndarray,
+    last: np.ndarray,
+    draws: np.ndarray | None = None,
+) -> np.ndarray:
+    """The slack each task of one iteration left, for every sweep point.
+
+    Rows are the iteration's tasks grouped by rank, each rank's in start
+    order, and columns sweep points (a 1-D input is one point).  A task's
+    slack is the gap from its end to the next task's start on its rank,
+    or, where ``last`` marks the rank's final task, to the iteration's
+    end (the Pcontrol barrier, the latest end of any task).  ``draws``
+    are standard measurement errors, one per row shared by every point:
+    each perturbs its task's slack by that many task durations.
+    """
+    ends = starts + durations
+    nxt = np.empty_like(starts)
+    nxt[:-1] = starts[1:]
+    last = last.reshape(last.shape + (1,) * (starts.ndim - 1))
+    nxt = np.where(last, ends.max(axis=0), nxt)
+    slack = np.maximum(0.0, nxt - ends)
+    if draws is not None:
+        draws = draws.reshape(draws.shape + (1,) * (starts.ndim - 1))
+        slack = np.maximum(0.0, slack + durations * draws)
+    return slack
+
+
+def smooth(old, new, smoothing: float):
+    """Exponential smoothing of an estimate toward a new observation."""
+    return smoothing * new + (1 - smoothing) * old
 
 
 @dataclass
@@ -65,35 +102,46 @@ class SlackEstimator:
         ``noise`` models measurement error as an additive perturbation of
         each observed slack, proportional to the task duration — on a
         well-balanced application this is what makes Adagio occasionally
-        slow a critical task (the paper's SP pathology).
+        slow a critical task (the paper's SP pathology).  The errors are
+        drawn from ``rng``, one per record, rank by rank in order of each
+        rank's first record, each rank's in start order.
         """
         if not records:
             return
-        iteration_end = max(r.end_s for r in records)
         by_rank: dict[int, list[TaskRecord]] = {}
         for r in records:
             by_rank.setdefault(r.ref.rank, []).append(r)
-        for rank, recs in by_rank.items():
+        ordered: list[TaskRecord] = []
+        last = np.zeros(len(records), dtype=bool)
+        for recs in by_rank.values():
             recs.sort(key=lambda r: r.start_s)
-            tpi = self.tasks_per_iteration.get(rank, len(recs))
-            for i, rec in enumerate(recs):
-                nxt = recs[i + 1].start_s if i + 1 < len(recs) else iteration_end
-                slack = max(0.0, nxt - rec.end_s)
-                if rng is not None and noise > 0:
-                    slack = max(
-                        0.0, slack + rec.duration_s * float(rng.normal(0.0, noise))
-                    )
-                key = task_key(rec, tpi)
-                old = self.slack_s.get(key)
-                if old is None:
-                    self.slack_s[key] = slack
-                    self.duration_s[key] = rec.duration_s
-                else:
-                    a = self.smoothing
-                    self.slack_s[key] = a * slack + (1 - a) * old
-                    self.duration_s[key] = (
-                        a * rec.duration_s + (1 - a) * self.duration_s[key]
-                    )
+            ordered.extend(recs)
+            last[len(ordered) - 1] = True
+        draws = (
+            rng.normal(0.0, noise, len(ordered))
+            if rng is not None and noise > 0
+            else None
+        )
+        slacks = observed_slack(
+            np.array([r.start_s for r in ordered]),
+            np.array([r.duration_s for r in ordered]),
+            last,
+            draws,
+        ).tolist()
+        for rec, slack in zip(ordered, slacks):
+            rank = rec.ref.rank
+            tpi = self.tasks_per_iteration.get(rank, len(by_rank[rank]))
+            key = task_key(rec, tpi)
+            old = self.slack_s.get(key)
+            if old is None:
+                self.slack_s[key] = slack
+                self.duration_s[key] = rec.duration_s
+            else:
+                a = self.smoothing
+                self.slack_s[key] = smooth(old, slack, a)
+                self.duration_s[key] = smooth(
+                    self.duration_s[key], rec.duration_s, a
+                )
 
     def allowed_duration(self, key: tuple[int, int], safety: float = 0.9) -> float | None:
         """Duration budget for a task: last duration plus reclaimable slack.
@@ -158,6 +206,10 @@ class FrontierTable:
         arrays = rank_kernel_arrays(app)
         self._kernels = [ka.kernels for ka in arrays]
         self._profiles = store.profile_table(arrays)
+
+    def rows(self) -> list[list[FrontierProfile]]:
+        """Every task's profile, ``[rank][seq]``."""
+        return self._profiles
 
     def profile(self, ref: TaskRef, kernel: TaskKernel) -> FrontierProfile:
         """The profile of task ``ref``; raises ``ValueError`` unless the

@@ -40,7 +40,7 @@ from ..exec.cache import SolverCache, cached_solve_energy_lp
 from ..machine.frontiers import FrontierStore
 from ..machine.power import SocketPowerModel
 from ..runtime.adagio_policy import AdagioPolicy
-from ..runtime.conductor import ConductorConfig, ConductorPolicy
+from ..runtime.conductor import ConductorConfig, ConductorPlanner, ConductorPolicy
 from ..runtime.config_search import ConfigSearchPolicy
 from ..runtime.dvfs_energy import DvfsEnergyPolicy
 from ..runtime.selection_only import SelectionOnlyPolicy
@@ -114,13 +114,16 @@ class PolicyEntry:
     #: fixed-order LP that ``solve`` asks ``ctx.cap_solvers`` for at a
     #: schedulable cell's cap, so a serial sweep can solve them ahead.
     cap_lps: Callable[[dict], list[tuple[float, float | None]]] | None = None
-    #: Runtime entries whose policy plans its whole run from the cap alone
-    #: and reports no extras: ``sweep(ctx, cfg, engine, job_caps_w)`` runs
-    #: it at every job cap in one :meth:`Engine.run_sweep` walk, point
-    #: ``c`` being the run of ``build`` at ``job_caps_w[c]``, so a serial
-    #: sweep can run its cells' caps ahead.
+    #: Runtime entries whose policy decides from the cap and from what it
+    #: measures at Pcontrol barriers alone (so every cap's run walks the
+    #: DAG in one order): ``sweep(ctx, cfg, engine, job_caps_w)`` runs it
+    #: at every job cap in one :meth:`Engine.run_sweep` walk and returns
+    #: the outcome with each point's extras, point ``c`` being the run of
+    #: ``build`` at ``job_caps_w[c]`` and the extras those the cell
+    #: reports for it, so a serial sweep can run its cells' caps ahead.
     sweep: Callable[
-        [PolicyContext, dict, Engine, list[float]], SweepRunOutcome
+        [PolicyContext, dict, Engine, list[float]],
+        tuple[SweepRunOutcome, list[dict]],
     ] | None = None
 
     def __post_init__(self) -> None:
@@ -195,10 +198,10 @@ def _build_static(ctx: PolicyContext, cfg: dict) -> StaticPolicy:
 
 def _sweep_static(
     ctx: PolicyContext, cfg: dict, engine: Engine, job_caps_w: list[float]
-) -> SweepRunOutcome:
+) -> tuple[SweepRunOutcome, list[dict]]:
     policy = _build_static(ctx, cfg)
     plan = policy.plan_sweep(ctx.app, engine, job_caps_w)
-    return engine.run_sweep(ctx.app, policy, plan)
+    return engine.run_sweep(ctx.app, policy, plan), [{}] * len(job_caps_w)
 
 
 def _build_conductor(ctx: PolicyContext, cfg: dict) -> ConductorPolicy:
@@ -209,6 +212,21 @@ def _build_conductor(ctx: PolicyContext, cfg: dict) -> ConductorPolicy:
         config=ConductorConfig(**cfg),
         frontier_store=ctx.frontier_store,
     )
+
+
+def _sweep_conductor(
+    ctx: PolicyContext, cfg: dict, engine: Engine, job_caps_w: list[float]
+) -> tuple[SweepRunOutcome, list[dict]]:
+    planner = ConductorPlanner(
+        ctx.power_models,
+        job_caps_w,
+        ctx.app,
+        config=ConductorConfig(**cfg),
+        frontier_store=ctx.frontier_store,
+    )
+    outcome = engine.run_sweep(ctx.app, planner, planner.sweep_plan(engine))
+    # Reallocations happen at the same barriers at every cap.
+    return outcome, [{"reallocs": planner.realloc_count}] * len(job_caps_w)
 
 
 def _build_adagio(ctx: PolicyContext, cfg: dict) -> AdagioPolicy:
@@ -390,6 +408,7 @@ def _build_default_registry() -> PolicyRegistry:
         measure="steady",
         policy_class=ConductorPolicy,
         build=_build_conductor,
+        sweep=_sweep_conductor,
     ))
     reg.register(PolicyEntry(
         name="adagio",

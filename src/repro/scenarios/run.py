@@ -234,8 +234,8 @@ class _Shared:
     # populated by the lp bound entry (registry._solve_lp).
     cap_solvers: dict = field(default_factory=dict)
     # (policy label, per-socket cap) -> the run_scenarios sweep's point for
-    # it, which the cell takes in place of its engine run (see
-    # _running_ahead); empty outside a run_scenarios call.
+    # it and the point's extras, which the cell takes in place of its
+    # engine run (see _running_ahead); empty outside a run_scenarios call.
     swept: dict = field(default_factory=dict)
 
 
@@ -507,10 +507,10 @@ def _run_scenario_cell(
         label = pspec.label
         scope = partial(_scope, rec, f"{label} {tag}")
         if entry.kind == "runtime":
-            extra: dict = {}
             point = shared.swept.get((label, cap_per_socket_w))
             if point is not None:
-                result = point()
+                take, extra = point
+                result = take()
             else:
                 policy = entry.build(ctx, cfg)
                 with scope():
@@ -519,13 +519,14 @@ def _run_scenario_cell(
                         _emit_power_counters(
                             rec, result, shared.power_models, job_cap
                         )
+                extra = {}
                 reallocs = getattr(policy, "realloc_count", None)
                 if reallocs is not None:
                     extra["reallocs"] = reallocs
             time_s, energy_j = _measured(result, spec, entry.measure)
             outcomes[label] = PolicyOutcome(
                 name=label, policy=pspec.policy, kind="runtime",
-                time_s=time_s, extra=extra, energy_j=energy_j,
+                time_s=time_s, extra=dict(extra), energy_j=energy_j,
             )
         else:
             bound = entry.solve(ctx, cfg, scope)
@@ -654,9 +655,11 @@ def _running_ahead(
     cell, each entry's caps in one DAG walk.
 
     Every runtime entry of the spec that the registry can sweep (see
-    :attr:`~repro.scenarios.registry.PolicyEntry.sweep`) runs once over
-    the caps at or above the application's minimum schedulable cap, and
-    each cell takes its point where it ran its engine before.  Nothing
+    :attr:`~repro.scenarios.registry.PolicyEntry.sweep`: Static and
+    Conductor) runs once over the caps at or above the application's
+    minimum schedulable cap, and each cell takes its point, and the
+    point's extras (Conductor's ``reallocs``), where it ran its engine
+    and read its policy before.  Nothing
     runs ahead under an active trace recorder (per-event emission needs
     the scalar loop), and nothing is kept when building or sweeping
     fails: each cell then meets the error itself, as with
@@ -678,9 +681,9 @@ def _running_ahead(
             job_caps = [cap * spec.n_ranks for cap in caps]
             ctx = _policy_context(spec, shared, job_caps[0], cache=None)
             for label, sweep, cfg in sweeps:
-                outcome = sweep(ctx, cfg, shared.engine, job_caps)
+                outcome, extras = sweep(ctx, cfg, shared.engine, job_caps)
                 for c, cap in enumerate(caps):
-                    points[(label, cap)] = partial(outcome.result, c)
+                    points[(label, cap)] = (partial(outcome.result, c), extras[c])
     except Exception:
         points = {}
     if shared is not None:
@@ -724,8 +727,9 @@ def run_scenarios(
     those of a sweep without it (see
     :func:`~repro.core.sweep.solving_caps_ahead`).  The helper is joined
     before this returns or raises.  The same cells' sweepable runtimes
-    (Static) run ahead too, every cap in one DAG walk on this thread, and
-    each cell takes its cap's run (see :func:`_running_ahead`).
+    (Static, and Conductor, planned one Pcontrol interval at a time) run
+    ahead too, each over every cap in one DAG walk on this thread, and
+    each cell takes its cap's run and extras (see :func:`_running_ahead`).
 
     Every cell settles through one
     :meth:`~repro.exec.parallel.ParallelRunner.map_outcomes`, at every

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
@@ -63,6 +63,8 @@ __all__ = [
     "SweepRunPlan",
     "batch_task_durations",
     "batch_task_powers",
+    "ConfigPalette",
+    "switch_rule",
     "sweep_rank_plan",
 ]
 
@@ -166,10 +168,19 @@ class SweepRunPlan:
     Consumed by :meth:`Engine.run_sweep`, which replays the application's
     event DAG *once* with vector clocks over the sweep axis instead of
     once per sweep point.
+
+    A plan whose decisions change only at Pcontrol barriers is completed
+    as the walk goes: ``on_pcontrol(iteration, tasks, starts)`` is called
+    at each barrier with the ``(rank, seq)`` of every task run since the
+    previous one, in emission order, and the per-rank start columns
+    (``starts[rank][seq, c]``, filled for those tasks).  It fills the
+    rows of the tasks that run before the next barrier and returns the
+    barrier's overhead seconds.  None: every row is filled up front.
     """
 
     ranks: list
     n_points: int
+    on_pcontrol: Callable[[int, list, list], float] | None = None
 
     def column(self, c: int) -> RunPlan:
         """The c-th sweep point as the :class:`RunPlan` a scalar
@@ -212,15 +223,22 @@ def batch_task_powers(
     freq_ghz: np.ndarray,
     threads: np.ndarray,
     duty: np.ndarray,
+    efficiency: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized :meth:`SocketPowerModel.power` over one rank's tasks
-    (bit-identical to per-task calls; see :func:`batch_task_durations`)."""
+    (bit-identical to per-task calls; see :func:`batch_task_durations`).
+
+    ``efficiency``, when given, is each row's socket efficiency in place
+    of the model's own: rows from sockets that differ only in efficiency
+    evaluate in one pass."""
     p = power_model.params
     rel = freq_ghz / power_model.spec.fmax_ghz
     dyn = ka.activity * p.p_core_dyn_max * rel**p.freq_exponent
     uncore = p.p_uncore_idle + p.p_uncore_mem * ka.mem_int * duty
     per_core = p.p_core_leak + dyn * duty
-    return power_model.efficiency * (uncore + threads * per_core)
+    if efficiency is None:
+        efficiency = power_model.efficiency
+    return efficiency * (uncore + threads * per_core)
 
 
 def _config_arrays(
@@ -257,6 +275,95 @@ def plan_from_configs(app: Application, engine: "Engine", per_rank_configs: list
             RankPlan(configs=configs, durations=durations, powers=powers)
         )
     return RunPlan(ranks=plans)
+
+
+class ConfigPalette:
+    """Distinct configurations, each numbered by first use.
+
+    A ``[n_tasks, n_points]`` table of configurations is then an integer
+    array of ids, in which equal ids are equal configurations:
+    ``configs[i]`` is id ``i``'s configuration, and :meth:`arrays` gives
+    every id's object, frequency, threads and duty as arrays to index.
+    """
+
+    def __init__(self) -> None:
+        self.configs: list[Configuration] = []
+        self._by_value: dict[Configuration, int] = {}
+        # id(object) -> (object, id): holding the object keeps its id()
+        # from being reused while the entry lives.
+        self._by_object: dict[int, tuple[Configuration, int]] = {}
+        self._arrays: tuple | None = None
+
+    def copy(self) -> "ConfigPalette":
+        """A palette with the same ids that grows on its own."""
+        other = ConfigPalette()
+        other.configs = list(self.configs)
+        other._by_value = dict(self._by_value)
+        other._by_object = dict(self._by_object)
+        other._arrays = self._arrays
+        return other
+
+    def index(self, config: Configuration) -> int:
+        """The id of ``config`` (of an equal configuration, if one has
+        one already)."""
+        hit = self._by_object.get(id(config))
+        if hit is not None:
+            return hit[1]
+        i = self._by_value.setdefault(config, len(self.configs))
+        if i == len(self.configs):
+            self.configs.append(config)
+            self._arrays = None
+        self._by_object[id(config)] = (config, i)
+        return i
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(objects, freq_ghz, threads, duty)``, one entry per id."""
+        if self._arrays is None:
+            objects = np.empty(len(self.configs), dtype=object)
+            objects[:] = self.configs
+            self._arrays = (
+                objects,
+                np.array([c.freq_ghz for c in self.configs]),
+                np.array([c.threads for c in self.configs], dtype=np.int64),
+                np.array([c.duty for c in self.configs]),
+            )
+        return self._arrays
+
+
+def switch_rule(
+    targets: np.ndarray,
+    hold: np.ndarray,
+    first: np.ndarray,
+    before: np.ndarray | None = None,
+    has_before: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The 1 ms switch rule over a ``[n_tasks, n_points]`` table.
+
+    ``targets`` holds :class:`ConfigPalette` ids.  Rows are tasks, run in
+    order within segments (one rank's tasks), and ``first[i]`` is the
+    first row of row ``i``'s segment.  ``hold[i, c]`` is True where task
+    ``i`` keeps its rank's current configuration at point ``c`` rather
+    than switch to its target: the target runs too briefly to amortize a
+    switch, or there is none.  ``before`` holds, per row, the id its rank
+    ran before the segment, where ``has_before`` says it ran one; without
+    it no rank did, and a segment's first row must not hold.
+
+    Returns the id each task runs, the target of the last row of its
+    segment up to it that does not hold (else ``before``), and where it
+    switches: where that differs from what the rank ran just before.
+    """
+    rows = np.arange(len(hold))
+    last = np.maximum.accumulate(np.where(hold, -1, rows[:, None]), axis=0)
+    inherited = last < first[:, None]
+    chosen = targets[np.where(inherited, 0, last), np.arange(targets.shape[1])]
+    lead = (first == rows)[:, None]
+    if before is not None:
+        chosen = np.where(inherited, before, chosen)
+    prev = np.concatenate([chosen[:1], chosen[:-1]])
+    if before is None:
+        return chosen, (chosen != prev) & ~lead
+    prev = np.where(lead, before, prev)
+    return chosen, (chosen != prev) & ~(lead & ~has_before[:, None])
 
 
 def sweep_rank_plan(
@@ -639,8 +746,13 @@ class Engine:
                     ))
                 return clock + duration
 
+            def on_pcontrol(iteration: int) -> float:
+                records = list(iteration_records)
+                iteration_records.clear()
+                return policy.on_pcontrol(iteration, records)
+
             makespan, mpi_calls, mpi_waits, collectives, overhead = self._walk(
-                app, policy, None, compute, iteration_records, rec
+                app, None, compute, on_pcontrol, rec
             )
             metric_inc("sim.tasks", len(records))
             metric_inc("sim.mpi_waits", mpi_waits)
@@ -673,9 +785,12 @@ class Engine:
 
         Requires no active trace recorder (per-event emission needs
         scalar timestamps); callers with a recorder attached should fall
-        back to per-point :meth:`run` calls.  ``policy.on_pcontrol`` is
-        consulted with an empty record list, so only record-oblivious
-        policies (replay and other plan-based policies) are supported.
+        back to per-point :meth:`run` calls.  At each Pcontrol barrier the
+        plan's own ``on_pcontrol`` hook, when it has one, receives the
+        finished interval's tasks and start columns and fills the next
+        interval's rows (see :class:`SweepRunPlan`); otherwise
+        ``policy.on_pcontrol`` is consulted with an empty record list, so
+        a plan filled up front suits record-oblivious policies only.
         A plan with no points, with a rank count other than the
         application's, or with a rank whose arrays are not shaped
         ``(n_tasks, n_points)`` raises ``ValueError``.
@@ -702,9 +817,20 @@ class Engine:
             emissions.append((rank, seq, op))
             return clock + rank_plan.durations[seq]
 
+        hook = plan.on_pcontrol
+        interval_start = 0  # emissions index of the interval's first task
+
+        def on_pcontrol(iteration: int) -> float:
+            nonlocal interval_start
+            if hook is None:
+                return policy.on_pcontrol(iteration, [])
+            tasks = [(rank, seq) for rank, seq, _ in emissions[interval_start:]]
+            interval_start = len(emissions)
+            return hook(iteration, tasks, starts)
+
         with timed("phase.replay.sweep"):
             makespans, mpi_calls, mpi_waits, collectives, overhead = self._walk(
-                app, policy, plan.n_points, compute, [], None
+                app, plan.n_points, compute, on_pcontrol, None
             )
         return SweepRunOutcome(
             app_name=app.name,
@@ -724,10 +850,9 @@ class Engine:
     def _walk(
         self,
         app: Application,
-        policy: ConfigPolicy,
         width: int | None,
         compute,
-        pcontrol_records: list,
+        on_pcontrol: Callable[[int], float],
         rec,
     ) -> tuple:
         """Walk the application's event DAG to completion: the scheduler.
@@ -743,10 +868,9 @@ class Engine:
 
         ``compute(rank, seq, op, clock)`` runs the rank's ``seq``-th task
         from ``clock`` and returns the clock after it.  At each Pcontrol
-        barrier ``policy.on_pcontrol`` receives a copy of
-        ``pcontrol_records`` (which ``compute`` may fill), and the list is
-        emptied.  ``rec``, when not None, receives the wait and collective
-        trace events (scalar clocks only).
+        barrier ``on_pcontrol(iteration)`` returns the barrier's overhead
+        seconds, charged to every rank.  ``rec``, when not None, receives
+        the wait and collective trace events (scalar clocks only).
 
         Returns ``(makespan, mpi calls, mpi waits, collectives, Pcontrol
         overhead seconds)``.
@@ -844,10 +968,9 @@ class Engine:
             done = reduce(mx, enter)
             if isinstance(first, PcontrolOp):
                 name = "pcontrol"
-                cost = policy.on_pcontrol(first.iteration, list(pcontrol_records))
+                cost = on_pcontrol(first.iteration)
                 if cost < 0:
                     raise ValueError("pcontrol overhead must be >= 0")
-                pcontrol_records.clear()
                 pcontrol_overhead += cost
             else:
                 name = first.kind

@@ -23,6 +23,7 @@ from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.performance import TaskKernel, TaskTimeModel, rank_kernel_arrays
 from ..machine.power import SocketPowerModel
 from .engine import (
+    ConfigPalette,
     Engine,
     RunPlan,
     SimulationResult,
@@ -30,6 +31,7 @@ from .engine import (
     TaskRecord,
     batch_task_durations,
     sweep_rank_plan,
+    switch_rule,
 )
 from .network import IB_QDR, NetworkModel
 from .program import Application, TaskRef
@@ -179,73 +181,57 @@ def build_replay_sweep_plan(
     Column ``c`` is the plan :meth:`ReplayPolicy.configure` makes task by
     task for ``assignments[c]`` (:meth:`ReplayPolicy.plan_run` is column
     0 of a one-point sweep): the 1 ms-rule durations of the assigned
-    targets are evaluated for all points with one broadcast per rank, a
-    sequential pass applies the carry-current semantics per point, and
-    the chosen configurations' durations and powers are batch evaluated
+    targets are evaluated for all points with one broadcast per rank,
+    :func:`~repro.simulator.engine.switch_rule` applies the
+    carry-current semantics to every point at once, and the chosen
+    configurations' durations and powers are batch evaluated
     ``[n_tasks, n_points]`` at once.  Bit-identical per point (the tests
     assert this).
     """
     time_model = TaskTimeModel(spec)
     arrays = rank_kernel_arrays(app)
     n_points = len(assignments)
+    counts = np.array([len(ka.kernels) for ka in arrays], dtype=np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    # Every point's targets as ids of one palette, -1 where it has none.
+    palette = ConfigPalette()
+    targets = np.full((offsets[-1], n_points), -1, dtype=np.int64)
+    for c, assignment in enumerate(assignments):
+        refs = list(assignment)
+        ranks = np.array([ref.rank for ref in refs], dtype=np.int64)
+        seqs = np.array([ref.seq for ref in refs], dtype=np.int64)
+        ids = np.array(
+            [-1 if cfg is None else palette.index(cfg) for cfg in assignment.values()],
+            dtype=np.int64,
+        )
+        ours = (ranks >= 0) & (ranks < app.n_ranks)
+        ours[ours] &= (seqs[ours] >= 0) & (seqs[ours] < counts[ranks[ours]])
+        targets[offsets[ranks[ours]] + seqs[ours], c] = ids[ours]
+    objects, freq, threads, duty = palette.arrays()
     rank_plans = []
     for rank in range(app.n_ranks):
-        ka = arrays[rank]
-        ka_cols = ka.columns()
-        n_tasks = len(ka.kernels)
-        targets = [[None] * n_points for _ in range(n_tasks)]
-        freq = np.ones((n_tasks, n_points))
-        thr = np.ones((n_tasks, n_points), dtype=np.int64)
-        duty = np.ones((n_tasks, n_points))
-        for i in range(n_tasks):
-            ref = TaskRef(rank, i)
-            row_t = targets[i]
-            for c, assignment in enumerate(assignments):
-                target = assignment.get(ref)
-                if target is not None:
-                    row_t[c] = target
-                    freq[i, c] = target.freq_ghz
-                    thr[i, c] = target.threads
-                    duty[i, c] = target.duty
-        planned = batch_task_durations(time_model, ka_cols, freq, thr, duty)
-        # Carry-current pass, per point (cheap python over a small table;
-        # the float work above and below is batched).
-        configs: list[list[Configuration]] = []
-        current: list[Configuration | None] = [None] * n_points
-        switches = np.zeros((n_tasks, n_points), dtype=bool)
-        for i in range(n_tasks):
-            row_t = targets[i]
-            row: list[Configuration] = []
-            for c in range(n_points):
-                target = row_t[c]
-                cur = current[c]
-                if target is None:
-                    if cur is None:
-                        raise KeyError(
-                            "replay schedule has no configuration for "
-                            f"first task {TaskRef(rank, i)}"
-                        )
-                    target = cur
-                elif (
-                    cur is not None
-                    and target != cur
-                    and planned[i, c] < min_switch_duration_s
-                ):
-                    target = cur  # too short to amortize the transition
-                if cur is not None and target != cur:
-                    switches[i, c] = True
-                row.append(target)
-                current[c] = target
-            configs.append(row)
-        for i in range(n_tasks):
-            row = configs[i]
-            for c in range(n_points):
-                cfg = row[c]
-                freq[i, c] = cfg.freq_ghz
-                thr[i, c] = cfg.threads
-                duty[i, c] = cfg.duty
+        ka_cols = arrays[rank].columns()
+        tid = targets[offsets[rank]:offsets[rank + 1]]
+        missing = tid < 0
+        if len(tid) and missing[0].any():
+            raise KeyError(
+                "replay schedule has no configuration for first task "
+                f"{TaskRef(rank, 0)}"
+            )
+        known = np.where(missing, 0, tid)
+        planned = batch_task_durations(
+            time_model, ka_cols, freq[known], threads[known], duty[known]
+        )
+        # A task without a target, or too short to amortize the
+        # transition, keeps the rank's current configuration.
+        hold = missing | (planned < min_switch_duration_s)
+        hold[:1] = False
+        chosen, switches = switch_rule(
+            known, hold, np.zeros(len(tid), dtype=np.int64)
+        )
         rank_plans.append(sweep_rank_plan(
-            engine, rank, ka_cols, configs, freq, thr, duty,
+            engine, rank, ka_cols, objects[chosen],
+            freq[chosen], threads[chosen], duty[chosen],
             switches, switch_overhead_s,
         ))
     return SweepRunPlan(ranks=rank_plans, n_points=n_points)

@@ -1,7 +1,8 @@
 """The runtimes as they read frontiers before the frontier table.
 
-Each class keeps its policy's state and bookkeeping and replaces only the
-methods that read frontiers with the per-kernel versions: a store lookup
+Each class keeps its policy's state and bookkeeping (Conductor's as the
+per-task :class:`.conductor_oracle.ScalarConductor` kept it) and replaces
+only the methods that read frontiers with the per-kernel versions: a store lookup
 per decision, ``ConfigPoint`` lists filtered by budget, and
 :func:`slowest_fitting_point` over them.  The table-reading policies
 must make the same decisions, record for record.
@@ -17,12 +18,13 @@ import numpy as np
 from repro.machine import ConfigPoint, Configuration, FrontierStore, TaskKernel
 from repro.runtime import (
     AdagioPolicy,
-    ConductorPolicy,
     SelectionOnlyPolicy,
     slowest_fitting_point,
 )
 from repro.runtime.conductor import task_key_for
 from repro.simulator import TaskRecord, TaskRef
+
+from .conductor_oracle import ScalarConductor
 
 
 class _OwnStore:
@@ -31,7 +33,7 @@ class _OwnStore:
         self.frontiers = FrontierStore(self.power_models)
 
 
-class ListConductor(_OwnStore, ConductorPolicy):
+class ListConductor(_OwnStore, ScalarConductor):
     """Conductor deciding from per-kernel ``ConfigPoint`` lists."""
 
     def _exploration_config(

@@ -1,5 +1,7 @@
 """Unit and behavioral tests for the Conductor runtime."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,12 @@ class TestConductorConfig:
             {"step_w": 0.0},
             {"receiver_fraction": 0.0},
             {"measurement_noise": -0.1},
+            {"switch_overhead_s": -0.5},
+            {"realloc_overhead_s": -1e-6},
+            {"min_switch_duration_s": -1e-3},
+            {"donor_margin_w": -0.5},
+            {"adagio_safety": -3.0},
+            {"adagio_safety": 1.5},
         ],
     )
     def test_validation(self, kwargs):
@@ -74,8 +82,9 @@ class TestConductorPolicy:
 
     def test_steady_state_fastest_under_budget(self, models, kernel):
         app = kernel_app(kernel)
-        policy = ConductorPolicy(models, 120.0, app, config=FAST_CONDUCTOR)
-        cfg = policy.configure(TaskRef(0, 0), kernel, 5, None)
+        steady = dataclasses.replace(FAST_CONDUCTOR, exploration_iterations=0)
+        policy = ConductorPolicy(models, 120.0, app, config=steady)
+        cfg = policy.configure(TaskRef(0, 0), kernel, 0, None)
         frontier = policy.frontiers.convex(0, kernel)
         budget = policy.alloc_w[0]
         fits = [p for p in frontier if p.power_w <= budget]
@@ -83,9 +92,11 @@ class TestConductorPolicy:
 
     def test_rapl_fallback_below_frontier(self, models, kernel):
         app = kernel_app(kernel)
-        policy = ConductorPolicy(models, 120.0, app, config=FAST_CONDUCTOR)
-        policy.alloc_w[:] = 8.0  # below any frontier point
-        cfg = policy.configure(TaskRef(0, 0), kernel, 5, None)
+        steady = dataclasses.replace(FAST_CONDUCTOR, exploration_iterations=0)
+        # 8 W per rank: below any frontier point.
+        policy = ConductorPolicy(models, 4 * 8.0, app, config=steady)
+        assert (policy.alloc_w == 8.0).all()
+        cfg = policy.configure(TaskRef(0, 0), kernel, 0, None)
         assert cfg.effective_freq_ghz <= 1.2
 
     def test_switch_cost(self, models, app):

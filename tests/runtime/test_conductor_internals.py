@@ -31,11 +31,23 @@ def record(rank, start, dur, power, kernel):
     )
 
 
+def reallocate(policy, records):
+    """One barrier of ``policy``'s planner over ``records`` (iteration 5:
+    past exploration, and every barrier reallocates)."""
+    assert policy.planner.barrier(
+        5,
+        np.array([r.ref.rank for r in records]),
+        np.array([r.ref.seq for r in records]),
+        np.array([[r.start_s] for r in records]),
+        np.array([[r.duration_s] for r in records]),
+    ) == policy.cfg.realloc_overhead_s
+
+
 class TestReallocateController:
-    def make_policy(self, models, app, **overrides):
+    def make_policy(self, models, app, job_cap_w=120.0, **overrides):
         kwargs = dict(realloc_period=1, step_w=100.0, measurement_noise=0.0)
         kwargs.update(overrides)
-        return ConductorPolicy(models, 120.0, app,
+        return ConductorPolicy(models, job_cap_w, app,
                                config=ConductorConfig(**kwargs))
 
     def test_heavy_rank_gains(self, models, kernel):
@@ -46,7 +58,7 @@ class TestReallocateController:
             for r in range(4)
         ]
         before = policy.alloc_w.copy()
-        policy._reallocate(records)
+        reallocate(policy, records)
         assert policy.alloc_w[3] > before[3]
         assert policy.alloc_w.sum() <= 120.0 + 1e-9
 
@@ -54,7 +66,7 @@ class TestReallocateController:
         policy = self.make_policy(models, kernel_app(kernel))
         records = [record(r, 0.0, 1.5, 29.0, kernel) for r in range(4)]
         before = policy.alloc_w.copy()
-        policy._reallocate(records)
+        reallocate(policy, records)
         # Everyone critical and equally needy: allocation barely moves.
         np.testing.assert_allclose(policy.alloc_w, before, atol=2.0)
 
@@ -66,16 +78,15 @@ class TestReallocateController:
             for r in range(4)
         ]
         before = policy.alloc_w.copy()
-        policy._reallocate(records)
+        reallocate(policy, records)
         assert np.abs(policy.alloc_w - before).max() <= 1.0 + 1e-9
 
     def test_infeasible_demand_scales_down(self, models):
         hungry = TaskKernel(cpu_seconds=1.0, activity=1.8, mem_intensity=0.8)
-        policy = self.make_policy(models, kernel_app(hungry))
-        policy.job_cap_w = 60.0
-        policy.alloc_w[:] = 15.0
+        policy = self.make_policy(models, kernel_app(hungry), job_cap_w=60.0)
+        assert (policy.alloc_w == 15.0).all()
         records = [record(r, 0.0, 2.0, 15.0, hungry) for r in range(4)]
-        policy._reallocate(records)
+        reallocate(policy, records)
         assert policy.alloc_w.sum() <= 60.0 + 1e-6
 
 

@@ -1,13 +1,15 @@
-"""Serial sweeps run Static at every pending cap ahead: same bytes.
+"""Serial sweeps run Static and Conductor at every pending cap ahead.
 
 An in-process ``run_scenarios`` runs each sweepable runtime entry (see
-``PolicyEntry.sweep``; Static is one) at every cap its cells will
-compute, in one vector-clock DAG walk before the first cell, and each
-cell takes its cap's run where it ran its engine before.  Nothing
-observable may change: cell payloads, the deterministic metrics
-snapshot and the trace export all match a sweep without it (the
-``_running_ahead`` block replaced by a no-op).  The sweep needs no
-second CPU, so CI also runs this file under ``taskset -c 0``.
+``PolicyEntry.sweep``: Static, and Conductor, planned one Pcontrol
+interval at a time) at every cap its cells will compute, in one
+vector-clock DAG walk before the first cell, and each cell takes its
+cap's run and extras where it ran its engine before.  Nothing observable
+may change: cell payloads, the deterministic metrics snapshot and the
+trace export all match a sweep without it (the ``_running_ahead`` block
+replaced by a no-op), and each swept point is the scalar run at its cap,
+record for record.  The sweep needs no second CPU, so CI also runs this
+file under ``taskset -c 0``.
 """
 
 from __future__ import annotations
@@ -28,10 +30,14 @@ from repro.experiments.runner import comparison_spec
 from repro.obs import Metrics, TraceRecorder, use_metrics
 from repro.obs.export import chrome_trace
 from repro.obs.recorder import use_recorder
+from repro.runtime import ConductorConfig
 from repro.scenarios import run as run_mod
+from repro.scenarios.registry import default_registry
 from repro.scenarios.run import cell_payload, run_scenarios
 from repro.scenarios.spec import PolicySpec
 from repro.simulator.engine import Engine, SimulationResult
+
+from ..runtime.conductor_oracle import ScalarConductor
 
 RANKS = 4
 #: sp's and lulesh's 30 W caps are below their minimum cap (40 W).
@@ -98,7 +104,7 @@ class TestIdenticalCells:
         assert sweeps == []
         assert payloads(swept(spec)) == alone
         schedulable = 2 if bench in ("sp", "lulesh") else 3
-        assert sweeps == [schedulable]
+        assert sweeps == [schedulable] * 2  # static, then conductor
         assert points_left(spec) == {}
 
     def test_a_threads_override(self, sweeps, unswept):
@@ -117,7 +123,7 @@ class TestIdenticalCells:
         result = swept(spec)
         assert payloads(result) == payloads(alone)
         assert [c.schedulable for c in result.cells] == [False, False, True]
-        assert sweeps == [1]
+        assert sweeps == [1, 1]
 
     def test_no_schedulable_cap_sweeps_nothing(self, sweeps):
         result = swept(spec_for("sp", (20.0, 30.0)))
@@ -168,18 +174,34 @@ class TestWindowFromColumns:
 
 
 class TestTracing:
-    def test_a_recorder_runs_every_cell_on_its_own(self, sweeps, unswept):
+    def test_a_recorder_runs_every_cell_on_its_own(
+        self, sweeps, unswept, monkeypatch
+    ):
         spec = spec_for("comd")
+        runs = []
+        run_one = Engine.run
+
+        def counted(self, app, policy):
+            runs.append(type(policy).__name__)
+            return run_one(self, app, policy)
+
+        monkeypatch.setattr(Engine, "run", counted)
 
         def export(run) -> str:
             recorder = TraceRecorder()
             with use_recorder(recorder):
                 result = run(spec)
-            doc = chrome_trace(recorder.snapshot())
+            events = recorder.snapshot()
+            for cap in CAPS["comd"]:
+                scope = f"conductor comd cap={cap:g}W"
+                kinds = [e["kind"] for e in events if e["run"] == scope]
+                assert kinds.count("realloc") > 0
+            doc = chrome_trace(events)
             return payloads(result), json.dumps(doc, sort_keys=True)
 
         assert export(swept) == export(unswept)
         assert sweeps == []
+        assert runs.count("ConductorPolicy") == 2 * len(CAPS["comd"])
 
 
 # ----------------------------------------------------------------------
@@ -188,10 +210,10 @@ class TestServedCells:
         spec = spec_for("comd")
         warm = SolverCache(tmp_path)
         swept(spec_for("comd", (55.0,)), cache=warm)
-        assert sweeps == [1]
+        assert sweeps == [1, 1]
         sweeps.clear()
         result = swept(spec, cache=warm)
-        assert sweeps == [2]  # 55 W is served
+        assert sweeps == [2, 2]  # 55 W is served
         assert payloads(result) == payloads(unswept(spec))
         sweeps.clear()
         swept(spec, cache=warm)
@@ -205,7 +227,7 @@ class TestServedCells:
         path.write_text(lines[0] + "\n")  # died after the first cell
         sweeps.clear()
         resumed = swept(spec, journal=SweepJournal(path))
-        assert sweeps == [2]
+        assert sweeps == [2, 2]
         assert payloads(resumed) == payloads(unswept(spec))
 
 
@@ -285,6 +307,7 @@ class TestFailures:
         monkeypatch.setattr(Engine, "run", counted)
         assert payloads(swept(spec)) == alone
         assert runs.count("StaticPolicy") == 3
+        assert runs.count("ConductorPolicy") == 3
 
     def test_points_are_dropped_when_a_cell_raises(self, monkeypatch):
         spec = spec_for("comd")
@@ -301,6 +324,103 @@ class TestFailures:
         with pytest.raises(ParallelExecutionError, match="cell failed"):
             swept(spec)
         # Every cell settles before the sweep raises: 40 W, both attempts
-        # of 55 W, then 70 W, each with the points still in place.
-        assert left == [3, 3, 3, 3]
+        # of 55 W, then 70 W, each with the points of both runtimes at
+        # all three caps still in place.
+        assert left == [6, 6, 6, 6]
         assert points_left(spec) == {}
+
+
+# ----------------------------------------------------------------------
+#: ``ConductorPolicy.oracle``'s regime: noiseless measurements,
+#: reallocation at every barrier, unbounded steps.
+ORACLE = {
+    "exploration_iterations": 1, "realloc_period": 1, "step_w": 1e6,
+    "measurement_noise": 0.0, "switch_overhead_s": 0.0,
+    "realloc_overhead_s": 0.0, "seed": 0,
+}
+
+
+def conductor_spec(bench, caps=None, n_ranks=RANKS, config=None):
+    spec = comparison_spec(benchmark_config(bench, n_ranks), caps or CAPS[bench])
+    if config is None:
+        return spec
+    return dataclasses.replace(spec, policies=(
+        PolicySpec("static"), PolicySpec("conductor", config=config),
+        PolicySpec("lp"),
+    ))
+
+
+def swept_points(spec):
+    """The conductor entry's sweep over the spec's schedulable caps, each
+    point beside the scalar runs at its cap: the product's
+    ``Engine.run`` and the per-task reference runtime."""
+    shared = run_mod._shared_for(spec)
+    entry = default_registry().get("conductor")
+    pspec = next(p for p in spec.policies if p.policy == "conductor")
+    cfg = entry.resolve_config(pspec.config)
+    caps = run_mod._schedulable(shared, list(spec.caps_per_socket_w))
+    job_caps = [cap * spec.n_ranks for cap in caps]
+    ctx = run_mod._policy_context(spec, shared, job_caps[0], cache=None)
+    outcome, extras = entry.sweep(ctx, cfg, shared.engine, job_caps)
+    for c, job_cap in enumerate(job_caps):
+        policy = entry.build(dataclasses.replace(ctx, job_cap_w=job_cap), cfg)
+        reference = ScalarConductor(
+            shared.power_models, job_cap, shared.app_run,
+            config=ConductorConfig(**cfg), frontier_store=shared.frontiers,
+        )
+        runs = [
+            shared.engine.run(shared.app_run, p) for p in (policy, reference)
+        ]
+        yield outcome.result(c), extras[c], runs, policy, reference
+
+
+def assert_points_are_scalar_runs(spec) -> list:
+    points = []
+    for point, extra, runs, policy, reference in swept_points(spec):
+        for run in runs:
+            assert point.records == run.records  # in order, equal floats
+            assert point.makespan_s == run.makespan_s
+            assert point.dvfs_switch_count == run.dvfs_switch_count
+            assert point.pcontrol_overhead_s == run.pcontrol_overhead_s
+        assert extra == {"reallocs": policy.realloc_count}
+        assert policy.realloc_count == reference.realloc_count > 0
+        points.append(point)
+    return points
+
+
+class TestConductorSweep:
+    @pytest.mark.parametrize("bench", ["comd", "bt", "sp"])
+    def test_points_are_the_scalar_runs(self, bench):
+        assert_points_are_scalar_runs(conductor_spec(bench))
+
+    @pytest.mark.parametrize(
+        "case",
+        ["oracle", "rapl-fallback", "one-rank"],
+    )
+    def test_cells_and_points(self, case, sweeps, unswept):
+        spec = {
+            "oracle": lambda: conductor_spec("comd", config=ORACLE),
+            # 9 W per socket is below every cheapest hull point (about
+            # 10-11 W): RAPL throttles.
+            "rapl-fallback": lambda: conductor_spec("comd", (9.0, 55.0)),
+            "one-rank": lambda: conductor_spec("bt", n_ranks=1),
+        }[case]()
+        alone = payloads(unswept(spec))
+        assert sweeps == []
+        assert payloads(swept(spec)) == alone
+        assert sweeps == [len(spec.caps_per_socket_w)] * 2
+        points = assert_points_are_scalar_runs(spec)
+        if case == "rapl-fallback":
+            steady = [r for r in points[0].records if r.iteration >= 3]
+            assert steady and all(r.config.duty < 1.0 for r in steady)
+
+    def test_reallocs_are_the_scalar_runs(self, unswept):
+        spec = conductor_spec("sp")
+        for run in (swept, unswept):
+            reallocs = [
+                cell.outcomes["conductor"].extra["reallocs"]
+                for cell in run(spec).cells if cell.schedulable
+            ]
+            assert reallocs and all(n > 0 for n in reallocs)
+        want = [policy.realloc_count for *_, policy, _ in swept_points(spec)]
+        assert reallocs == want
