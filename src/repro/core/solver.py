@@ -17,7 +17,7 @@ import os
 import threading
 import time
 import types
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -491,6 +491,7 @@ class FrozenProgram:
         rhs: dict[str, float] | None = None,
         *,
         ahead: Future | None = None,
+        meanwhile: Callable[[], None] | None = None,
     ) -> LpSolution:
         """Solve, optionally re-bounding tagged rows (``{tag: new_rhs}``).
 
@@ -501,8 +502,9 @@ class FrozenProgram:
         ``ahead`` is this very solve (same ``rhs`` and ``time_limit_s``)
         already handed to helper threads by :func:`solving_ahead`: if no
         helper has started it, it is cancelled and solved here; otherwise
-        this call waits for the helper's outcome.  Either way it is
-        recorded here, on the calling thread.
+        this call waits for the helper's outcome, first calling
+        ``meanwhile`` (when given) to do other work on this thread.
+        Either way it is recorded here, on the calling thread.
 
         Every solve is audited: when a :class:`repro.obs.SolveAudit` is
         active, the model shape, iteration count, status, objective,
@@ -514,6 +516,8 @@ class FrozenProgram:
         if ahead is None or ahead.cancel():
             outcome = self._compute(*self._bounds_with(rhs), time_limit_s)
         else:
+            if meanwhile is not None and not ahead.done():
+                meanwhile()
             outcome = ahead.result()
         return self._record(*outcome)
 
@@ -775,6 +779,18 @@ class _Slot(threading.local):
 
 
 _SLOT = _Slot()
+
+
+def drop_thread_handle() -> None:
+    """Free the calling thread's HiGHS handle and the model it holds.
+
+    The thread's next solve starts a new handle; a new handle's first
+    solve has the same bits as a re-solve, since every solve is cold.
+    """
+    _SLOT.highs = None
+    _SLOT.program = None
+    _SLOT.b_ub = None
+    _SLOT.time_limit = np.inf
 
 try:  # glibc's malloc_trim: return freed heap pages to the OS
     _malloc_trim = ctypes.CDLL(None).malloc_trim

@@ -22,13 +22,14 @@ from collections.abc import Callable, Iterator
 from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 from ..obs.metrics import timed
 from ..simulator.trace import Trace
 from .events import EventStructure
 from .fixed_order_lp import FixedOrderLpResult, compile_fixed_order
 from .model import CAP_ROW_TAG, ProblemInstance, build_problem_instance, extract_schedule
-from .solver import LpStatus, helper_threads, solving_ahead
+from .solver import LpStatus, drop_thread_handle, helper_threads, solving_ahead
 
 __all__ = [
     "CapSweepResult",
@@ -103,6 +104,8 @@ class ParametricCapSolver:
         # (cap_w, time_limit_s) -> the solve solving_caps_ahead started
         # for it, taken (and dropped) by the first solve of that cap.
         self._ahead: dict[tuple[float, float | None], Future] = {}
+        # The solving_caps_ahead block that filled _ahead, if one is open.
+        self._ahead_block: _SolvesAhead | None = None
 
     @property
     def events(self) -> EventStructure:
@@ -135,7 +138,8 @@ class ParametricCapSolver:
 
         Cache hits are served first.  A cap that
         :func:`solving_caps_ahead` already handed to a helper thread takes
-        that solve; the remaining caps are solved on up to two threads,
+        that solve (see there for what the caller does while it waits);
+        the remaining caps are solved on up to two threads,
         one per CPU this process may run on (the caller's included): a
         helper thread solves them from the last cap backwards while the
         caller takes them in cap order, solving each one the helper has
@@ -151,6 +155,7 @@ class ParametricCapSolver:
             _checked_caps(caps_w)
         )
         ahead = {cap: self._ahead.pop((cap, time_limit_s), None) for cap in results}
+        block = self._ahead_block
         keys = {}
         if cache is not None:
             # Imported here: repro.exec sits above repro.core in the
@@ -178,9 +183,13 @@ class ParametricCapSolver:
         with solving_ahead(jobs) as futures:
             ahead.update(zip(own, futures))
             for cap in misses:
+                meanwhile = None
+                if block is not None and cap not in own:
+                    meanwhile = partial(block.solve_until, ahead[cap])
                 with timed("phase.solve"):
                     solution = self._frozen.solve(
-                        time_limit_s, {CAP_ROW_TAG: cap}, ahead=ahead[cap]
+                        time_limit_s, {CAP_ROW_TAG: cap},
+                        ahead=ahead[cap], meanwhile=meanwhile,
                     )
                 if solution.status is LpStatus.OPTIMAL:
                     schedule = extract_schedule(
@@ -213,12 +222,17 @@ def solving_caps_ahead(
     order.  Each :meth:`ParametricCapSolver.solve` of a listed cap then
     takes its solve: it cancels it and solves on the calling thread if
     the helper has not started it, or waits for the helper's result.
-    Either way the solve is recorded, decoded and cached on the calling
-    thread, and every solve starts cold, so the results are the same
-    bits.  A solve is taken once; a later solve of the same cap solves
-    for itself.  The helper is joined when the block ends, and unused
-    solves are dropped.  At width 1 ``plan`` is never called, so nothing
-    it would build is built.
+    While it waits it does not idle: it solves the listed solves the
+    helper has not started, from the last one back, until the helper's
+    result is in (:meth:`_SolvesAhead.solve_until`), so the two threads
+    meet in the middle of the list the way :meth:`~ParametricCapSolver.solve_many`'s
+    do.  Either way the solve is recorded, decoded and cached on the
+    calling thread when its cap asks for it, and every solve starts
+    cold, so the results are the same bits.  A solve is taken once; a
+    later solve of the same cap solves for itself.  The helper is joined
+    when the block ends, unused solves are dropped, and the calling
+    thread's HiGHS handle is freed with the helper's.  At width 1
+    ``plan`` is never called, so nothing it would build is built.
     """
     if not helper_threads(1, busy_caller=True):
         yield
@@ -229,14 +243,53 @@ def solving_caps_ahead(
         for solver, cap, time_limit_s in requests
     ]
     with solving_ahead(jobs, busy_caller=True) as futures:
-        for (solver, cap, time_limit_s), future in zip(requests, futures):
+        entries = []
+        for (solver, cap, time_limit_s), future, job in zip(requests, futures, jobs):
             if future is not None:
-                solver._ahead[float(cap), time_limit_s] = future
+                key = (float(cap), time_limit_s)
+                solver._ahead[key] = future
+                entries.append((solver, key, job))
+        block = _SolvesAhead(entries)
+        for solver, _, _ in requests:
+            solver._ahead_block = block
         try:
             yield
         finally:
             for solver, _, _ in requests:
                 solver._ahead.clear()
+                solver._ahead_block = None
+            # The handle this thread solved queued caps on goes with the
+            # helper's, before solving_ahead hands their pages back.
+            drop_thread_handle()
+
+
+class _SolvesAhead:
+    """The solves a :func:`solving_caps_ahead` block handed to its
+    helper: ``(solver, (cap_w, time_limit_s), job)`` in the order the
+    caller takes them."""
+
+    def __init__(self, entries: list) -> None:
+        self._entries = entries
+
+    def solve_until(self, waited: Future) -> None:
+        """Solve, on the calling thread, the block's solves that no
+        helper has started, from the last one back, until ``waited`` is
+        done.  Each one solved here replaces its future with a finished
+        one, which its cap then takes like a helper's."""
+        for solver, key, (program, rhs, time_limit_s) in reversed(self._entries):
+            if waited.done():
+                return
+            queued = solver._ahead.get(key)
+            if queued is None or queued.done() or not queued.cancel():
+                continue  # taken, solved, or running on the helper
+            solved: Future = Future()
+            try:
+                solved.set_result(
+                    program._compute(*program._bounds_with(rhs), time_limit_s)
+                )
+            except Exception as exc:
+                solved.set_exception(exc)
+            solver._ahead[key] = solved
 
 
 def _checked_caps(caps_w) -> list[float]:

@@ -228,6 +228,49 @@ class TestIdenticalRecords:
         assert solves == [f"lp comd cap={cap:g}W" for cap in CAPS["comd"]]
 
 
+class TestCallerSolvesWhileWaiting:
+    def test_queued_caps_solved_on_the_caller(self, width, monkeypatch):
+        # The helper's first solve is held until the calling thread has
+        # solved one itself, and the first cell asks for its cap only
+        # once the helper has started it: the cell then waits on a
+        # running solve and solves the last queued cap meanwhile.
+        spec = spec_for("comd")
+        width(1)
+        alone = observe(spec)
+        alone_payloads = payloads(sweep(spec))
+        started, released = threading.Event(), threading.Event()
+        names: list[str] = []
+        compute = solver_mod.FrozenProgram._compute
+        solve = solver_mod.FrozenProgram.solve
+
+        def held(self, *args):
+            on_helper = threading.current_thread().name.startswith("repro-lp")
+            if on_helper:
+                started.set()
+                released.wait(timeout=60.0)
+            try:
+                return compute(self, *args)
+            finally:
+                names.append(threading.current_thread().name)
+                if not on_helper:
+                    released.set()
+
+        def after_the_helper_starts(self, *args, ahead=None, **kwargs):
+            if ahead is not None:
+                started.wait(timeout=60.0)
+            return solve(self, *args, ahead=ahead, **kwargs)
+
+        monkeypatch.setattr(solver_mod.FrozenProgram, "_compute", held)
+        monkeypatch.setattr(solver_mod.FrozenProgram, "solve", after_the_helper_starts)
+        width(2)
+        ahead = observe(spec)
+        assert names[0] == "MainThread"
+        assert any(name.startswith("repro-lp") for name in names)
+        assert len(names) == len(spec.caps_per_socket_w)
+        assert ahead == alone
+        assert payloads(sweep(spec)) == alone_payloads
+
+
 # ----------------------------------------------------------------------
 class TestHelperLifetime:
     def test_no_helper_after_return(self, width, pools):
