@@ -67,13 +67,7 @@ from .machine import (
     pareto_frontier,
     sample_socket_efficiencies,
 )
-from .runtime import (
-    AdagioPolicy,
-    ConductorConfig,
-    ConductorPolicy,
-    SelectionOnlyPolicy,
-    StaticPolicy,
-)
+from .runtime import ConductorConfig, ConductorPolicy, StaticPolicy
 from .scenarios import (
     PolicyRegistry,
     PolicySpec,
@@ -105,7 +99,6 @@ from .workloads import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdagioPolicy",
     "Application",
     "BENCHMARKS",
     "ConductorConfig",
@@ -125,7 +118,6 @@ __all__ = [
     "ScenarioResult",
     "ScenarioSpec",
     "SocketPowerModel",
-    "SelectionOnlyPolicy",
     "StaticPolicy",
     "TaskKernel",
     "TaskRef",

@@ -336,7 +336,6 @@ def energy_comparison(
 ) -> EnergyComparisonResult:
     """Compare MaxPerformance, Adagio, the energy LP, and the power LP."""
     from ..core.energy_lp import solve_energy_lp
-    from ..runtime.adagio_policy import AdagioPolicy
     from ..simulator.engine import MaxPerformancePolicy
     from ..workloads import make_comd
 
@@ -346,7 +345,7 @@ def energy_comparison(
     engine = Engine(pm)
 
     res_max = engine.run(app, MaxPerformancePolicy())
-    res_adagio = engine.run(app, AdagioPolicy(pm, app))
+    res_adagio = engine.run(app, ConductorPolicy.adagio(pm, app))
 
     trace = trace_application(app, pm)
     energy_lp = solve_energy_lp(trace, slowdown=0.0)

@@ -4,13 +4,13 @@ Adagio observes, per recurring task, how much *slack* followed the task in
 the previous iteration (time the rank idled in MPI before the next event
 could complete) and slows the task just enough to absorb that slack —
 freeing power without perturbing the critical path.  Conductor deploys it
-as its first step; it is also usable standalone as an energy-saving policy.
+as its first step; uncapped, that step alone is the standalone
+energy-saving policy (:meth:`~repro.runtime.ConductorPolicy.adagio`).
 
 Tasks recur across iterations, so the per-iteration position of a task on
 its rank, :func:`task_key`, is the identity slack estimates attach to.
 The runtimes read each task's frontier from a :class:`FrontierTable`, by
-task position, and pick points off its hull lists with
-:func:`first_fitting`.
+task position, and pick points off its hull lists.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..machine.configuration import ConfigPoint
 from ..machine.frontiers import FrontierProfile, FrontierStore
 from ..machine.performance import TaskKernel, rank_kernel_arrays
 from ..simulator.engine import TaskRecord
@@ -31,8 +30,6 @@ __all__ = [
     "smooth",
     "SlackEstimator",
     "FrontierTable",
-    "first_fitting",
-    "slowest_fitting_point",
 ]
 
 
@@ -162,35 +159,6 @@ class SlackEstimator:
         yesterday measures no slack today and never speeds back up.
         """
         return self.slack_s.get(key)
-
-
-def first_fitting(durations: list[float], n: int, max_duration_s: float) -> int:
-    """Position of the first of ``durations[:n]`` within a budget.
-
-    ``durations`` is a frontier's, in increasing-power order, so this is
-    the lowest-power point whose duration fits; when none of the first
-    ``n`` fits, the last of them (the fastest) is returned.
-    """
-    for i in range(n):
-        if durations[i] <= max_duration_s:
-            return i
-    return n - 1
-
-
-def slowest_fitting_point(
-    frontier: list[ConfigPoint], max_duration_s: float
-) -> ConfigPoint:
-    """Lowest-power frontier point not exceeding a duration budget.
-
-    The frontier is sorted by ascending power / descending duration, so
-    this is the *first* point whose duration fits; when even the fastest
-    point misses the budget the fastest is returned (the task is critical —
-    Adagio never slows it further).
-    """
-    if not frontier:
-        raise ValueError("empty frontier")
-    durations = [p.duration_s for p in frontier]
-    return frontier[first_fitting(durations, len(frontier), max_duration_s)]
 
 
 class FrontierTable:

@@ -15,6 +15,11 @@ against the simulator.  Conductor's loop per the paper:
    to carry the critical path.  Each reallocation costs 566 µs, charged at
    the Pcontrol barrier.
 
+With parts switched off the same runtime is the paper's other barrier-
+deciding systems: without exploration, noise or reallocation it is §6's
+selection-only ablation (:meth:`ConductorPolicy.selection_only`), and
+that ablation uncapped is standalone Adagio (:meth:`ConductorPolicy.adagio`).
+
 The two pathologies the paper attributes Conductor's LP gap to are modeled
 mechanistically rather than hard-coded: *thrashing* arises from the
 bounded-step reallocation reacting to noisy measurements, and *critical-
@@ -33,6 +38,7 @@ answering the engine task by task.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,7 +73,8 @@ class ConductorConfig:
     """Tunables of the Conductor runtime (paper-derived defaults)."""
 
     exploration_iterations: int = 3
-    realloc_period: int = 5
+    #: Pcontrol intervals between reallocations; None never reallocates.
+    realloc_period: int | None = 5
     step_w: float = 2.0
     donor_margin_w: float = 0.5
     receiver_fraction: float = 0.125  # top n/8 ranks receive power
@@ -81,8 +88,8 @@ class ConductorConfig:
     def __post_init__(self) -> None:
         if self.exploration_iterations < 0:
             raise ValueError("exploration_iterations must be >= 0")
-        if self.realloc_period < 1:
-            raise ValueError("realloc_period must be >= 1")
+        if self.realloc_period is not None and self.realloc_period < 1:
+            raise ValueError("realloc_period must be >= 1 or None")
         if self.step_w <= 0:
             raise ValueError("step_w must be positive")
         if not (0 < self.receiver_fraction <= 1):
@@ -101,6 +108,26 @@ class ConductorConfig:
             raise ValueError(
                 f"adagio_safety must be in [0, 1], got {self.adagio_safety}"
             )
+
+    @classmethod
+    def selection_only(
+        cls,
+        adagio_safety: float = 0.9,
+        switch_overhead_s: float = 145e-6,
+        min_switch_duration_s: float = 1e-3,
+    ) -> "ConductorConfig":
+        """Configuration selection alone (the paper's §6 ablation): no
+        exploration, noiseless slack measurements, and budgets that never
+        move between ranks, so no barrier costs anything."""
+        return cls(
+            exploration_iterations=0,
+            realloc_period=None,
+            measurement_noise=0.0,
+            realloc_overhead_s=0.0,
+            adagio_safety=adagio_safety,
+            switch_overhead_s=switch_overhead_s,
+            min_switch_duration_s=min_switch_duration_s,
+        )
 
 
 #: Slack estimates follow each observation halfway (Adagio's smoothing).
@@ -140,11 +167,12 @@ def _rowsum(a: np.ndarray) -> np.ndarray:
 
 
 def _first_fitting(durations, n, budget) -> np.ndarray:
-    """:func:`~repro.runtime.adagio.first_fitting` for every (task, cap).
+    """Adagio's slack pick for every (task, cap).
 
     ``durations`` is ``[tasks, hull]`` (padded with +inf), ``n`` and
     ``budget`` are ``[tasks, caps]``: the first of a task's first ``n``
-    hull points within the budget, else the last of them.
+    hull points within the budget (the lowest-power one that fits), else
+    the last of them (the fastest).
     """
     within = (durations[:, :, None] <= budget[:, None, :]) & (
         np.arange(durations.shape[1])[None, :, None] < n[:, None, :]
@@ -296,7 +324,8 @@ class ConductorPlanner:
         #: ``[n_caps, n_ranks]`` power allocations, initially uniform.
         self.alloc_w = np.empty((len(caps), n))
         self.alloc_w[:] = (caps / n)[:, None]
-        self.realloc_count = 0
+        #: Reallocations so far; None when the config never reallocates.
+        self.realloc_count = None if config.realloc_period is None else 0
         self._pcontrol_count = 0
 
         # The shared frontier store: Conductor's profiling pass measures
@@ -341,7 +370,12 @@ class ConductorPlanner:
         row = np.arange(len(rows))[:, None]
 
         durations = self._t.hull_durations[pid]
-        n_fit = (self._t.hull_powers[pid][:, :, None] <= budget[:, None, :]).sum(axis=1)
+        # Padding is +inf, so it fits an unbounded budget: count only
+        # each hull's own points.
+        n_fit = np.minimum(
+            (self._t.hull_powers[pid][:, :, None] <= budget[:, None, :]).sum(axis=1),
+            self._t.hull_size[pid][:, None],
+        )
         fastest = np.maximum(n_fit - 1, 0)
         chosen = fastest
         slots = self._t.slot[rows]
@@ -436,8 +470,9 @@ class ConductorPlanner:
         ``ranks``/``seqs`` name the interval's tasks in the order they
         ran, and ``starts``/``durations`` are their ``[tasks, caps]``
         columns.  Updates the slack estimates and, every
-        ``realloc_period`` barriers, runs the power reallocation (566 us
-        charged at the barrier).  Exploration intervals only count.
+        ``realloc_period`` barriers (never when it is None), runs the
+        power reallocation (566 us charged at the barrier).  Exploration
+        intervals only count.
         """
         self._pcontrol_count += 1
         if not len(ranks):
@@ -458,7 +493,8 @@ class ConductorPlanner:
         noise = self.cfg.measurement_noise
         draws = self.rng.normal(0.0, noise, len(ranks)) if noise > 0 else None
         self._observe(self._t.slot[rows], observed_slack(starts, durations, last, draws))
-        if self._pcontrol_count % self.cfg.realloc_period != 0:
+        period = self.cfg.realloc_period
+        if period is None or self._pcontrol_count % period != 0:
             return 0.0
         self._reallocate(ranks, rows, starts, durations)
         self.realloc_count += 1
@@ -702,6 +738,60 @@ class ConductorPolicy:
         )
         return cls(power_models, job_cap_w, app, spec=spec, config=cfg)
 
+    @classmethod
+    def selection_only(
+        cls,
+        power_models: list[SocketPowerModel],
+        job_cap_w: float,
+        app: Application,
+        adagio_safety: float = 0.9,
+        switch_overhead_s: float = 145e-6,
+        min_switch_duration_s: float = 1e-3,
+        frontier_store: FrontierStore | None = None,
+    ) -> "ConductorPolicy":
+        """Pareto configuration selection under uniform, immovable budgets
+        (the paper's §6 ablation; :meth:`ConductorConfig.selection_only`).
+
+        "If only the configuration selection is performed (but not power
+        reallocation), there is less overhead than Conductor, but also
+        lower performance due to the use of uniform power allocation."
+        Each task runs the fastest hull point under its rank's share of
+        the cap, Adagio-slowed into its slack.  This isolates how much of
+        Conductor's gain comes from selection: virtually all of LULESH's
+        (thread-count mismatch), almost none of BT's (load imbalance).
+        """
+        cfg = ConductorConfig.selection_only(
+            adagio_safety, switch_overhead_s, min_switch_duration_s
+        )
+        return cls(
+            power_models, job_cap_w, app, config=cfg,
+            frontier_store=frontier_store,
+        )
+
+    @classmethod
+    def adagio(
+        cls,
+        power_models: list[SocketPowerModel],
+        app: Application,
+        safety: float = 0.9,
+        switch_overhead_s: float = 145e-6,
+        min_switch_duration_s: float = 1e-3,
+        frontier_store: FrontierStore | None = None,
+    ) -> "ConductorPolicy":
+        """Standalone Adagio (Rountree et al., ICS'09; paper §7): the
+        selection-only runtime with no cap.
+
+        On a fully provisioned system every task may run its fastest
+        configuration, and slack-bearing tasks are slowed just enough to
+        absorb their measured slack: the related work's "save energy
+        without increasing execution time", measured against the energy
+        LP bound (:func:`repro.core.solve_energy_lp`).
+        """
+        return cls.selection_only(
+            power_models, math.inf, app, safety, switch_overhead_s,
+            min_switch_duration_s, frontier_store,
+        )
+
     def __init__(
         self,
         power_models: list[SocketPowerModel],
@@ -736,7 +826,8 @@ class ConductorPolicy:
         return self.planner.alloc_w[0]
 
     @property
-    def realloc_count(self) -> int:
+    def realloc_count(self) -> int | None:
+        """Reallocations so far; None when the config never reallocates."""
         return self.planner.realloc_count
 
     def _take(self, planned: PlannedInterval | None) -> None:

@@ -28,6 +28,7 @@ cannot silently stay unreachable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
@@ -39,11 +40,9 @@ from ..core.sweep import ParametricCapSolver
 from ..exec.cache import SolverCache, cached_solve_energy_lp
 from ..machine.frontiers import FrontierStore
 from ..machine.power import SocketPowerModel
-from ..runtime.adagio_policy import AdagioPolicy
 from ..runtime.conductor import ConductorConfig, ConductorPlanner, ConductorPolicy
 from ..runtime.config_search import ConfigSearchPolicy
 from ..runtime.dvfs_energy import DvfsEnergyPolicy
-from ..runtime.selection_only import SelectionOnlyPolicy
 from ..runtime.static import StaticPolicy
 from ..simulator.engine import Engine, SweepRunOutcome
 from ..simulator.program import Application
@@ -115,11 +114,12 @@ class PolicyEntry:
     #: schedulable cell's cap, so a serial sweep can solve them ahead.
     cap_lps: Callable[[dict], list[tuple[float, float | None]]] | None = None
     #: Runtime entries whose policy decides from the cap and from what it
-    #: measures at Pcontrol barriers alone (so every cap's run walks the
-    #: DAG in one order): ``sweep(ctx, cfg, engine, job_caps_w)`` runs it
-    #: at every job cap in one :meth:`Engine.run_sweep` walk and returns
-    #: the outcome with each point's extras, point ``c`` being the run of
-    #: ``build`` at ``job_caps_w[c]`` and the extras those the cell
+    #: measures at Pcontrol barriers alone, so every cap's run walks the
+    #: DAG in one order (static, and the Conductor planner's conductor,
+    #: selection-only and adagio): ``sweep(ctx, cfg, engine, job_caps_w)``
+    #: runs it at every job cap in one :meth:`Engine.run_sweep` walk and
+    #: returns the outcome with each point's extras, point ``c`` being the
+    #: run of ``build`` at ``job_caps_w[c]`` and the extras those the cell
     #: reports for it, so a serial sweep can run its cells' caps ahead.
     sweep: Callable[
         [PolicyContext, dict, Engine, list[float]],
@@ -214,30 +214,61 @@ def _build_conductor(ctx: PolicyContext, cfg: dict) -> ConductorPolicy:
     )
 
 
-def _sweep_conductor(
-    ctx: PolicyContext, cfg: dict, engine: Engine, job_caps_w: list[float]
+def _build_selection_only(ctx: PolicyContext, cfg: dict) -> ConductorPolicy:
+    return ConductorPolicy.selection_only(
+        ctx.power_models, ctx.job_cap_w, ctx.app,
+        frontier_store=ctx.frontier_store, **cfg,
+    )
+
+
+def _build_adagio(ctx: PolicyContext, cfg: dict) -> ConductorPolicy:
+    return ConductorPolicy.adagio(
+        ctx.power_models, ctx.app, frontier_store=ctx.frontier_store, **cfg
+    )
+
+
+def _sweep_planner(
+    ctx: PolicyContext,
+    config: ConductorConfig,
+    engine: Engine,
+    job_caps_w: list[float],
 ) -> tuple[SweepRunOutcome, list[dict]]:
+    """The Conductor planner under ``config`` at every job cap, in one walk."""
     planner = ConductorPlanner(
         ctx.power_models,
         job_caps_w,
         ctx.app,
-        config=ConductorConfig(**cfg),
+        config=config,
         frontier_store=ctx.frontier_store,
     )
     outcome = engine.run_sweep(ctx.app, planner, planner.sweep_plan(engine))
     # Reallocations happen at the same barriers at every cap.
-    return outcome, [{"reallocs": planner.realloc_count}] * len(job_caps_w)
+    reallocs = planner.realloc_count
+    extra = {} if reallocs is None else {"reallocs": reallocs}
+    return outcome, [extra] * len(job_caps_w)
 
 
-def _build_adagio(ctx: PolicyContext, cfg: dict) -> AdagioPolicy:
-    return AdagioPolicy(
-        ctx.power_models,
-        ctx.app,
-        safety=cfg["safety"],
-        switch_overhead_s=cfg["switch_overhead_s"],
-        min_switch_duration_s=cfg["min_switch_duration_s"],
-        frontier_store=ctx.frontier_store,
+def _sweep_conductor(
+    ctx: PolicyContext, cfg: dict, engine: Engine, job_caps_w: list[float]
+) -> tuple[SweepRunOutcome, list[dict]]:
+    return _sweep_planner(ctx, ConductorConfig(**cfg), engine, job_caps_w)
+
+
+def _sweep_selection_only(
+    ctx: PolicyContext, cfg: dict, engine: Engine, job_caps_w: list[float]
+) -> tuple[SweepRunOutcome, list[dict]]:
+    config = ConductorConfig.selection_only(**cfg)
+    return _sweep_planner(ctx, config, engine, job_caps_w)
+
+
+def _sweep_adagio(
+    ctx: PolicyContext, cfg: dict, engine: Engine, job_caps_w: list[float]
+) -> tuple[SweepRunOutcome, list[dict]]:
+    config = ConductorConfig.selection_only(
+        cfg["safety"], cfg["switch_overhead_s"], cfg["min_switch_duration_s"]
     )
+    # Uncapped: every point is the same run.
+    return _sweep_planner(ctx, config, engine, [math.inf] * len(job_caps_w))
 
 
 def _build_dvfs_energy(ctx: PolicyContext, cfg: dict) -> DvfsEnergyPolicy:
@@ -255,18 +286,6 @@ def _build_config_search(ctx: PolicyContext, cfg: dict) -> ConfigSearchPolicy:
         ctx.power_models,
         ctx.job_cap_w if cfg["capped"] else None,
         max_slowdown=cfg["max_slowdown"],
-    )
-
-
-def _build_selection_only(ctx: PolicyContext, cfg: dict) -> SelectionOnlyPolicy:
-    return SelectionOnlyPolicy(
-        ctx.power_models,
-        ctx.job_cap_w,
-        ctx.app,
-        adagio_safety=cfg["adagio_safety"],
-        switch_overhead_s=cfg["switch_overhead_s"],
-        min_switch_duration_s=cfg["min_switch_duration_s"],
-        frontier_store=ctx.frontier_store,
     )
 
 
@@ -420,8 +439,9 @@ def _build_default_registry() -> PolicyRegistry:
             "min_switch_duration_s": 1e-3,
         },
         measure="steady",
-        policy_class=AdagioPolicy,
+        policy_class=ConductorPolicy,
         build=_build_adagio,
+        sweep=_sweep_adagio,
     ))
     reg.register(PolicyEntry(
         name="selection-only",
@@ -433,8 +453,9 @@ def _build_default_registry() -> PolicyRegistry:
             "min_switch_duration_s": 1e-3,
         },
         measure="steady",
-        policy_class=SelectionOnlyPolicy,
+        policy_class=ConductorPolicy,
         build=_build_selection_only,
+        sweep=_sweep_selection_only,
     ))
     reg.register(PolicyEntry(
         name="dvfs-energy",

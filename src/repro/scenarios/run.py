@@ -520,6 +520,7 @@ def _run_scenario_cell(
                             rec, result, shared.power_models, job_cap
                         )
                 extra = {}
+                # None from a runtime that never reallocates.
                 reallocs = getattr(policy, "realloc_count", None)
                 if reallocs is not None:
                     extra["reallocs"] = reallocs
@@ -655,14 +656,14 @@ def _running_ahead(
     cell, each entry's caps in one DAG walk.
 
     Every runtime entry of the spec that the registry can sweep (see
-    :attr:`~repro.scenarios.registry.PolicyEntry.sweep`: Static and
-    Conductor) runs once over the caps at or above the application's
-    minimum schedulable cap, and each cell takes its point, and the
-    point's extras (Conductor's ``reallocs``), where it ran its engine
-    and read its policy before.  Nothing
-    runs ahead under an active trace recorder (per-event emission needs
-    the scalar loop), and nothing is kept when building or sweeping
-    fails: each cell then meets the error itself, as with
+    :attr:`~repro.scenarios.registry.PolicyEntry.sweep`: Static, and the
+    Conductor planner's conductor, selection-only and adagio) runs once
+    over the caps at or above the application's minimum schedulable cap,
+    and each cell takes its point, and the point's extras (Conductor's
+    ``reallocs``), where it ran its engine and read its policy before.
+    Nothing runs ahead under an active trace recorder (per-event
+    emission needs the scalar loop), and nothing is kept when building
+    or sweeping fails: each cell then meets the error itself, as with
     :func:`_lps_ahead`.  The points are dropped on exit.
     """
     points: dict = {}
@@ -727,9 +728,10 @@ def run_scenarios(
     those of a sweep without it (see
     :func:`~repro.core.sweep.solving_caps_ahead`).  The helper is joined
     before this returns or raises.  The same cells' sweepable runtimes
-    (Static, and Conductor, planned one Pcontrol interval at a time) run
-    ahead too, each over every cap in one DAG walk on this thread, and
-    each cell takes its cap's run and extras (see :func:`_running_ahead`).
+    (Static, and the Conductor planner's conductor, selection-only and
+    adagio, planned one Pcontrol interval at a time) run ahead too, each
+    over every cap in one DAG walk on this thread, and each cell takes
+    its cap's run and extras (see :func:`_running_ahead`).
 
     Every cell settles through one
     :meth:`~repro.exec.parallel.ParallelRunner.map_outcomes`, at every

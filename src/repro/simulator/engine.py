@@ -660,7 +660,6 @@ class Engine:
         self,
         power_models: list[SocketPowerModel],
         network: NetworkModel = IB_QDR,
-        spec: CpuSpec = XEON_E5_2670,
         mpi_call_overhead_s: float = 2e-6,
         tracing_overhead_s: float = 0.0,
     ) -> None:
@@ -668,11 +667,8 @@ class Engine:
             raise ValueError("need at least one power model")
         self.power_models = power_models
         self.network = network
-        self.spec = spec
-        # Heterogeneous machines: each rank's timing follows its own
-        # socket's CpuSpec (identical to `spec` on homogeneous clusters).
+        # Each rank times its tasks with its own socket's CpuSpec.
         self.time_models = [TaskTimeModel(pm.spec) for pm in power_models]
-        self.time_model = TaskTimeModel(spec)  # engine-level fallback
         self.call_cost = mpi_call_overhead_s + tracing_overhead_s
 
     def _check_app(self, app: Application) -> None:

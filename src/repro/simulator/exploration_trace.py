@@ -97,7 +97,7 @@ def trace_from_exploration(
             f"need {app.n_ranks} power models, got {len(power_models)}"
         )
     graph, task_edges = build_dag(app, network)
-    engine = Engine(power_models, network=network, spec=spec)
+    engine = Engine(power_models, network=network)
 
     observations: dict[TaskRef, dict[Configuration, ConfigPoint]] = {
         ref: {} for ref in task_edges

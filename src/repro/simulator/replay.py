@@ -150,7 +150,7 @@ def replay_schedule(
     """
     from ..obs.recorder import current_recorder
 
-    engine = Engine(power_models, network=network, spec=spec)
+    engine = Engine(power_models, network=network)
     policy = ReplayPolicy(
         assignment,
         spec=spec,
@@ -276,7 +276,7 @@ def replay_schedule_sweep(
             )
             for assignment, cap_w in zip(assignments, caps_w)
         ]
-    engine = Engine(power_models, network=network, spec=spec)
+    engine = Engine(power_models, network=network)
     policy = ReplayPolicy(
         {},
         spec=spec,

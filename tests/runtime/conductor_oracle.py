@@ -27,10 +27,12 @@ from repro.machine.rapl import RaplController
 from repro.obs.events import ReallocEvent
 from repro.obs.recorder import current_recorder
 from repro.runtime import ConductorConfig
-from repro.runtime.adagio import FrontierTable, first_fitting, task_key
+from repro.runtime.adagio import FrontierTable, task_key
 from repro.runtime.conductor import task_key_for
 from repro.simulator.engine import TaskRecord
 from repro.simulator.program import Application, TaskRef
+
+from .selection_oracle import first_fitting
 
 __all__ = ["ScalarConductor", "ScalarSlack"]
 

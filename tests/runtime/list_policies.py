@@ -1,7 +1,8 @@
 """The runtimes as they read frontiers before the frontier table.
 
-Each class keeps its policy's state and bookkeeping (Conductor's as the
-per-task :class:`.conductor_oracle.ScalarConductor` kept it) and replaces
+Each class keeps its policy's state and bookkeeping as the per-task
+oracles kept it (:class:`.conductor_oracle.ScalarConductor`, and
+:mod:`.selection_oracle`'s Adagio and selection-only) and replaces
 only the methods that read frontiers with the per-kernel versions: a store lookup
 per decision, ``ConfigPoint`` lists filtered by budget, and
 :func:`slowest_fitting_point` over them.  The table-reading policies
@@ -16,15 +17,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.machine import ConfigPoint, Configuration, FrontierStore, TaskKernel
-from repro.runtime import (
-    AdagioPolicy,
-    SelectionOnlyPolicy,
-    slowest_fitting_point,
-)
 from repro.runtime.conductor import task_key_for
 from repro.simulator import TaskRecord, TaskRef
 
 from .conductor_oracle import ScalarConductor
+from .selection_oracle import (
+    ScalarAdagio,
+    ScalarSelectionOnly,
+    slowest_fitting_point,
+)
 
 
 class _OwnStore:
@@ -182,7 +183,7 @@ class ListConductor(_OwnStore, ScalarConductor):
         self.alloc_w += delta
 
 
-class ListAdagio(_OwnStore, AdagioPolicy):
+class ListAdagio(_OwnStore, ScalarAdagio):
     """Standalone Adagio deciding from per-kernel ``ConfigPoint`` lists."""
 
     def _frontier(self, rank: int, kernel: TaskKernel) -> list[ConfigPoint]:
@@ -215,7 +216,7 @@ class ListAdagio(_OwnStore, AdagioPolicy):
         return chosen.config
 
 
-class ListSelectionOnly(_OwnStore, SelectionOnlyPolicy):
+class ListSelectionOnly(_OwnStore, ScalarSelectionOnly):
     """Selection-only deciding from per-kernel ``ConfigPoint`` lists."""
 
     def _frontier(self, rank: int, kernel: TaskKernel) -> list[ConfigPoint]:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.machine import Configuration, ConfigPoint, TaskKernel
-from repro.runtime import SlackEstimator, slowest_fitting_point, task_key
+from repro.runtime import SlackEstimator, task_key
 from repro.simulator import TaskRecord, TaskRef
+
+from .selection_oracle import slowest_fitting_point
 
 
 def record(rank, seq, start, duration, power=30.0, kernel=None):

@@ -3,11 +3,14 @@
 import pytest
 
 from repro.machine import sample_socket_efficiencies, SocketPowerModel
-from repro.runtime import AdagioPolicy
+from repro.runtime import ConductorPolicy
 from repro.simulator import Engine, MaxPerformancePolicy
 from repro.workloads import imbalanced_collective_app
 
 from .apps import kernel_app
+from .test_selection_only import registry_build
+
+Adagio = ConductorPolicy.adagio
 
 
 @pytest.fixture
@@ -23,22 +26,30 @@ def app():
 
 class TestAdagioPolicy:
     def test_validation(self, models, app):
-        with pytest.raises(ValueError):
-            AdagioPolicy(models, app, safety=1.5)
+        for overrides in (
+            {"safety": 1.5},
+            {"safety": -0.1},
+            {"switch_overhead_s": -1e-6},
+            {"min_switch_duration_s": -1e-3},
+        ):
+            with pytest.raises(ValueError):
+                Adagio(models, app, **overrides)
+            with pytest.raises(ValueError):
+                registry_build("adagio", models, 120.0, app, overrides)
 
     def test_saves_energy_with_negligible_slowdown(self, models, app):
         """The related-work premise: non-critical ranks slow into slack,
         cutting energy while the (critical-path) makespan barely moves."""
         engine = Engine(models)
         base = engine.run(app, MaxPerformancePolicy())
-        adagio = engine.run(app, AdagioPolicy(models, app))
+        adagio = engine.run(app, Adagio(models, app))
         assert adagio.total_energy_j() < base.total_energy_j() * 0.99
         assert adagio.makespan_s <= base.makespan_s * 1.02
 
     def test_critical_rank_stays_fast(self, models, app):
         """The heaviest rank (zero slack) keeps near-fastest configs."""
         engine = Engine(models)
-        res = engine.run(app, AdagioPolicy(models, app))
+        res = engine.run(app, Adagio(models, app))
         import numpy as np
 
         busy = np.zeros(4)
@@ -53,7 +64,7 @@ class TestAdagioPolicy:
 
     def test_light_ranks_downshift(self, models, app):
         engine = Engine(models)
-        res = engine.run(app, AdagioPolicy(models, app))
+        res = engine.run(app, Adagio(models, app))
         import numpy as np
 
         busy = np.zeros(4)
@@ -68,7 +79,7 @@ class TestAdagioPolicy:
 
     def test_first_iteration_runs_fastest(self, models, kernel):
         """No slack estimates yet: everything at the fastest config."""
-        policy = AdagioPolicy(models, kernel_app(kernel))
+        policy = Adagio(models, kernel_app(kernel))
         from repro.simulator import TaskRef
 
         cfg = policy.configure(TaskRef(0, 0), kernel, 0, None)

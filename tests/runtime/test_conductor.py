@@ -50,6 +50,14 @@ class TestConductorConfig:
         with pytest.raises(ValueError):
             ConductorConfig(**kwargs)
 
+    def test_no_realloc_period_never_reallocates(self, models, app):
+        config = dataclasses.replace(FAST_CONDUCTOR, realloc_period=None)
+        policy = ConductorPolicy(models, 120.0, app, config=config)
+        res = Engine(models).run(app, policy)
+        assert policy.realloc_count is None and policy.alloc_history == []
+        assert res.pcontrol_overhead_s == 0.0
+        np.testing.assert_allclose(policy.alloc_w, 30.0)
+
 
 class TestConductorPolicy:
     def test_initial_allocation_uniform(self, models, app):

@@ -9,9 +9,17 @@ in the same order.  The cases cover every branch of the planner:
 exploration, the RAPL fallback below the cheapest hull point, Adagio
 slack, the 1 ms switch rule holding a rank's configuration across a
 barrier, and noisy and noiseless measurements.
+
+The selection-only and Adagio configurations are held to their own
+per-task oracles (``.selection_oracle``) the same way, swept and at one
+cap.  Uncapped, every point of a hull fits, but not the +inf padding
+after a shorter hull: comd's hulls differ in length, and a padding point
+counted as fitting anchors Adagio's slack budget at an infinite duration.
 """
 
 from __future__ import annotations
+
+import math
 
 import hypothesis.strategies as st
 import pytest
@@ -22,10 +30,18 @@ from repro.obs.recorder import TraceRecorder, use_recorder
 from repro.runtime import ConductorConfig, ConductorPolicy
 from repro.runtime.conductor import ConductorPlanner
 from repro.simulator import ComputeOp, Engine, PcontrolOp
-from repro.workloads import WorkloadSpec, make_bt, make_comd, random_application
+from repro.workloads import (
+    WorkloadSpec,
+    make_bt,
+    make_comd,
+    make_lulesh,
+    make_sp,
+    random_application,
+)
 
 from .apps import reverse_pipeline_app
 from .conductor_oracle import ScalarConductor
+from .selection_oracle import ScalarAdagio, ScalarSelectionOnly
 
 #: Per-socket caps: 9 W is below every task's cheapest hull point.
 CAPS_PER_SOCKET = (9.0, 25.0, 45.0, 70.0)
@@ -149,3 +165,77 @@ def test_a_planner_needs_positive_caps():
         ConductorPlanner(pms, [80.0, 0.0], app)
     with pytest.raises(ValueError, match="must be positive"):
         ConductorPolicy(pms, -1.0, app)
+
+
+# ----------------------------------------------------------------------
+#: The Conductor configurations of the other barrier-deciding runtimes:
+#: each with the policy's classmethod and its per-task oracle, at a cap.
+ABLATIONS = {
+    "selection-only": (
+        lambda pms, cap, app: ConductorPolicy.selection_only(pms, cap, app),
+        ScalarSelectionOnly,
+    ),
+    "adagio": (
+        lambda pms, cap, app: ConductorPolicy.adagio(pms, app),
+        lambda pms, cap, app: ScalarAdagio(pms, app),
+    ),
+}
+
+
+def assert_ablation_sweep_is_scalar(app, pms, job_caps, name) -> None:
+    build, oracle = ABLATIONS[name]
+    # Adagio runs uncapped at every point, as its registry sweep does.
+    caps = job_caps if name == "selection-only" else [math.inf] * len(job_caps)
+    engine = Engine(pms)
+    planner = ConductorPlanner(
+        pms, caps, app, config=ConductorConfig.selection_only()
+    )
+    outcome = engine.run_sweep(app, planner, planner.sweep_plan(engine))
+    assert planner.realloc_count is None
+    for c, job_cap in enumerate(job_caps):
+        policy = build(pms, job_cap, app)
+        runs = []
+        for p in (oracle(pms, job_cap, app), policy):
+            recorder = TraceRecorder()
+            with use_recorder(recorder):
+                runs.append((engine.run(app, p), recorder.snapshot()))
+        (want, want_events), (got, got_events) = runs
+        same_run(outcome.result(c), want)
+        same_run(got, want)
+        assert got_events == want_events
+        assert got.pcontrol_overhead_s == 0.0
+        assert policy.realloc_count is None and policy.alloc_history == []
+
+
+@pytest.mark.parametrize("name", sorted(ABLATIONS))
+@pytest.mark.parametrize(
+    "make,n_ranks",
+    [
+        (make_comd, 4), (make_bt, 4), (make_sp, 4), (make_lulesh, 4),
+        (make_bt, 1),
+    ],
+    ids=["comd-4", "bt-4", "sp-4", "lulesh-4", "bt-1"],
+)
+def test_ablation_sweep_points_are_the_scalar_runs(name, make, n_ranks):
+    app = make(WorkloadSpec(n_ranks=n_ranks, iterations=9, seed=5))
+    pms = make_power_models(n_ranks, 11)
+    job_caps = [cap * n_ranks for cap in CAPS_PER_SOCKET]
+    assert_ablation_sweep_is_scalar(app, pms, job_caps, name)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n_ranks=st.integers(1, 4),
+    iterations=st.integers(1, 7),
+    app_seed=st.integers(0, 10_000),
+    caps=st.lists(st.floats(8.0, 90.0), min_size=1, max_size=4),
+    name=st.sampled_from(sorted(ABLATIONS)),
+)
+def test_ablation_random_programs_and_caps(n_ranks, iterations, app_seed, caps, name):
+    app = random_application(
+        n_ranks=n_ranks, iterations=iterations, seed=app_seed, p_p2p=0.5
+    )
+    pms = make_power_models(n_ranks, 3)
+    assert_ablation_sweep_is_scalar(
+        app, pms, [cap * n_ranks for cap in caps], name
+    )

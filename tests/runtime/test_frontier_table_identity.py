@@ -1,8 +1,8 @@
 """Table-reading runtimes make the per-kernel runtimes' decisions.
 
-Conductor, Adagio and selection-only read each task's hull from a
-frontier table by (rank, seq) and pick points with a bisection and a
-first-fit scan.  Run against :mod:`.list_policies` — the same policies
+Conductor, and Adagio and selection-only as its configurations, read
+each task's hull from a frontier table by (rank, seq) and pick points
+with an array count and a first-fit scan.  Run against :mod:`.list_policies` — the same policies
 deciding from per-kernel ``ConfigPoint`` lists — every task record and
 every trace event, reallocations included, must be identical.
 """
@@ -13,13 +13,7 @@ import pytest
 
 from repro.machine.variability import make_power_models
 from repro.obs.recorder import TraceRecorder, use_recorder
-from repro.runtime import (
-    AdagioPolicy,
-    ConductorConfig,
-    ConductorPolicy,
-    SelectionOnlyPolicy,
-    StaticPolicy,
-)
+from repro.runtime import ConductorConfig, ConductorPolicy, StaticPolicy
 from repro.simulator import ComputeOp, Engine
 from repro.workloads import WorkloadSpec, make_bt, make_comd, make_sp
 
@@ -74,7 +68,9 @@ def test_conductor(bench, cfg, cap_per_socket):
 @pytest.mark.parametrize("bench", sorted(MAKERS))
 def test_adagio(bench):
     app, pms = app_for(bench), make_power_models(N_RANKS, 11)
-    assert_same_run(app, pms, AdagioPolicy(pms, app), ListAdagio(pms, app))
+    assert_same_run(
+        app, pms, ConductorPolicy.adagio(pms, app), ListAdagio(pms, app)
+    )
 
 
 @pytest.mark.parametrize("bench", sorted(MAKERS))
@@ -84,7 +80,7 @@ def test_selection_only(bench, cap_per_socket):
     cap = cap_per_socket * N_RANKS
     assert_same_run(
         app, pms,
-        SelectionOnlyPolicy(pms, cap, app),
+        ConductorPolicy.selection_only(pms, cap, app),
         ListSelectionOnly(pms, cap, app),
     )
 
@@ -105,8 +101,8 @@ def test_budget_below_the_cheapest_point_falls_back_to_rapl():
     "build",
     [
         lambda pms, app: ConductorPolicy(pms, 50.0 * N_RANKS, app),
-        lambda pms, app: AdagioPolicy(pms, app),
-        lambda pms, app: SelectionOnlyPolicy(pms, 50.0 * N_RANKS, app),
+        lambda pms, app: ConductorPolicy.adagio(pms, app),
+        lambda pms, app: ConductorPolicy.selection_only(pms, 50.0 * N_RANKS, app),
     ],
     ids=["conductor", "adagio", "selection-only"],
 )

@@ -3,12 +3,10 @@
 import pytest
 
 from repro.runtime import (
-    AdagioPolicy,
     ConductorConfig,
     ConductorPolicy,
     ConfigSearchPolicy,
     DvfsEnergyPolicy,
-    SelectionOnlyPolicy,
     StaticPolicy,
 )
 from repro.scenarios.registry import (
@@ -34,8 +32,9 @@ class TestDefaultRegistry:
         reg = default_registry()
         assert reg.get("static").policy_class is StaticPolicy
         assert reg.get("conductor").policy_class is ConductorPolicy
-        assert reg.get("adagio").policy_class is AdagioPolicy
-        assert reg.get("selection-only").policy_class is SelectionOnlyPolicy
+        # Adagio and selection-only are Conductor configurations.
+        assert reg.get("adagio").policy_class is ConductorPolicy
+        assert reg.get("selection-only").policy_class is ConductorPolicy
         assert reg.get("dvfs-energy").policy_class is DvfsEnergyPolicy
         assert reg.get("config-search").policy_class is ConfigSearchPolicy
 

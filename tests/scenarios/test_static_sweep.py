@@ -1,8 +1,9 @@
-"""Serial sweeps run Static and Conductor at every pending cap ahead.
+"""Serial sweeps run the swept runtimes at every pending cap ahead.
 
 An in-process ``run_scenarios`` runs each sweepable runtime entry (see
-``PolicyEntry.sweep``: Static, and Conductor, planned one Pcontrol
-interval at a time) at every cap its cells will compute, in one
+``PolicyEntry.sweep``: Static, and the Conductor planner's conductor,
+selection-only and adagio, planned one Pcontrol interval at a time) at
+every cap its cells will compute, in one
 vector-clock DAG walk before the first cell, and each cell takes its
 cap's run and extras where it ran its engine before.  Nothing observable
 may change: cell payloads, the deterministic metrics snapshot and the
@@ -38,6 +39,7 @@ from repro.scenarios.spec import PolicySpec
 from repro.simulator.engine import Engine, SimulationResult
 
 from ..runtime.conductor_oracle import ScalarConductor
+from ..runtime.selection_oracle import ScalarAdagio, ScalarSelectionOnly
 
 RANKS = 4
 #: sp's and lulesh's 30 W caps are below their minimum cap (40 W).
@@ -350,13 +352,36 @@ def conductor_spec(bench, caps=None, n_ranks=RANKS, config=None):
     ))
 
 
-def swept_points(spec):
-    """The conductor entry's sweep over the spec's schedulable caps, each
-    point beside the scalar runs at its cap: the product's
-    ``Engine.run`` and the per-task reference runtime."""
+#: The per-task reference runtime of each Conductor-planned entry.
+REFERENCES = {
+    "conductor": lambda pms, cap, app, cfg, store: ScalarConductor(
+        pms, cap, app, config=ConductorConfig(**cfg), frontier_store=store
+    ),
+    "selection-only": lambda pms, cap, app, cfg, store: ScalarSelectionOnly(
+        pms, cap, app, frontier_store=store, **cfg
+    ),
+    "adagio": lambda pms, cap, app, cfg, store: ScalarAdagio(
+        pms, app, frontier_store=store, **cfg
+    ),
+}
+
+
+def ablation_spec(bench, caps=None, n_ranks=RANKS):
+    """Selection-only and Adagio beside Static, the cells' runtimes."""
+    spec = comparison_spec(benchmark_config(bench, n_ranks), caps or CAPS[bench])
+    return dataclasses.replace(spec, policies=(
+        PolicySpec("static"), PolicySpec("selection-only"),
+        PolicySpec("adagio"),
+    ))
+
+
+def swept_points(spec, name="conductor"):
+    """The entry's sweep over the spec's schedulable caps, each point
+    beside the scalar runs at its cap: the product's ``Engine.run`` and
+    the per-task reference runtime."""
     shared = run_mod._shared_for(spec)
-    entry = default_registry().get("conductor")
-    pspec = next(p for p in spec.policies if p.policy == "conductor")
+    entry = default_registry().get(name)
+    pspec = next(p for p in spec.policies if p.policy == name)
     cfg = entry.resolve_config(pspec.config)
     caps = run_mod._schedulable(shared, list(spec.caps_per_socket_w))
     job_caps = [cap * spec.n_ranks for cap in caps]
@@ -364,9 +389,8 @@ def swept_points(spec):
     outcome, extras = entry.sweep(ctx, cfg, shared.engine, job_caps)
     for c, job_cap in enumerate(job_caps):
         policy = entry.build(dataclasses.replace(ctx, job_cap_w=job_cap), cfg)
-        reference = ScalarConductor(
-            shared.power_models, job_cap, shared.app_run,
-            config=ConductorConfig(**cfg), frontier_store=shared.frontiers,
+        reference = REFERENCES[name](
+            shared.power_models, job_cap, shared.app_run, cfg, shared.frontiers
         )
         runs = [
             shared.engine.run(shared.app_run, p) for p in (policy, reference)
@@ -374,16 +398,19 @@ def swept_points(spec):
         yield outcome.result(c), extras[c], runs, policy, reference
 
 
-def assert_points_are_scalar_runs(spec) -> list:
+def assert_points_are_scalar_runs(spec, name="conductor") -> list:
     points = []
-    for point, extra, runs, policy, reference in swept_points(spec):
+    for point, extra, runs, policy, reference in swept_points(spec, name):
         for run in runs:
             assert point.records == run.records  # in order, equal floats
             assert point.makespan_s == run.makespan_s
             assert point.dvfs_switch_count == run.dvfs_switch_count
             assert point.pcontrol_overhead_s == run.pcontrol_overhead_s
-        assert extra == {"reallocs": policy.realloc_count}
-        assert policy.realloc_count == reference.realloc_count > 0
+        if name == "conductor":
+            assert extra == {"reallocs": policy.realloc_count}
+            assert policy.realloc_count == reference.realloc_count > 0
+        else:
+            assert extra == {} and policy.realloc_count is None
         points.append(point)
     return points
 
@@ -424,3 +451,42 @@ class TestConductorSweep:
             assert reallocs and all(n > 0 for n in reallocs)
         want = [policy.realloc_count for *_, policy, _ in swept_points(spec)]
         assert reallocs == want
+
+
+class TestAblationSweep:
+    """Selection-only and Adagio, Conductor configurations, sweep too."""
+
+    @pytest.mark.parametrize("name", ["selection-only", "adagio"])
+    @pytest.mark.parametrize("bench", ["comd", "bt", "sp", "lulesh"])
+    def test_points_are_the_scalar_runs(self, bench, name):
+        assert_points_are_scalar_runs(ablation_spec(bench), name)
+
+    @pytest.mark.parametrize(
+        "case", ["comd", "rapl-fallback", "one-rank", "lulesh"]
+    )
+    def test_cells_and_points(self, case, sweeps, unswept):
+        spec = {
+            "comd": lambda: ablation_spec("comd"),
+            # 9 W per socket is below every cheapest hull point: RAPL
+            # throttles selection-only (Adagio runs uncapped).
+            "rapl-fallback": lambda: ablation_spec("comd", (9.0, 55.0)),
+            "one-rank": lambda: ablation_spec("bt", n_ranks=1),
+            "lulesh": lambda: ablation_spec("lulesh"),
+        }[case]()
+        alone = unswept(spec)
+        assert sweeps == []
+        result = swept(spec)
+        assert payloads(result) == payloads(alone)
+        schedulable = sum(cell.schedulable for cell in result.cells)
+        assert sweeps == [schedulable] * 3  # static, selection-only, adagio
+        for cell in result.cells:
+            for name in ("selection-only", "adagio"):
+                assert "reallocs" not in cell.outcomes[name].extra
+        points = {
+            name: assert_points_are_scalar_runs(spec, name)
+            for name in ("selection-only", "adagio")
+        }
+        if case == "rapl-fallback":
+            first = points["selection-only"][0]
+            steady = [r for r in first.records if r.iteration >= 3]
+            assert steady and all(r.config.duty < 1.0 for r in steady)
