@@ -82,6 +82,9 @@ class SolverCache:
         self, root: str | Path, stale_tmp_age_s: float = 3600.0
     ) -> None:
         self.root = Path(root)
+        # A str, not a Path: each lookup formats its entry's path from it
+        # once, with no pathlib joins.
+        self._base = f"{self.root}/v{CACHE_SCHEMA_VERSION}"
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -111,8 +114,8 @@ class SolverCache:
             metric_inc("cache.tmp_swept", swept, operational=True)
         return swept
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"v{CACHE_SCHEMA_VERSION}" / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._base}/{key[:2]}/{key}.json"
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> dict | None:
@@ -121,9 +124,9 @@ class SolverCache:
         Unreadable, corrupt, or schema-mismatched files count as misses —
         a damaged cache degrades to recomputation, never to an error.
         """
-        path = self._path(key)
         try:
-            data = json.loads(path.read_text())
+            with open(self._path(key)) as fh:
+                data = json.loads(fh.read())
         except (OSError, ValueError):
             self.misses += 1
             metric_inc("cache.miss")
@@ -139,14 +142,15 @@ class SolverCache:
     def put(self, key: str, payload: dict) -> None:
         """Atomically store ``payload`` under ``key``."""
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        parent = os.path.dirname(path)
+        os.makedirs(parent, exist_ok=True)
         doc = {
             "schema": CACHE_SCHEMA_VERSION,
             "key": key,
             "payload": payload,
             "provenance": _entry_provenance(),
         }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
                 json.dump(doc, fh)
@@ -163,10 +167,10 @@ class SolverCache:
     # ------------------------------------------------------------------
     def __contains__(self, key: str) -> bool:
         """Whether an entry is stored under ``key`` (not read, not counted)."""
-        return self._path(key).is_file()
+        return os.path.isfile(self._path(key))
 
     def __len__(self) -> int:
-        base = self.root / f"v{CACHE_SCHEMA_VERSION}"
+        base = Path(self._base)
         if not base.is_dir():
             return 0
         return sum(1 for _ in base.glob("*/*.json"))

@@ -45,7 +45,6 @@ from typing import NamedTuple
 import numpy as np
 
 from ..machine.configuration import Configuration
-from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.frontiers import FrontierStore
 from ..machine.performance import KernelArrays, TaskKernel, rank_kernel_arrays
 from ..machine.power import SocketPowerModel
@@ -715,7 +714,6 @@ class ConductorPolicy:
         power_models: list[SocketPowerModel],
         job_cap_w: float,
         app: Application,
-        spec: CpuSpec = XEON_E5_2670,
     ) -> "ConductorPolicy":
         """An idealized Conductor: noiseless measurements, reallocation
         every Pcontrol, unbounded steps, zero control overheads.
@@ -736,7 +734,7 @@ class ConductorPolicy:
             realloc_overhead_s=0.0,
             seed=0,
         )
-        return cls(power_models, job_cap_w, app, spec=spec, config=cfg)
+        return cls(power_models, job_cap_w, app, config=cfg)
 
     @classmethod
     def selection_only(
@@ -797,7 +795,6 @@ class ConductorPolicy:
         power_models: list[SocketPowerModel],
         job_cap_w: float,
         app: Application,
-        spec: CpuSpec = XEON_E5_2670,
         config: ConductorConfig = ConductorConfig(),
         frontier_store: FrontierStore | None = None,
     ) -> None:
@@ -808,7 +805,6 @@ class ConductorPolicy:
             frontier_store=frontier_store,
         )
         self.power_models = power_models
-        self.spec = spec
         self.cfg = config
         self.job_cap_w = job_cap_w
         self.n_ranks = len(power_models)

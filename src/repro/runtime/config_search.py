@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..machine.configuration import ConfigPoint, Configuration, task_space
-from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.performance import TaskKernel, rank_kernel_arrays
 from ..machine.power import SocketPowerModel
 from ..simulator.engine import (
@@ -112,7 +111,6 @@ class ConfigSearchPolicy:
         self,
         power_models: list[SocketPowerModel],
         job_cap_w: float | None,
-        spec: CpuSpec = XEON_E5_2670,
         max_slowdown: float = 0.1,
     ) -> None:
         if job_cap_w is not None and job_cap_w <= 0:
@@ -120,7 +118,6 @@ class ConfigSearchPolicy:
         if max_slowdown < 0:
             raise ValueError(f"max_slowdown must be >= 0, got {max_slowdown}")
         self.power_models = power_models
-        self.spec = spec
         self.max_slowdown = max_slowdown
         self.cap_per_socket_w = (
             None if job_cap_w is None else job_cap_w / len(power_models)

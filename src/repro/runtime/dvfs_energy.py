@@ -17,7 +17,6 @@ layer evaluates them against the capped LP bounds on the energy axis.
 from __future__ import annotations
 
 from ..machine.configuration import ConfigPoint, Configuration, measure_task
-from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.performance import TaskKernel, TaskTimeModel
 from ..machine.power import SocketPowerModel
 from ..simulator.engine import TaskRecord
@@ -52,7 +51,6 @@ class DvfsEnergyPolicy:
         self,
         power_models: list[SocketPowerModel],
         app: Application,
-        spec: CpuSpec = XEON_E5_2670,
         safety: float = 0.9,
         switch_overhead_s: float = 145e-6,
         min_switch_duration_s: float = 1e-3,
@@ -60,7 +58,6 @@ class DvfsEnergyPolicy:
         if not (0.0 <= safety <= 1.0):
             raise ValueError(f"safety must be in [0,1], got {safety}")
         self.power_models = power_models
-        self.spec = spec
         self.safety = safety
         self.switch_overhead_s = switch_overhead_s
         self.min_switch_duration_s = min_switch_duration_s

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..machine.configuration import Configuration
-from ..machine.cpu import CpuSpec, XEON_E5_2670
 from ..machine.performance import TaskKernel, rank_kernel_arrays
 from ..machine.power import SocketPowerModel
 from ..machine.rapl import RaplController
@@ -46,17 +45,15 @@ class StaticPolicy:
         self,
         power_models: list[SocketPowerModel],
         job_cap_w: float,
-        spec: CpuSpec = XEON_E5_2670,
         threads: int | None = None,
     ) -> None:
         if job_cap_w <= 0:
             raise ValueError(f"job cap must be positive, got {job_cap_w}")
-        self.spec = spec
-        # None = the full core count of each rank's own socket
-        # (heterogeneous machines may differ per rank).
+        # None = the full core count of each rank's own socket.
         self.threads = threads
-        if threads is not None and not (1 <= threads <= spec.cores):
-            raise ValueError(f"threads must be in [1, {spec.cores}]")
+        cores = min(pm.spec.cores for pm in power_models)
+        if threads is not None and not (1 <= threads <= cores):
+            raise ValueError(f"threads must be in [1, {cores}]")
         self.job_cap_w = job_cap_w
         self.cap_per_socket_w = job_cap_w / len(power_models)
         self.controllers = [RaplController(pm) for pm in power_models]

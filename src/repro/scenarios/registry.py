@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from ..core.fixed_order_lp import FixedOrderLpResult
@@ -44,7 +45,7 @@ from ..runtime.conductor import ConductorConfig, ConductorPlanner, ConductorPoli
 from ..runtime.config_search import ConfigSearchPolicy
 from ..runtime.dvfs_energy import DvfsEnergyPolicy
 from ..runtime.static import StaticPolicy
-from ..simulator.engine import Engine, SweepRunOutcome
+from ..simulator.engine import Engine, SimulationResult, SweepRunOutcome
 from ..simulator.program import Application
 from ..simulator.trace import Trace
 
@@ -55,6 +56,12 @@ __all__ = [
     "PolicyRegistry",
     "default_registry",
 ]
+
+
+#: One swept runtime point: a zero-argument callable handing out the run
+#: (each call counts the run's ``sim.*`` metrics, as an ``Engine.run``
+#: would) and the extras the cell reports for it.
+SweptPoint = tuple[Callable[[], SimulationResult], dict]
 
 
 @dataclass
@@ -118,12 +125,12 @@ class PolicyEntry:
     #: DAG in one order (static, and the Conductor planner's conductor,
     #: selection-only and adagio): ``sweep(ctx, cfg, engine, job_caps_w)``
     #: runs it at every job cap in one :meth:`Engine.run_sweep` walk and
-    #: returns the outcome with each point's extras, point ``c`` being the
-    #: run of ``build`` at ``job_caps_w[c]`` and the extras those the cell
-    #: reports for it, so a serial sweep can run its cells' caps ahead.
+    #: returns one ``(take, extra)`` per job cap, ``take()`` handing out
+    #: the run of ``build`` at ``job_caps_w[c]`` and ``extra`` the extras
+    #: the cell reports for it, so a serial sweep can run its cells' caps
+    #: ahead.  Caps whose runs are identical may share one walked column.
     sweep: Callable[
-        [PolicyContext, dict, Engine, list[float]],
-        tuple[SweepRunOutcome, list[dict]],
+        [PolicyContext, dict, Engine, list[float]], list[SweptPoint]
     ] | None = None
 
     def __post_init__(self) -> None:
@@ -196,12 +203,18 @@ def _build_static(ctx: PolicyContext, cfg: dict) -> StaticPolicy:
     return StaticPolicy(ctx.power_models, ctx.job_cap_w, threads=cfg["threads"])
 
 
+def _points(outcome: SweepRunOutcome, extras: list[dict]) -> list[SweptPoint]:
+    """Each column of ``outcome`` as a swept point with its extras."""
+    return [(partial(outcome.result, c), extra) for c, extra in enumerate(extras)]
+
+
 def _sweep_static(
     ctx: PolicyContext, cfg: dict, engine: Engine, job_caps_w: list[float]
-) -> tuple[SweepRunOutcome, list[dict]]:
+) -> list[SweptPoint]:
     policy = _build_static(ctx, cfg)
     plan = policy.plan_sweep(ctx.app, engine, job_caps_w)
-    return engine.run_sweep(ctx.app, policy, plan), [{}] * len(job_caps_w)
+    outcome = engine.run_sweep(ctx.app, policy, plan)
+    return _points(outcome, [{}] * len(job_caps_w))
 
 
 def _build_conductor(ctx: PolicyContext, cfg: dict) -> ConductorPolicy:
@@ -232,7 +245,7 @@ def _sweep_planner(
     config: ConductorConfig,
     engine: Engine,
     job_caps_w: list[float],
-) -> tuple[SweepRunOutcome, list[dict]]:
+) -> list[SweptPoint]:
     """The Conductor planner under ``config`` at every job cap, in one walk."""
     planner = ConductorPlanner(
         ctx.power_models,
@@ -245,30 +258,31 @@ def _sweep_planner(
     # Reallocations happen at the same barriers at every cap.
     reallocs = planner.realloc_count
     extra = {} if reallocs is None else {"reallocs": reallocs}
-    return outcome, [extra] * len(job_caps_w)
+    return _points(outcome, [extra] * len(job_caps_w))
 
 
 def _sweep_conductor(
     ctx: PolicyContext, cfg: dict, engine: Engine, job_caps_w: list[float]
-) -> tuple[SweepRunOutcome, list[dict]]:
+) -> list[SweptPoint]:
     return _sweep_planner(ctx, ConductorConfig(**cfg), engine, job_caps_w)
 
 
 def _sweep_selection_only(
     ctx: PolicyContext, cfg: dict, engine: Engine, job_caps_w: list[float]
-) -> tuple[SweepRunOutcome, list[dict]]:
+) -> list[SweptPoint]:
     config = ConductorConfig.selection_only(**cfg)
     return _sweep_planner(ctx, config, engine, job_caps_w)
 
 
 def _sweep_adagio(
     ctx: PolicyContext, cfg: dict, engine: Engine, job_caps_w: list[float]
-) -> tuple[SweepRunOutcome, list[dict]]:
+) -> list[SweptPoint]:
     config = ConductorConfig.selection_only(
         cfg["safety"], cfg["switch_overhead_s"], cfg["min_switch_duration_s"]
     )
-    # Uncapped: every point is the same run.
-    return _sweep_planner(ctx, config, engine, [math.inf] * len(job_caps_w))
+    # Uncapped: every cap's run is the same, so one walked column serves
+    # every cell.
+    return _sweep_planner(ctx, config, engine, [math.inf]) * len(job_caps_w)
 
 
 def _build_dvfs_energy(ctx: PolicyContext, cfg: dict) -> DvfsEnergyPolicy:

@@ -11,11 +11,12 @@ Each (spec, cap) cell is an independent, fully seeded computation:
   order — bit-identical to the serial sweep, worker observability folded
   back in submission order (see :mod:`repro.exec.parallel`);
 * each cell is memoized in the ambient
-  :class:`~repro.exec.cache.SolverCache` under a key derived from the
-  spec's :meth:`~repro.scenarios.spec.ScenarioSpec.cell_hash` and the
-  ``SCENARIO_LAYER_VERSION`` — never from a hardwired field list — and a
-  payload whose policy-name set does not exactly match the spec is
-  recomputed, not mis-mapped;
+  :class:`~repro.exec.cache.SolverCache` under the spec's
+  :meth:`~repro.scenarios.spec.ScenarioSpec.cell_key`, derived from its
+  ``cell_hash`` and the ``SCENARIO_LAYER_VERSION`` — never from a
+  hardwired field list — and kept on the spec, so the sweep and its
+  in-process cells key each cell once; a payload whose policy-name set
+  does not exactly match the spec is recomputed, not mis-mapped;
 * every policy run lands in its own trace scope
   (``"<name> <benchmark> cap=<cap>W"``), so Perfetto shows one process
   group per policy instance.
@@ -39,7 +40,7 @@ from ..core.model import ProblemInstance, build_problem_instance
 from ..core.sweep import ParametricCapSolver, solving_caps_ahead
 from ..exec.cache import SolverCache
 from ..exec.faults import FaultInjector
-from ..exec.keys import fixed_order_lp_key, scenario_cell_key
+from ..exec.keys import fixed_order_lp_key
 from ..exec.options import get_execution_options
 from ..exec.parallel import (
     CellOutcome,
@@ -411,9 +412,7 @@ def run_scenario_cell(
         cache = get_execution_options().make_cache()
     key = None
     if cache is not None:
-        key = scenario_cell_key(
-            spec.cell_hash(), cap_per_socket_w, SCENARIO_LAYER_VERSION
-        )
+        key = spec.cell_key(cap_per_socket_w)
         payload = cache.get(key)
         if payload is not None:
             cell = _cell_from_payload(spec, cap_per_socket_w, payload)
@@ -682,9 +681,9 @@ def _running_ahead(
             job_caps = [cap * spec.n_ranks for cap in caps]
             ctx = _policy_context(spec, shared, job_caps[0], cache=None)
             for label, sweep, cfg in sweeps:
-                outcome, extras = sweep(ctx, cfg, shared.engine, job_caps)
-                for c, cap in enumerate(caps):
-                    points[(label, cap)] = (partial(outcome.result, c), extras[c])
+                swept = sweep(ctx, cfg, shared.engine, job_caps)
+                for cap, point in zip(caps, swept):
+                    points[(label, cap)] = point
     except Exception:
         points = {}
     if shared is not None:
@@ -778,10 +777,7 @@ def run_scenarios(
         reg.get(pspec.policy).resolve_config(pspec.config)
     reset_cap_solvers(spec)
     caps = [float(cap) for cap in spec.caps_per_socket_w]
-    keys = {
-        cap: scenario_cell_key(spec.cell_hash(), cap, SCENARIO_LAYER_VERSION)
-        for cap in caps
-    }
+    keys = {cap: spec.cell_key(cap) for cap in caps}
 
     cells: dict[float, ScenarioCell] = {}
     if journal is not None:

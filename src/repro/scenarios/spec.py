@@ -17,6 +17,12 @@ Two hashes matter:
   grid — the namespace of per-(spec, cap) cache cells, so extending a
   sweep by one cap leaves every previously computed cell warm.
 
+Both, and each cap's :meth:`ScenarioSpec.cell_key`, are computed on first
+use and kept in the instance ``__dict__``: a spec is frozen, so a sweep
+that keys, guards and serializes every cell hashes its document once
+(``dataclasses.replace`` and ``from_json`` build new instances, which
+hash afresh).
+
 The canonical form follows :mod:`repro.exec.keys`: sorted keys, compact
 separators, shortest-round-trip floats.
 """
@@ -27,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..exec.keys import canonical_json, digest
+from ..exec.keys import canonical_json, digest, scenario_cell_key
 from ..simulator.program import Application
 from ..workloads import BENCHMARKS, WorkloadSpec
 from ..workloads.synthetic import imbalanced_collective_app
@@ -225,7 +231,10 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     def spec_hash(self) -> str:
         """SHA-256 of the full canonical document (manifest identity)."""
-        return digest(self.to_doc())
+        spec_hash = self.__dict__.get("_spec_hash")
+        if spec_hash is None:
+            spec_hash = self.__dict__["_spec_hash"] = digest(self.to_doc())
+        return spec_hash
 
     def cell_hash(self) -> str:
         """SHA-256 of the cap-grid-independent document (cache namespace).
@@ -233,6 +242,22 @@ class ScenarioSpec:
         Cells are keyed per (this hash, cap), so the same cell computed by
         a single-cap run and by a wider sweep is one warm cache entry.
         """
-        doc = self.to_doc()
-        del doc["caps_per_socket_w"]
-        return digest(doc)
+        cell_hash = self.__dict__.get("_cell_hash")
+        if cell_hash is None:
+            doc = self.to_doc()
+            del doc["caps_per_socket_w"]
+            cell_hash = self.__dict__["_cell_hash"] = digest(doc)
+        return cell_hash
+
+    def cell_key(self, cap_per_socket_w: float) -> str:
+        """The cache (and journal) key of this spec's cell at one cap:
+        :func:`~repro.exec.keys.scenario_cell_key` of :meth:`cell_hash`,
+        the cap and ``SCENARIO_LAYER_VERSION``."""
+        keys = self.__dict__.setdefault("_cell_keys", {})
+        cap = float(cap_per_socket_w)
+        key = keys.get(cap)
+        if key is None:
+            key = keys[cap] = scenario_cell_key(
+                self.cell_hash(), cap, SCENARIO_LAYER_VERSION
+            )
+        return key

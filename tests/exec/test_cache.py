@@ -161,7 +161,7 @@ class TestSolverCache:
         cache = SolverCache(tmp_path)
         key = "ab" * 32
         cache.put(key, {"answer": 42})
-        doc = json.loads(cache._path(key).read_text())
+        doc = json.loads(Path(cache._path(key)).read_text())
         prov = doc["provenance"]
         assert prov["model_layer_version"] == MODEL_LAYER_VERSION
         assert len(prov["config_hash"]) == 64
@@ -190,7 +190,7 @@ class TestSolverCache:
         cache = SolverCache(tmp_path)
         key = "cd" * 32
         cache.put(key, {"v": 1})
-        path = cache._path(key)
+        path = Path(cache._path(key))
         path.write_text("{not json")
         assert cache.get(key) is None
 
@@ -198,7 +198,7 @@ class TestSolverCache:
         cache = SolverCache(tmp_path)
         key = "ef" * 32
         cache.put(key, {"v": 1})
-        path = cache._path(key)
+        path = Path(cache._path(key))
         doc = json.loads(path.read_text())
         doc["schema"] = CACHE_SCHEMA_VERSION + 1
         path.write_text(json.dumps(doc))
@@ -209,9 +209,9 @@ class TestSolverCache:
         cache = SolverCache(tmp_path)
         key_a, key_b = "aa" * 32, "bb" * 32
         cache.put(key_a, {"v": 1})
-        path_b = cache._path(key_b)
+        path_b = Path(cache._path(key_b))
         path_b.parent.mkdir(parents=True, exist_ok=True)
-        path_b.write_text(cache._path(key_a).read_text())
+        path_b.write_text(Path(cache._path(key_a)).read_text())
         assert cache.get(key_b) is None
 
     def test_no_tmp_files_left_behind(self, tmp_path):
@@ -224,7 +224,7 @@ class TestSolverCache:
         """A worker killed mid-put leaks a temp file; construction reaps it."""
         cache = SolverCache(tmp_path)
         cache.put("ab" * 32, {"v": 1})
-        orphan = cache._path("ab" * 32).parent / "orphanXYZ.tmp"
+        orphan = Path(cache._path("ab" * 32)).parent / "orphanXYZ.tmp"
         orphan.write_text("{half a wri")
         old = os.stat(orphan).st_mtime - 7200
         os.utime(orphan, (old, old))
@@ -237,7 +237,7 @@ class TestSolverCache:
         """A recent temp file may belong to a live writer: never reaped."""
         cache = SolverCache(tmp_path)
         cache.put("cd" * 32, {"v": 1})
-        live = cache._path("cd" * 32).parent / "liveXYZ.tmp"
+        live = Path(cache._path("cd" * 32)).parent / "liveXYZ.tmp"
         live.write_text("{half a wri")
         fresh = SolverCache(tmp_path)
         assert fresh.tmp_swept == 0

@@ -1,11 +1,15 @@
 """Property-based tests for scenario specs and the policy registry."""
 
+import dataclasses
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.exec.keys import digest, scenario_cell_key
 from repro.scenarios.registry import default_registry
 from repro.scenarios.spec import (
     SCENARIO_BENCHMARKS,
+    SCENARIO_LAYER_VERSION,
     PolicySpec,
     ScenarioSpec,
 )
@@ -72,6 +76,39 @@ class TestSpecProperties:
         again = ScenarioSpec.from_json(spec.to_json())
         assert again.spec_hash() == spec.spec_hash()
         assert again.cell_hash() == spec.cell_hash()
+
+    @given(
+        spec=scenario_specs(),
+        seed=st.integers(0, 2**31 - 1),
+        cap=st.floats(1.0, 100.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_kept_hashes_are_the_document_digests(self, spec, seed, cap):
+        def assert_digests(s):
+            cell_doc = s.to_doc()
+            del cell_doc["caps_per_socket_w"]
+            for _ in range(2):  # computed, then kept
+                assert s.spec_hash() == digest(s.to_doc())
+                assert s.cell_hash() == digest(cell_doc)
+                assert s.cell_key(cap) == scenario_cell_key(
+                    digest(cell_doc), cap, SCENARIO_LAYER_VERSION
+                )
+
+        assert_digests(spec)
+        # New instances hash their own documents, not the kept digests.
+        reseeded = dataclasses.replace(spec, seed=seed)
+        assert_digests(reseeded)
+        if seed != spec.seed:
+            assert reseeded.spec_hash() != spec.spec_hash()
+            assert reseeded.cell_hash() != spec.cell_hash()
+            assert reseeded.cell_key(cap) != spec.cell_key(cap)
+        regridded = dataclasses.replace(
+            spec, caps_per_socket_w=spec.caps_per_socket_w + (cap + 100.0,)
+        )
+        assert_digests(regridded)
+        assert regridded.spec_hash() != spec.spec_hash()
+        assert regridded.cell_key(cap) == spec.cell_key(cap)
+        assert_digests(ScenarioSpec.from_json(reseeded.to_json()))
 
     @given(spec=scenario_specs(), extra_cap=st.floats(101.0, 200.0))
     @settings(max_examples=60, deadline=None)

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.machine.configuration import Configuration
-from repro.machine.cpu import CpuSpec, XEON_E5_2670
 from repro.machine.frontiers import FrontierStore
-from repro.machine.performance import TaskKernel, TaskTimeModel
+from repro.machine.performance import TaskKernel
 from repro.machine.power import SocketPowerModel
 from repro.machine.rapl import RaplController
 from repro.obs.events import ReallocEvent
@@ -107,18 +106,15 @@ class ScalarConductor:
         power_models: list[SocketPowerModel],
         job_cap_w: float,
         app: Application,
-        spec: CpuSpec = XEON_E5_2670,
         config: ConductorConfig = ConductorConfig(),
         frontier_store: FrontierStore | None = None,
     ) -> None:
         if job_cap_w <= 0:
             raise ValueError(f"job cap must be positive, got {job_cap_w}")
         self.power_models = power_models
-        self.spec = spec
         self.cfg = config
         self.job_cap_w = job_cap_w
         self.n_ranks = len(power_models)
-        self.time_model = TaskTimeModel(spec)
         self.rapl = [RaplController(pm) for pm in power_models]
         self.rng = np.random.default_rng(config.seed)
 

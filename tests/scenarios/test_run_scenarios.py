@@ -13,6 +13,7 @@ from repro.experiments.figures import benchmark_config
 from repro.experiments.runner import comparison_spec
 from repro.obs.metrics import Metrics, use_metrics
 from repro.obs.recorder import TraceRecorder, use_recorder
+from repro.scenarios import spec as spec_mod
 from repro.scenarios.run import cell_payload, run_scenario_cell, run_scenarios
 from repro.scenarios.spec import (
     SCENARIO_LAYER_VERSION,
@@ -279,6 +280,39 @@ class TestCellCaching:
         cell = run_scenario_cell(spec, 40.0, cache=cache)
         assert set(cell.outcomes) == set(spec.policy_labels())
         assert cell.outcomes["static"].time_s not in (1.0, 2.0, 0.5)
+
+    def test_warm_sweep_hashes_once_and_reads_each_cell_once(
+        self, tmp_path, monkeypatch
+    ):
+        caps = (40.0, 45.0, 50.0, 55.0, 60.0)
+        cache = SolverCache(tmp_path)
+        cold = run_scenarios(small_spec(ALL_FIVE[:2], caps), cache=cache)
+        spec = ScenarioSpec.from_json(cold.spec.to_json())  # nothing kept
+        docs, keyed, reads = [], [], []
+
+        def counted(fn, log):
+            def wrapper(*args, **kwargs):
+                log.append(args)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for owner, name, log in (
+            (ScenarioSpec, "to_doc", docs),
+            (spec_mod, "scenario_cell_key", keyed),
+            (SolverCache, "get", reads),
+        ):
+            monkeypatch.setattr(owner, name, counted(getattr(owner, name), log))
+        for _ in range(2):
+            warm = run_scenarios(spec, cache=cache)
+            rendered = [cell_payload(spec, cell) for cell in warm.cells]
+            assert rendered == [cell_payload(spec, c) for c in cold.cells]
+        assert len(docs) == 1  # the cell hash, once for the spec
+        assert len(keyed) == len(caps)  # each cell's key, once
+        assert sorted(key for _, key in reads) == sorted(
+            [spec.cell_key(cap) for cap in caps] * 2
+        )  # each cell's file, once per sweep
+        assert cache.hits == 2 * len(caps)
 
     def test_layer_version_namespaces_keys(self):
         a = scenario_cell_key("abc", 40.0, 1)

@@ -160,5 +160,18 @@ class TestHashing:
             "5248a7a0f5861c2836ae53f003cfff591ac95361291a0e35b067389d05194fd8"
         )
 
+    def test_cell_keys_are_pinned(self):
+        """Cell keys pinned from caches filled before the spec kept its
+        keys: such a cache stays warm."""
+        spec = make_spec()
+        assert spec.cell_key(40.0) == (
+            "e11b27ac5e28d537fa87559a5450ec5cac9096abefd0559b2f2026fca38252b9"
+        )
+        assert spec.cell_key(47.5) == (
+            "727d1245ec6d33e204dd8ecdd699a0d064f322c18110d7bcbcd634bacbcb4190"
+        )
+        # An int cap names the same cell as its float.
+        assert spec.cell_key(40) == spec.cell_key(40.0)
+
     def test_hashes_stable_across_instances(self):
         assert make_spec().spec_hash() == make_spec().spec_hash()

@@ -386,8 +386,9 @@ def swept_points(spec, name="conductor"):
     caps = run_mod._schedulable(shared, list(spec.caps_per_socket_w))
     job_caps = [cap * spec.n_ranks for cap in caps]
     ctx = run_mod._policy_context(spec, shared, job_caps[0], cache=None)
-    outcome, extras = entry.sweep(ctx, cfg, shared.engine, job_caps)
-    for c, job_cap in enumerate(job_caps):
+    points = entry.sweep(ctx, cfg, shared.engine, job_caps)
+    assert len(points) == len(job_caps)
+    for (take, extra), job_cap in zip(points, job_caps):
         policy = entry.build(dataclasses.replace(ctx, job_cap_w=job_cap), cfg)
         reference = REFERENCES[name](
             shared.power_models, job_cap, shared.app_run, cfg, shared.frontiers
@@ -395,7 +396,7 @@ def swept_points(spec, name="conductor"):
         runs = [
             shared.engine.run(shared.app_run, p) for p in (policy, reference)
         ]
-        yield outcome.result(c), extras[c], runs, policy, reference
+        yield take(), extra, runs, policy, reference
 
 
 def assert_points_are_scalar_runs(spec, name="conductor") -> list:
@@ -478,7 +479,9 @@ class TestAblationSweep:
         result = swept(spec)
         assert payloads(result) == payloads(alone)
         schedulable = sum(cell.schedulable for cell in result.cells)
-        assert sweeps == [schedulable] * 3  # static, selection-only, adagio
+        # static and selection-only walk a column per cap; adagio, uncapped,
+        # walks one for every cap.
+        assert sweeps == [schedulable, schedulable, 1]
         for cell in result.cells:
             for name in ("selection-only", "adagio"):
                 assert "reallocs" not in cell.outcomes[name].extra
@@ -490,3 +493,21 @@ class TestAblationSweep:
             first = points["selection-only"][0]
             steady = [r for r in first.records if r.iteration >= 3]
             assert steady and all(r.config.duty < 1.0 for r in steady)
+
+    def test_adagio_walks_one_column_for_every_cap(self, sweeps, unswept):
+        """Uncapped, Adagio's run is the same at every cap: an N-cap sweep
+        walks a single point and hands it to every cell, and the cells
+        equal the per-cap runs."""
+        spec = dataclasses.replace(
+            spec_for("comd", (40.0, 45.0, 55.0, 62.5, 70.0)),
+            policies=(PolicySpec("adagio"),),
+        )
+        alone = unswept(spec)
+        assert sweeps == []
+        result = swept(spec)
+        assert sweeps == [1]
+        assert payloads(result) == payloads(alone)
+        assert len({cell.time_s("adagio") for cell in result.cells}) == 1
+        assert points_left(spec) == {}
+        points = assert_points_are_scalar_runs(spec, "adagio")
+        assert len(points) == 5 and sweeps == [1, 1]
